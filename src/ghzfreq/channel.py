@@ -177,11 +177,15 @@ def choi_min_eigenvalue(params: ChannelParams) -> float:
     two decoupled diagonal entries, so its spectrum is available without a
     numerical eigensolver.
     """
-    a = a_coefficients(params)
+    return float(_choi_min(a_coefficients(params), params.eta_perp))
+
+
+def _choi_min(a: ACoefficients, eta_perp):
+    """Smallest Choi eigenvalue from the pole coefficients; elementwise on arrays."""
     s = 0.25 * (a.a_pp + a.a_pm)
     d = 0.25 * (a.a_pp - a.a_pm)
-    corner_min = s - math.hypot(d, params.eta_perp)
-    return min(0.5 * a.a_mp, 0.5 * a.a_mm, corner_min)
+    corner_min = s - np.hypot(d, eta_perp)
+    return np.minimum(np.minimum(0.5 * a.a_mp, 0.5 * a.a_mm), corner_min)
 
 
 def is_cptp(params: ChannelParams, tol: float = CP_TOL) -> bool:

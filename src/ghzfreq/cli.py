@@ -20,7 +20,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,6 @@ class RunSpec:
     jobs: int = 1
     nmax: int = 5
     seed: int = 7
-    extra: dict = field(default_factory=dict)
 
     def noise_model(self) -> NoiseModel:
         return _MODEL_FACTORIES[self.model](self.gamma)
@@ -124,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="probe count or inclusive range a:b")
     p.add_argument("--strategy", default=None, help="comma-separated subset")
     p.add_argument("--c1", type=float, default=1.0 / math.sqrt(2.0))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for saved invocations; has no effect")
 
     p = sub.add_parser("verify", help="run the cross-route check suite")
     common(p, model=False)

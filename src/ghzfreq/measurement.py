@@ -25,6 +25,7 @@ from .fisher import qfi_ancilla_closed, qfi_ghz_closed
 from .state import (
     DirectSumState,
     ProbeSpec,
+    coherence_block,
     evolve_directsum_ancilla,
     evolve_directsum_free,
 )
@@ -89,12 +90,15 @@ def expectation_moments(ds: DirectSumState, obs: GhzObservable) -> tuple[float, 
     return mean, ds.block_trace()
 
 
-def _mean_and_slope(ds: DirectSumState, obs: GhzObservable) -> tuple[float, float, float]:
-    """mean, d<O>/dphi and the slope's attainable maximum, all analytic."""
-    rotated = cmath.exp(1j * obs.delta) * ds.block[0, 1]
+def _mean_and_slope(
+    coherence: complex, n_probes: int, obs: GhzObservable
+) -> tuple[float, float, float]:
+    """mean, d<O>/dphi and the slope's attainable maximum, all analytic,
+    from the block's off-diagonal entry."""
+    rotated = cmath.exp(1j * obs.delta) * coherence
     mean = 2.0 * rotated.real
-    slope = 2.0 * ds.n_probes * rotated.imag
-    slope_max = 2.0 * ds.n_probes * abs(ds.block[0, 1])
+    slope = 2.0 * n_probes * rotated.imag
+    slope_max = 2.0 * n_probes * abs(coherence)
     return mean, slope, slope_max
 
 
@@ -118,7 +122,7 @@ def error_propagation_sensitivity(
         raise ValueError(
             f"observable spans {obs.n_total} qubits but the state has {ds.n_total}"
         )
-    mean, slope, slope_max = _mean_and_slope(ds, obs)
+    mean, slope, slope_max = _mean_and_slope(ds.block[0, 1], ds.n_probes, obs)
     if slope_max == 0.0 or abs(slope) < 1e-9 * slope_max:
         raise UnusableWorkingPointError(
             "the mean has no phase response at this working point"
@@ -132,15 +136,16 @@ def saturation_check(
     model: NoiseModel,
     t: float,
     omega: float,
-    n_grid: int = 720,
     rel_tol: float = 1e-8,
 ) -> tuple[bool, float, float]:
-    """Scan the measurement phase and compare the best variance against t/F.
+    """Compare the quadrature-phase readout variance against t/F.
 
-    Returns (is_saturating, best_delta, gap) with
-    gap = min_delta(variance) / (t/F) - 1. The scan covers a uniform grid of
-    n_grid deltas in [0, 2*pi) plus the two quadrature phases where the mean
-    crosses zero with maximal slope; ties resolve toward the smallest delta.
+    Returns (is_saturating, best_delta, gap) with gap = variance / (t/F) - 1,
+    the variance taken at the better of the two quadrature phases, where the
+    mean crosses zero with maximal slope (ties go to the smaller delta). Only
+    the 2x2 coherence block is built, so the cost does not grow with N. That
+    no other measurement phase does better is checked by a phase scan in
+    `verify`.
     """
     if spec.n_ancillas == 0:
         f = qfi_ghz_closed(spec, model, t).f_freq
@@ -149,24 +154,23 @@ def saturation_check(
     if f <= 0.0:
         raise ValueError("quantum Fisher information vanishes; nothing to saturate")
     bound = t / f
-    ds = _evolved(spec, model, t, omega)
+    block, phase_total = coherence_block(spec, params_at(model, t), omega, t)
+    block_trace = float(block[0, 0].real + block[1, 1].real)
+    n_total = spec.n_probes + spec.n_ancillas
     # quadrature condition: phase_total - delta - arg(c1 conj(c2)) = pi/2 (mod pi)
     alpha = cmath.phase(spec.c1 * np.conj(spec.c2))
-    quad = (ds.phase_total - alpha - 0.5 * math.pi) % math.pi
-    candidates = sorted(
-        {(i / n_grid) * 2.0 * math.pi for i in range(n_grid)} | {quad, quad + math.pi}
-    )
+    quad = (phase_total - alpha - 0.5 * math.pi) % math.pi
     best_delta = math.nan
     best = math.inf
-    block_trace = ds.block_trace()
-    for delta in candidates:
-        mean, slope, slope_max = _mean_and_slope(ds, GhzObservable(ds.n_total, delta))
+    for delta in (quad, quad + math.pi):
+        obs = GhzObservable(n_total, delta)
+        mean, slope, slope_max = _mean_and_slope(block[0, 1], spec.n_probes, obs)
         if slope_max == 0.0 or abs(slope) < 1e-9 * slope_max:
             continue
         val = (block_trace - mean * mean) / (t * slope * slope)
         if val < best:
             best, best_delta = val, delta
     if not math.isfinite(best):
-        raise ValueError("no usable working point found over the delta scan")
+        raise ValueError("the readout has no phase response at quadrature")
     gap = best / bound - 1.0
     return abs(gap) <= rel_tol, best_delta, gap

@@ -2,12 +2,20 @@
 
 The figure of merit throughout is F_omega(t)/t, the frequency information
 per unit of total measurement time. For each strategy it is maximized over
-t in two stages: a coarse geometric scan that also certifies unimodality of
-the sampled profile, then golden-section refinement and a derivative-sign
-bisection polish. The polish matters: value-based search alone cannot place
-the optimum better than about sqrt(eps) in relative terms because the
-profile is flat to second order at the peak, while the sign of a central
-difference of the profile stays resolvable well below that.
+t in two stages, both on the log-space closed form `fisher.log_qfi_phase`
+evaluated over arrays of times:
+
+  * a geometric scan of the whole window in one array call, which also
+    certifies that the sampled profile rises to a single interior peak;
+  * a bracketing search on the sign of d/dt log(F/t) between the scan
+    points either side of the peak. Each step evaluates the slope at
+    REFINE_POINTS interior points in one array call and keeps the
+    sub-interval where it changes sign. The slope is analytic for the named
+    models and a central difference of log(F/t) for custom ones.
+
+The slope's sign stays resolvable down to a few ulps of the optimum, where a
+value-based search stops at about sqrt(eps) because the profile is flat to
+second order at the peak.
 
 `sweep` packages the per-N results (optimal time, peak value, ratio against
 the best uncorrelated scheme, and the readout saturation gap at the
@@ -17,7 +25,7 @@ optimum) into rows ready for tabulation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -25,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import NoiseModel
-from .fisher import qfi_ancilla_closed, qfi_ghz_closed, qfi_uncorrelated_closed
+from .fisher import log_qfi_phase, qfi_ancilla_closed, qfi_ghz_closed, qfi_uncorrelated_closed
 from .measurement import saturation_check
 from .state import ProbeSpec
 
@@ -40,11 +48,13 @@ __all__ = [
     "table1",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
 SCAN_POINTS = 200
-SCAN_WINDOW = (1e-4, 1e2)  # in units of 1/gamma
+# in units of 1/gamma; for the GHZ strategies the lower edge is also divided
+# by N, since their optimum sits near 1/(N gamma)
+SCAN_WINDOW = (1e-4, 1e2)
+REFINE_POINTS = 64
+REFINE_REL_WIDTH = 1e-8  # bracket width, relative, at which the slope is interpolated
+_TINY = sys.float_info.min
 
 
 class StrategyKind(Enum):
@@ -111,70 +121,72 @@ def _check_strategy_spec(strategy: StrategyKind, spec: ProbeSpec) -> None:
         raise ValueError(f"strategy {strategy.value!r} takes no ancillas")
 
 
+_ROUTES = {
+    StrategyKind.UNCORRELATED: "closed_uncorrelated",
+    StrategyKind.GHZ_FREE: "closed_ghz",
+    StrategyKind.GHZ_ANCILLA: "closed_ancilla",
+}
+
+
 def _objective(
     strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel
-) -> Callable[[float], float]:
-    qfi = {
-        StrategyKind.UNCORRELATED: qfi_uncorrelated_closed,
-        StrategyKind.GHZ_FREE: qfi_ghz_closed,
-        StrategyKind.GHZ_ANCILLA: qfi_ancilla_closed,
-    }[strategy]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """F_omega/t = t * F_phase as a function of an array of times."""
+    route = _ROUTES[strategy]
 
-    def f_over_t(t: float) -> float:
-        return qfi(spec, model, t).f_freq / t
+    def f_over_t(t: np.ndarray) -> np.ndarray:
+        return t * np.exp(log_qfi_phase(route, spec, model, t))
 
     return f_over_t
 
 
-def _golden_section(
-    f: Callable[[float], float], a: float, b: float, rel_tol: float
-) -> float:
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > rel_tol * b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    return 0.5 * (a + b)
+def _log_slope(
+    strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel,
+    f: Callable[[np.ndarray], np.ndarray],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """d/dt log(F/t) over an array of times.
+
+    Analytic for the named models; for custom ones a central difference of
+    log f with a relative step of 1e-6, both sides in one call of f.
+    """
+    if model.kind == "custom":
+        def slope(t: np.ndarray) -> np.ndarray:
+            h = 1e-6 * t
+            with np.errstate(divide="ignore"):
+                logs = np.log(f(np.concatenate([t - h, t + h])))
+            return (logs[t.size:] - logs[: t.size]) / (2.0 * h)
+
+        return slope
+    route = _ROUTES[strategy]
+
+    def slope(t: np.ndarray) -> np.ndarray:
+        return log_qfi_phase(route, spec, model, t, slope=True)[1] + 1.0 / t
+
+    return slope
 
 
-def _bisect_slope_sign(
-    f: Callable[[float], float], t_hat: float, lo: float, hi: float
-) -> float:
-    """Relocate the peak by bisecting on the sign of a central difference."""
-    h = 1e-5 * t_hat
+def _slope_root(slope: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Locate the sign change of a decreasing slope inside [a, b].
 
-    def slope(t: float) -> float:
-        return f(t + h) - f(t - h)
-
-    a = max(lo + h, t_hat * (1.0 - 2e-4))
-    b = min(hi - h, t_hat * (1.0 + 2e-4))
-    da, db = slope(a), slope(b)
-    for _ in range(8):
-        if da > 0.0 and db < 0.0:
-            break
-        span = b - a
-        a = max(lo + h, a - span)
-        b = min(hi - h, b + span)
-        da, db = slope(a), slope(b)
-    else:
-        return t_hat  # no sign change found; keep the golden-section point
-    while b - a > 1e-13 * t_hat:
-        m = 0.5 * (a + b)
-        if slope(m) > 0.0:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+    Each step evaluates the slope at REFINE_POINTS evenly spaced interior
+    points in one call and keeps the sub-interval ending at the first point
+    where it is no longer positive. Once the bracket is narrower than
+    REFINE_REL_WIDTH, the root is interpolated linearly between its ends.
+    """
+    points = np.linspace(a, b, REFINE_POINTS + 2)
+    values = slope(points)
+    if not (values[0] > 0.0 > values[-1]):
+        raise ValueError(
+            "the slope of log(F/t) does not change sign inside the scan bracket "
+            f"[{a!r}, {b!r}] (slopes {values[0]!r}, {values[-1]!r})"
+        )
+    while True:
+        i = int(np.argmax(values <= 0.0))
+        a, b, s_a, s_b = points[i - 1], points[i], values[i - 1], values[i]
+        if b - a <= REFINE_REL_WIDTH * b:
+            return float(a + (b - a) * s_a / (s_a - s_b))
+        points = np.linspace(a, b, REFINE_POINTS + 2)
+        values = np.concatenate(([s_a], slope(points[1:-1]), [s_b]))
 
 
 def maximize_f_over_t(
@@ -188,17 +200,22 @@ def maximize_f_over_t(
     """Maximize F_omega(t)/t over the interrogation time.
 
     Returns (t_opt, f_over_t_max). The scan window is `window` in units of
-    1/gamma; the sampled profile must rise strictly to a single interior
-    peak and never rise again past it, otherwise a ValueError is raised
-    rather than silently refining one of several candidate peaks.
+    1/gamma, its lower edge divided by N for the GHZ strategies; the sampled
+    profile must rise strictly to a single interior peak and never rise
+    again past it, otherwise a ValueError is raised rather than silently
+    refining one of several candidate peaks. A ValueError is also raised when
+    the slope of log(F/t) does not change sign between the scan points either
+    side of the peak.
     """
     if model.gamma <= 0:
         raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
     _check_strategy_spec(strategy, spec)
     f = _objective(strategy, spec, model)
     lo, hi = window[0] / model.gamma, window[1] / model.gamma
+    if strategy is not StrategyKind.UNCORRELATED:
+        lo /= spec.n_probes
     grid = np.geomspace(lo, hi, scan_points)
-    values = np.array([f(t) for t in grid])
+    values = f(grid)
     peak = int(np.argmax(values))
     if peak == 0 or peak == scan_points - 1:
         raise ValueError(
@@ -210,9 +227,9 @@ def maximize_f_over_t(
             "sampled profile is not unimodal over the scan window: "
             f"strategy={strategy.value} model={model.kind} n={spec.n_probes}"
         )
-    t_hat = _golden_section(f, grid[peak - 1], grid[peak + 1], rel_tol=1e-10)
-    t_opt = _bisect_slope_sign(f, t_hat, lo, hi)
-    return t_opt, f(t_opt)
+    slope = _log_slope(strategy, spec, model, f)
+    t_opt = _slope_root(slope, float(grid[peak - 1]), float(grid[peak + 1]))
+    return t_opt, float(f(t_opt))
 
 
 def sensitivity_ratio(
@@ -227,34 +244,6 @@ def sensitivity_ratio(
     return best_unc / best
 
 
-def _sweep_row(
-    model: NoiseModel, c1: complex, c2: complex, n: int, strategy: StrategyKind
-) -> SweepRow:
-    n_anc = 1 if strategy is StrategyKind.GHZ_ANCILLA else 0
-    spec = ProbeSpec(c1, c2, n, n_anc)
-    if strategy is StrategyKind.UNCORRELATED:
-        t_opt, best = maximize_f_over_t(strategy, spec, model)
-        ratio = 1.0
-        sat_spec = ProbeSpec(c1, c2, 1, 0)  # measured one probe at a time
-    else:
-        t_opt, best = maximize_f_over_t(strategy, spec, model)
-        unc_spec = ProbeSpec(c1, c2, n, 0)
-        _, best_unc = maximize_f_over_t(StrategyKind.UNCORRELATED, unc_spec, model)
-        ratio = best_unc / best
-        sat_spec = spec
-    _, _, gap = saturation_check(sat_spec, model, t_opt, omega=0.0)
-    return SweepRow(
-        n=n,
-        strategy=strategy,
-        model=model.kind,
-        gamma=model.gamma,
-        t_opt=t_opt,
-        f_over_t_max=best,
-        ratio_r=ratio,
-        saturation_gap=gap,
-    )
-
-
 def sweep(
     model: NoiseModel,
     n_min: int,
@@ -265,13 +254,14 @@ def sweep(
 ) -> list[SweepRow]:
     """Optimal-time summary rows for N = n_min..n_max, one per strategy.
 
-    Rows come out with N ascending and strategies in declaration order
-    regardless of `jobs`; every row is computed independently, so a thread
-    pool only changes wall time, never content. Ancilla rows use a single
-    ancilla (the information does not depend on how many). The saturation
-    gap is evaluated at the optimal time with the corner readout;
-    uncorrelated rows quote the single-probe gap since that strategy is
-    measured qubit by qubit.
+    Rows come out with N ascending and strategies in declaration order.
+    Ancilla rows use a single ancilla (the information does not depend on
+    how many). The uncorrelated optimum is computed once, for one probe: its
+    time does not depend on N and its F/t is N times the single-probe value.
+    The saturation gap is evaluated at the optimal time with the corner
+    readout; uncorrelated rows quote the single-probe gap since that strategy
+    is measured qubit by qubit. `jobs` is validated and otherwise ignored;
+    it is kept so that saved invocations still replay.
     """
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad probe range {n_min}..{n_max}")
@@ -283,11 +273,33 @@ def sweep(
     if not chosen:
         raise ValueError("no strategies selected")
     c2 = math.sqrt(1.0 - abs(c1) ** 2)
-    tasks = [(n, s) for n in range(n_min, n_max + 1) for s in chosen]
-    if jobs == 1:
-        return [_sweep_row(model, c1, c2, n, s) for n, s in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda ns: _sweep_row(model, c1, c2, *ns), tasks))
+    single = ProbeSpec(c1, c2, 1, 0)
+    t_unc, best_single = maximize_f_over_t(StrategyKind.UNCORRELATED, single, model)
+    if StrategyKind.UNCORRELATED in chosen:
+        _, _, gap_unc = saturation_check(single, model, t_unc, omega=0.0)
+    rows = []
+    for n in range(n_min, n_max + 1):
+        best_unc = n * best_single
+        for strategy in chosen:
+            if strategy is StrategyKind.UNCORRELATED:
+                t_opt, best, ratio, gap = t_unc, best_unc, 1.0, gap_unc
+            else:
+                n_anc = 1 if strategy is StrategyKind.GHZ_ANCILLA else 0
+                spec = ProbeSpec(c1, c2, n, n_anc)
+                t_opt, best = maximize_f_over_t(strategy, spec, model)
+                ratio = best_unc / best
+                _, _, gap = saturation_check(spec, model, t_opt, omega=0.0)
+            rows.append(SweepRow(
+                n=n,
+                strategy=strategy,
+                model=model.kind,
+                gamma=model.gamma,
+                t_opt=t_opt,
+                f_over_t_max=best,
+                ratio_r=ratio,
+                saturation_gap=gap,
+            ))
+    return rows
 
 
 def tabulated_f_over_t(
@@ -296,35 +308,52 @@ def tabulated_f_over_t(
     """Evaluate the tabulated balanced-probe expression for F_omega/t.
 
     These are the formulas as usually quoted per noise model, assuming
-    c1 = c2 = 1/sqrt(2). For the dephasing model the quoted GHZ expression
-    carries an extra factor of two relative to the closed form this package
-    derives; `table1` flags the discrepancy instead of hiding it.
+    c1 = c2 = 1/sqrt(2), with g = exp(-gamma t):
+
+        adc: 2 t N^2 g^N / (1 + g^N + (1-g)^N),  2 t N^2 g^N / (1 + g^N),  t N g
+        dpc: 2 t N^2 g^2N / (((1+g)/2)^N + ((1-g)/2)^N),
+             t N^2 g^2N / ((1+g)/2)^N,  t N g^2
+        pdc: t N^2 g^2N for both GHZ strategies,  t N g^2
+
+    for the free GHZ, ancilla and uncorrelated strategies. They are
+    evaluated in log space, so deep decay gives the tiny value rather than 0;
+    a ValueError is raised if even that is below the smallest normal double.
+    For the dephasing model the quoted GHZ expression carries an extra
+    factor of two relative to the closed form this package derives; `table1`
+    flags the discrepancy instead of hiding it.
     """
     if n < 1:
         raise ValueError(f"need at least one probe, got {n}")
     if t < 0 or gamma < 0:
         raise ValueError("gamma and t must be nonnegative")
-    g = math.exp(-gamma * t)
-    if kind == "adc":
+    if kind not in ("adc", "dpc", "pdc"):
+        raise ValueError(f"no tabulated expressions for model kind {kind!r}")
+    x = gamma * t
+    log_t = math.log(t) if t > 0 else -math.inf
+    log_1mg = math.log(-math.expm1(-x)) if x > 0 else -math.inf  # log(1 - g)
+    ghz = 2.0 * math.log(n) + log_t
+    if strategy is StrategyKind.UNCORRELATED:
+        log_value = math.log(n) + log_t - (x if kind == "adc" else 2.0 * x)
+    elif kind == "adc":
+        denominator = np.logaddexp(0.0, -n * x)
         if strategy is StrategyKind.GHZ_FREE:
-            return 2.0 * t * n**2 * g**n / (1.0 + g**n + (1.0 - g) ** n)
-        if strategy is StrategyKind.GHZ_ANCILLA:
-            return 2.0 * t * n**2 * g**n / (1.0 + g**n)
-        return t * n * g
-    if kind == "dpc":
+            denominator = np.logaddexp(denominator, n * log_1mg)
+        log_value = math.log(2.0) + ghz - n * x - float(denominator)
+    elif kind == "dpc":
+        log_hi = n * math.log1p(0.5 * math.expm1(-x))  # N log((1 + g)/2)
         if strategy is StrategyKind.GHZ_FREE:
-            return (
-                2.0 * t * n**2 * g ** (2 * n)
-                / (((1.0 + g) / 2.0) ** n + ((1.0 - g) / 2.0) ** n)
-            )
-        if strategy is StrategyKind.GHZ_ANCILLA:
-            return t * n**2 * g ** (2 * n) / ((1.0 + g) / 2.0) ** n
-        return t * n * g**2
-    if kind == "pdc":
-        if strategy is StrategyKind.UNCORRELATED:
-            return t * n * g**2
-        return t * n**2 * g ** (2 * n)
-    raise ValueError(f"no tabulated expressions for model kind {kind!r}")
+            denominator = np.logaddexp(log_hi, n * (log_1mg - math.log(2.0)))
+            log_value = math.log(2.0) + ghz - 2.0 * n * x - float(denominator)
+        else:
+            log_value = ghz - 2.0 * n * x - log_hi
+    else:
+        log_value = ghz - 2.0 * n * x
+    value = math.exp(log_value)
+    if math.isfinite(log_value) and value < _TINY:
+        raise ValueError(
+            f"tabulated F/t underflows double precision (log F/t = {log_value:.6g})"
+        )
+    return value
 
 
 def table1(model: NoiseModel, n: int, t: float) -> Table1Row:

@@ -23,6 +23,7 @@ __all__ = [
     "DirectSumState",
     "DenseState",
     "ghz_state",
+    "coherence_block",
     "evolve_directsum_free",
     "evolve_directsum_ancilla",
     "evolve_dense",
@@ -151,32 +152,50 @@ def _require_cptp(params: ChannelParams) -> None:
         raise ValueError("channel parameters are not CPTP")
 
 
-def evolve_directsum_free(
+def coherence_block(
     spec: ProbeSpec, params: ChannelParams, omega: float, t: float
-) -> DirectSumState:
-    """Evolve an ancilla-free GHZ probe, all qubits through the channel.
+) -> tuple[np.ndarray, float]:
+    """The 2x2 coherence block of an evolved GHZ probe and its phase_total.
 
-    Block diagonals are 2^-N * (|c1|^2 a_pp^N + |c2|^2 a_mp^N) and
-    2^-N * (|c1|^2 a_mm^N + |c2|^2 a_pm^N); the off-diagonal coherence is
-    c1*conj(c2)*eta_perp^N*exp(-i*phase_total). Residual class k carries
-    2^-N * (|c1|^2 a_pp^k a_mm^(N-k) + |c2|^2 a_mp^k a_pm^(N-k)) with
-    multiplicity C(N, k).
+    This is the part of the direct sum that carries the phase; building it
+    costs O(1) in N. The off-diagonal is
+    c1*conj(c2)*eta_perp^N*exp(-i*phase_total) with
+    phase_total = N*(theta_noise + omega*t). Without ancillas the diagonal is
+    2^-N * (|c1|^2 a_pp^N + |c2|^2 a_mp^N, |c1|^2 a_mm^N + |c2|^2 a_pm^N);
+    attached ancillas kill the cross terms, leaving 2^-N |c1|^2 a_pp^N and
+    2^-N |c2|^2 a_pm^N.
     """
-    if spec.n_ancillas != 0:
-        raise ValueError("free evolution takes an ancilla-free spec; use the ancilla builder")
     _require_cptp(params)
     n = spec.n_probes
     a = a_coefficients(params)
     w1, w2 = abs(spec.c1) ** 2, abs(spec.c2) ** 2
     phase = n * (params.theta_noise + omega * t)
     off = spec.c1 * np.conj(spec.c2) * params.eta_perp**n * cmath.exp(-1j * phase)
-    block = np.array(
-        [
-            [w1 * _half_power(a.a_pp, n) + w2 * _half_power(a.a_mp, n), off],
-            [np.conj(off), w1 * _half_power(a.a_mm, n) + w2 * _half_power(a.a_pm, n)],
-        ],
-        dtype=complex,
-    )
+    if spec.n_ancillas == 0:
+        top = w1 * _half_power(a.a_pp, n) + w2 * _half_power(a.a_mp, n)
+        bottom = w1 * _half_power(a.a_mm, n) + w2 * _half_power(a.a_pm, n)
+    else:
+        top = w1 * _half_power(a.a_pp, n)
+        bottom = w2 * _half_power(a.a_pm, n)
+    block = np.array([[top, off], [np.conj(off), bottom]], dtype=complex)
+    return block, phase
+
+
+def evolve_directsum_free(
+    spec: ProbeSpec, params: ChannelParams, omega: float, t: float
+) -> DirectSumState:
+    """Evolve an ancilla-free GHZ probe, all qubits through the channel.
+
+    The block comes from `coherence_block`. Residual class k carries
+    2^-N * (|c1|^2 a_pp^k a_mm^(N-k) + |c2|^2 a_mp^k a_pm^(N-k)) with
+    multiplicity C(N, k).
+    """
+    if spec.n_ancillas != 0:
+        raise ValueError("free evolution takes an ancilla-free spec; use the ancilla builder")
+    block, phase = coherence_block(spec, params, omega, t)
+    n = spec.n_probes
+    a = a_coefficients(params)
+    w1, w2 = abs(spec.c1) ** 2, abs(spec.c2) ** 2
     residual = tuple(
         (
             w1 * _half_power(a.a_pp, k) * _half_power(a.a_mm, n - k)
@@ -193,27 +212,17 @@ def evolve_directsum_ancilla(
 ) -> DirectSumState:
     """Evolve an ancilla-assisted GHZ probe; only probe qubits see the channel.
 
-    The untouched ancillas kill the cross terms of the block diagonals,
-    leaving 2^-N |c1|^2 a_pp^N and 2^-N |c2|^2 a_pm^N. The residual splits
-    into the two ancilla sectors: weights |c1|^2 a_pp^k a_mm^(N-k) for
-    k = 0 .. N-1 and |c2|^2 a_mp^k a_pm^(N-k) for k = 1 .. N, each times
-    2^-N with multiplicity C(N, k).
+    The block comes from `coherence_block`. The residual splits into the two
+    ancilla sectors: weights |c1|^2 a_pp^k a_mm^(N-k) for k = 0 .. N-1 and
+    |c2|^2 a_mp^k a_pm^(N-k) for k = 1 .. N, each times 2^-N with
+    multiplicity C(N, k).
     """
     if spec.n_ancillas < 1:
         raise ValueError("ancilla evolution needs n_ancillas >= 1")
-    _require_cptp(params)
+    block, phase = coherence_block(spec, params, omega, t)
     n = spec.n_probes
     a = a_coefficients(params)
     w1, w2 = abs(spec.c1) ** 2, abs(spec.c2) ** 2
-    phase = n * (params.theta_noise + omega * t)
-    off = spec.c1 * np.conj(spec.c2) * params.eta_perp**n * cmath.exp(-1j * phase)
-    block = np.array(
-        [
-            [w1 * _half_power(a.a_pp, n), off],
-            [np.conj(off), w2 * _half_power(a.a_pm, n)],
-        ],
-        dtype=complex,
-    )
     family1 = [
         (w1 * _half_power(a.a_pp, k) * _half_power(a.a_mm, n - k), math.comb(n, k))
         for k in range(0, n)

@@ -2,12 +2,25 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ghzfreq
 from ghzfreq.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def module_env():
+    """Environment in which a child `python -m ghzfreq` imports the package under test."""
+    env = dict(os.environ)
+    src = str(Path(ghzfreq.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
 
 
 def run_capture(args, capsys):
@@ -142,6 +155,83 @@ class TestSweep:
         assert code == 2
 
 
+class TestLargeNSweep:
+    @pytest.mark.parametrize("model", ["adc", "dpc"])
+    def test_million_probes(self, model, capsys):
+        code, out, _ = run_capture(
+            ["sweep", "--model", model, "--gamma", "1", "--n", "1000000",
+             "--strategy", "ghz-free,ghz-ancilla"],
+            capsys,
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert [r["strategy"] for r in rows] == ["ghz_free", "ghz_ancilla"]
+        for row in rows:
+            value = float(row["f_over_t_max"])
+            assert math.isfinite(value) and value > 0.0
+            assert 0.0 < float(row["ratio_r"]) <= 1.0
+
+
+# dpc points whose eta_perp**(2N) underflows in linear space; (strategy, N, gamma, t)
+DEEP_DECAY_POINTS = (
+    ("ghz-free", 2000, 1.0, 0.2),
+    ("ghz-free", 1000, 2.0, 0.2),
+    ("ghz-ancilla", 2000, 1.0, 0.2),
+    ("ghz-ancilla", 1500, 1.0, 0.3),
+)
+
+
+def log_qfi_dpc_balanced(strategy, n, gamma, t):
+    """log F of a balanced dpc GHZ probe, written out independently in log space."""
+    g = math.exp(-gamma * t)
+    terms = [n * math.log((1.0 + g) / 2.0)]
+    if strategy == "ghz-free":
+        terms.append(n * math.log((1.0 - g) / 2.0))
+    top = max(terms)
+    log_r0 = top + math.log(sum(math.exp(v - top) for v in terms))
+    return 2.0 * math.log(t) + 2.0 * math.log(n) - 2.0 * n * gamma * t - log_r0
+
+
+class TestDeepDecay:
+    @pytest.mark.parametrize("strategy,n,gamma,t", DEEP_DECAY_POINTS)
+    def test_qfi_matches_log_space_reference(self, strategy, n, gamma, t, capsys):
+        code, out, _ = run_capture(
+            ["qfi", "--model", "dpc", "--gamma", str(gamma), "--n", str(n),
+             "--t", str(t), "--strategy", strategy],
+            capsys,
+        )
+        assert code == 0
+        row = parse_csv(out)[0]
+        want = math.exp(log_qfi_dpc_balanced(strategy, n, gamma, t))
+        assert want > 0.0
+        assert float(row["f_freq"]) == pytest.approx(want, rel=1e-9)
+        assert float(row["f_over_t"]) == pytest.approx(want / t, rel=1e-9)
+
+    def test_table1_prints_the_tiny_value(self, capsys):
+        code, out, _ = run_capture(
+            ["table1", "--model", "dpc", "--gamma", "1", "--n", "2000", "--t", "0.2"],
+            capsys,
+        )
+        assert code == 0
+        row = parse_csv(out)[0]
+        want = math.exp(log_qfi_dpc_balanced("ghz-free", 2000, 1.0, 0.2)) / 0.2
+        want_anc = math.exp(log_qfi_dpc_balanced("ghz-ancilla", 2000, 1.0, 0.2)) / 0.2
+        assert float(row["f_ghz_over_t"]) == pytest.approx(want, rel=1e-9)
+        assert float(row["f_ancilla_over_t"]) == pytest.approx(want_anc, rel=1e-9)
+        assert 9.7e-260 < float(row["f_ghz_over_t"]) < 9.9e-260
+        assert float(row["f_ghz_over_t_literal"]) == pytest.approx(2.0 * want, rel=1e-9)
+        assert row["literal_mismatch"] == "true"
+
+    def test_underflow_exits_3(self, capsys):
+        code, out, err = run_capture(
+            ["table1", "--model", "dpc", "--gamma", "1", "--n", "20000", "--t", "0.2"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "underflow" in err
+
+
 class TestTable1:
     def test_row_per_probe_count(self, capsys):
         code, out, _ = run_capture(
@@ -238,20 +328,33 @@ class TestSpecFile:
 
 
 class TestEntryPoint:
+    """`python -m ghzfreq` runs the same `main` as the installed console script."""
+
+    def test_console_script_maps_to_main(self):
+        text = (ROOT / "pyproject.toml").read_text()
+        section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        scripts = dict(
+            (part.strip().strip('"') for part in line.split("=", 1))
+            for line in section.splitlines() if "=" in line
+        )
+        assert scripts["ghzfreq"] == "ghzfreq.cli:main"
+
     def test_console_script_runs(self):
         proc = subprocess.run(
-            ["ghzfreq", "qfi", "--model", "pdc", "--gamma", "1", "--n", "3",
-             "--t", "0.1"],
+            [sys.executable, "-m", "ghzfreq", "qfi", "--model", "pdc", "--gamma", "1",
+             "--n", "3", "--t", "0.1"],
             capture_output=True,
             text=True,
+            env=module_env(),
         )
         assert proc.returncode == 0
         assert "f_over_t" in proc.stdout
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
-            ["ghzfreq", "qfi", "--model", "nosuch", "--gamma", "1", "--n", "1",
-             "--t", "0.1"],
+            [sys.executable, "-m", "ghzfreq", "qfi", "--model", "nosuch", "--gamma", "1",
+             "--n", "1", "--t", "0.1"],
             capture_output=True,
+            env=module_env(),
         )
         assert proc.returncode == 2

@@ -196,3 +196,33 @@ class TestTable1:
             tabulated_f_over_t("custom", StrategyKind.GHZ_FREE, 2, 1.0, 0.5)
         with pytest.raises(ValueError):
             tabulated_f_over_t("adc", StrategyKind.GHZ_FREE, 0, 1.0, 0.5)
+
+
+class TestLargeN:
+    """The scan window scales with 1/N and F is evaluated in log space."""
+
+    @pytest.mark.parametrize("n", [2969, 5000, 20000, 10**6])
+    def test_phase_damping_optimum_and_ratio(self, n):
+        gamma = 2.3
+        rows = sweep(pdc(gamma), n, n,
+                     strategies=[StrategyKind.GHZ_FREE, StrategyKind.GHZ_ANCILLA])
+        assert len(rows) == 2
+        for row in rows:
+            assert abs(row.t_opt * 2.0 * n * gamma - 1.0) <= 1e-11
+            assert abs(row.ratio_r - 1.0) <= 1e-11
+
+
+class TestUnderflow:
+    """Deep decay gives the tiny value, or an error; never a silent 0."""
+
+    @pytest.mark.parametrize("make,n", [(adc, 3400), (pdc, 1700)])
+    def test_literal_agrees_in_deep_decay(self, make, n):
+        row = table1(make(1.0), n, 0.2)
+        assert 0.0 < row.f_ghz_over_t < 1e-200
+        assert not row.literal_mismatch
+
+    def test_underflow_below_double_range_raises(self):
+        with pytest.raises(ValueError, match="underflow"):
+            table1(dpc(1.0), 20000, 0.2)
+        with pytest.raises(ValueError, match="underflow"):
+            tabulated_f_over_t("dpc", StrategyKind.GHZ_FREE, 20000, 1.0, 0.2)
