@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -87,7 +88,9 @@ class RunSpec:
         )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later `run` calls."""
     parser = argparse.ArgumentParser(
         prog="ghzfreq",
         description="Frequency-estimation information for GHZ probes under "

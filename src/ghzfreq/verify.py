@@ -177,15 +177,13 @@ def _check_tabulated_forms(rng: np.random.Generator, nmax: int) -> CheckResult:
 
 def _check_cp_boundary(rng: np.random.Generator) -> CheckResult:
     draws = 2000
+    maps = [ChannelParams(*row) for row in rng.uniform(-1.5, 1.5, size=(draws, 4))]
+    numeric = np.linalg.eigvalsh(np.stack([choi_matrix(p) for p in maps]))[:, 0]
     disagreements = 0
     worst = 0.0
-    for _ in range(draws):
-        theta, ep, el, ka = rng.uniform(-1.5, 1.5, size=4)
-        params = ChannelParams(theta, ep, el, ka)
-        closed = choi_min_eigenvalue(params)
-        numeric = float(np.linalg.eigvalsh(choi_matrix(params))[0])
-        worst = max(worst, abs(closed - numeric))
-        if is_cptp(params) != (numeric >= -1e-12):
+    for params, lowest in zip(maps, numeric.tolist()):
+        worst = max(worst, abs(choi_min_eigenvalue(params) - lowest))
+        if is_cptp(params) != (lowest >= -1e-12):
             disagreements += 1
     return CheckResult(
         "cp_boundary",

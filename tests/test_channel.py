@@ -19,6 +19,7 @@ from ghzfreq.channel import (
     pdc,
     superoperator,
 )
+from ghzfreq.channel import _SZ, _jump_operators, _lindblad_rhs
 
 
 def bloch_of(rho):
@@ -29,6 +30,21 @@ def bloch_of(rho):
             (rho[0, 0] - rho[1, 1]).real,
         ]
     )
+
+
+def rk4_loop(model, omega, t, rho0, steps):
+    """Plain step-by-step classical RK4 on the master equation: the reference."""
+    jumps = _jump_operators(model)
+    h = 0.5 * omega * _SZ
+    dt = t / steps
+    rho = np.asarray(rho0, dtype=complex).copy()
+    for _ in range(steps):
+        k1 = _lindblad_rhs(rho, h, jumps)
+        k2 = _lindblad_rhs(rho + 0.5 * dt * k1, h, jumps)
+        k3 = _lindblad_rhs(rho + 0.5 * dt * k2, h, jumps)
+        k4 = _lindblad_rhs(rho + dt * k3, h, jumps)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
 
 
 def rho_of(r):
@@ -243,6 +259,14 @@ class TestMasterEquation:
         rho = integrate_master_equation(model, omega, t, rho_of(r0), 10_000)
         r1 = affine_apply(params_at(model, t), omega, t, r0)
         assert bloch_of(rho) == pytest.approx(r1, abs=1e-8)
+
+    @pytest.mark.parametrize("make", [adc, dpc, pdc])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 100, 10_000])
+    def test_is_plain_rk4(self, make, steps):
+        model, omega, t = make(1.0), 1.7, 1.6
+        rho0 = rho_of([0.3, -0.2, 0.4])
+        rho = integrate_master_equation(model, omega, t, rho0, steps)
+        assert np.max(np.abs(rho - rk4_loop(model, omega, t, rho0, steps))) <= 1e-12
 
     def test_fourth_order_convergence(self):
         model, omega, t = adc(1.0), 1.0, 1.0

@@ -286,6 +286,38 @@ class TestVerify:
         assert "route_agreement" in names and "cp_boundary" in names
 
 
+class TestRepeatedCalls:
+    """Consecutive in-process calls share the parser but no parsed state."""
+
+    QFI = ["qfi", "--model", "adc", "--gamma", "1", "--n", "3", "--t", "0.4"]
+    CHANNEL = ["channel", "--model", "dpc", "--gamma", "0.7", "--t", "0.2"]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (QFI + ["--oracle"], QFI),
+            (QFI + ["--format", "json"], QFI),
+            (["sweep", "--model", "pdc", "--gamma", "1", "--n", "1:3"], CHANNEL),
+        ],
+        ids=["oracle-then-plain", "json-then-csv", "sweep-then-channel"],
+    )
+    def test_earlier_call_leaves_no_trace(self, first, second, capsys):
+        code, alone, _ = run_capture(second, capsys)
+        assert code == 0
+        code, _, _ = run_capture(first, capsys)
+        assert code == 0
+        code, after, _ = run_capture(second, capsys)
+        assert code == 0
+        assert after == alone
+        assert not any("oracle" in column for column in parse_csv(after)[0])
+
+    def test_usage_errors_in_a_row(self, capsys):
+        for _ in range(2):
+            code, out, err = run_capture(["qfi", "--model", "adc", "--n", "2"], capsys)
+            assert code == 2
+            assert out == "" and "required" in err
+
+
 class TestSpecFile:
     def test_replaces_flags(self, tmp_path, capsys):
         payload = {

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ghzfreq.channel import ChannelParams, adc, dpc, params_at, pdc
+from ghzfreq.channel import ChannelParams, adc, dpc, params_at, pdc, superoperator
 from ghzfreq.state import (
     MAX_DENSE_QUBITS,
     ProbeSpec,
@@ -168,7 +168,49 @@ class TestAncillaEvolution:
             )
 
 
+def pauli_round_trip(rho, n, qubit, s):
+    """Apply an extended-Bloch map to one qubit through its Pauli components: the reference."""
+    t = rho.reshape((2,) * (2 * n))
+    t = np.moveaxis(t, (qubit, n + qubit), (0, 1))
+    b00, b01, b10, b11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
+    v = np.stack([b00 + b11, b01 + b10, 1j * (b01 - b10), b00 - b11])
+    w = np.tensordot(s.astype(complex), v, axes=(1, 0))
+    out = np.empty_like(t)
+    out[0, 0] = 0.5 * (w[0] + w[3])
+    out[1, 1] = 0.5 * (w[0] - w[3])
+    out[0, 1] = 0.5 * (w[1] - 1j * w[2])
+    out[1, 0] = 0.5 * (w[1] + 1j * w[2])
+    out = np.moveaxis(out, (0, 1), (qubit, n + qubit))
+    return out.reshape(rho.shape)
+
+
 class TestDenseEvolution:
+    @pytest.mark.parametrize("make", [adc, dpc, pdc])
+    def test_matches_pauli_round_trip(self, make):
+        rng = np.random.default_rng(17)
+        for n in range(1, 7):
+            for n_anc in range(3):
+                spec = random_spec(rng, n, n_anc)
+                t, omega = rng.uniform(0.05, 1.5), rng.uniform(-2.0, 2.0)
+                params = params_at(make(1.0), t)
+                s = superoperator(params, omega, t)
+                want = ghz_state(spec).matrix
+                for q in range(n):
+                    want = pauli_round_trip(want, spec.n_total, q, s)
+                got = evolve_dense(spec, params, omega, t).matrix
+                assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("make", [adc, dpc, pdc])
+    def test_off_diagonal_zeros_are_exact(self, make):
+        # only the two GHZ corners carry coherence; roundoff elsewhere slows eigh
+        spec = random_spec(np.random.default_rng(5), 6)
+        dense = evolve_dense(spec, params_at(make(1.0), 0.7), 1.3, 0.7)
+        off = dense.matrix.copy()
+        np.fill_diagonal(off, 0.0)
+        assert off[0, -1] != 0.0 and off[-1, 0] != 0.0
+        off[0, -1] = off[-1, 0] = 0.0
+        assert np.count_nonzero(off) == 0
+
     def test_time_zero_is_identity(self):
         spec = ProbeSpec.balanced(3, 1)
         dense = evolve_dense(spec, IDENTITY, 0.0, 0.0)
