@@ -36,6 +36,7 @@ from .fisher import (
     block_bloch_of,
     qfi_ancilla_closed,
     qfi_bloch_2x2,
+    qfi_closed,
     qfi_ghz_closed,
     qfi_sld_oracle,
     qfi_uncorrelated_closed,
@@ -110,6 +111,7 @@ __all__ = [
     "pdc",
     "qfi_ancilla_closed",
     "qfi_bloch_2x2",
+    "qfi_closed",
     "qfi_ghz_closed",
     "qfi_sld_oracle",
     "qfi_uncorrelated_closed",

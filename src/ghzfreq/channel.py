@@ -188,6 +188,83 @@ def _choi_min(a: ACoefficients, eta_perp):
     return np.minimum(np.minimum(0.5 * a.a_mp, 0.5 * a.a_mm), corner_min)
 
 
+_LOG2 = math.log(2.0)
+
+
+class _FloatMath:
+    """The numpy functions the log-space terms use, for one Python float.
+
+    A numpy call costs about a microsecond whatever its size, which would
+    make a single-point evaluation several times slower than the array
+    evaluation of a whole scan step. `log` returns -inf at 0 and `fmax`
+    ignores NaN, as their numpy counterparts do under np.errstate.
+    """
+
+    exp, expm1, log1p, maximum = math.exp, math.expm1, math.log1p, max
+
+    @staticmethod
+    def log(value: float) -> float:
+        return math.log(value) if value > 0.0 else -math.inf
+
+    @staticmethod
+    def logaddexp(a: float, b: float) -> float:
+        top = max(a, b)
+        return top if top == -math.inf else top + math.log1p(math.exp(-abs(a - b)))
+
+    @staticmethod
+    def fmax(a: float, b: float) -> float:
+        return b if math.isnan(a) else max(a, b)
+
+
+def _log_params(params: ChannelParams, xp):
+    """log|eta_perp| and log(A/2) (-inf for A <= 0) per pole from float or array fields."""
+    a = a_coefficients(params)
+    log_half = tuple(xp.log(xp.maximum(v, 0.0)) - _LOG2 for v in (a.a_pp, a.a_pm, a.a_mp, a.a_mm))
+    return xp.log(abs(params.eta_perp)), log_half
+
+
+def _log_channel(model: NoiseModel, t, xp, slope: bool):
+    """log|eta_perp| and log(A/2) for the poles (pp, pm, mp, mm) at the times t.
+
+    `xp` is numpy for an array t and `_FloatMath` for a float of a named
+    model. Returns (log_eta, log_half, dlog_eta, dlog_half): log_half is a
+    4-tuple whose entries are shaped like t or constant, and the last two
+    are the t-derivatives (None for custom models, whose slope is not
+    analytic). Named models are written out in exact logarithms
+    (g = exp(-gamma t)), so that N * log(...) keeps full precision at large
+    N; a vanishing coefficient gives -inf. They are CPTP for every gamma,
+    t >= 0 (their smallest Choi eigenvalue is 0, or (1 - g)/2 for dpc).
+    Custom models take an array t and go through `params_at` point by point,
+    each point checked for complete positivity.
+    """
+    gamma = model.gamma
+    if model.kind == "custom":
+        points = [params_at(model, float(s)) for s in t]
+        params = ChannelParams(
+            0.0,
+            np.array([p.eta_perp for p in points]),
+            np.array([p.eta_par for p in points]),
+            np.array([p.kappa for p in points]),
+        )
+        bad = _choi_min(a_coefficients(params), params.eta_perp) < -CP_TOL
+        if bad.any():
+            raise ValueError(f"model parameters at t={float(t[np.argmax(bad)])} are not CPTP")
+        return (*_log_params(params, np), None, None)
+    x = gamma * t
+    if model.kind == "pdc":  # A++ = A+- = 2, A-+ = A-- = 0
+        return -x, (0.0, 0.0, -math.inf, -math.inf), -gamma, (0.0, 0.0, 0.0, 0.0)
+    em1 = xp.expm1(-x)  # g - 1
+    # d/dt log(1 - g) = gamma g / (1 - g)
+    d_low = -gamma * (1.0 + em1) / em1 if slope else None
+    if model.kind == "adc":  # A++ = 2g, A+- = 2, A-+ = 0, A-- = 2(1 - g)
+        log_half = (-x, 0.0, -math.inf, xp.log(-em1))
+        return -0.5 * x, log_half, -0.5 * gamma, (-gamma, 0.0, 0.0, d_low)
+    # dpc: A++ = A+- = 1 + g, A-+ = A-- = 1 - g
+    high, low = xp.log1p(0.5 * em1), xp.log(-em1) - _LOG2
+    d_high = -gamma * (1.0 + em1) / (2.0 + em1) if slope else None
+    return -x, (high, high, low, low), -gamma, (d_high, d_high, d_low, d_low)
+
+
 def is_cptp(params: ChannelParams, tol: float = CP_TOL) -> bool:
     """Decide complete positivity from the exact Choi spectrum.
 

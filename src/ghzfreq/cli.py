@@ -27,24 +27,16 @@ from pathlib import Path
 import numpy as np
 
 from .channel import NoiseModel, a_coefficients, adc, choi_matrix, dpc, is_cptp, params_at, pdc
-from .fisher import (
-    qfi_ancilla_closed,
-    qfi_ghz_closed,
-    qfi_sld_oracle,
-    qfi_uncorrelated_closed,
-)
+from .fisher import qfi_closed, qfi_sld_oracle
 from .optimize import StrategyKind, sweep, table1
-from .state import ProbeSpec
+from .state import STRATEGIES, ProbeSpec, block_probe, check_ancillas
 from .verify import run_verification
 
 __all__ = ["RunSpec", "run", "main"]
 
 _MODEL_FACTORIES = {"adc": adc, "dpc": dpc, "pdc": pdc}
-_STRATEGY_FLAGS = {
-    "uncorrelated": StrategyKind.UNCORRELATED,
-    "ghz-free": StrategyKind.GHZ_FREE,
-    "ghz-ancilla": StrategyKind.GHZ_ANCILLA,
-}
+# the command-line spelling of a strategy is its value with dashes
+_STRATEGY_BY_FLAG = {kind.value.replace("_", "-"): kind for kind in StrategyKind}
 
 
 class UsageError(Exception):
@@ -73,7 +65,6 @@ class RunSpec:
     fmt: str = "csv"
     output: str | None = None
     oracle: bool = False
-    jobs: int = 1
     nmax: int = 5
     seed: int = 7
 
@@ -109,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", required=True, help="probe count")
     p.add_argument("--t", type=float, required=True, help="interrogation time")
-    p.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS), default="ghz-free")
+    p.add_argument("--strategy", choices=sorted(_STRATEGY_BY_FLAG), default="ghz-free")
     p.add_argument("--n-ancillas", type=int, default=None)
     p.add_argument("--c1", type=float, default=1.0 / math.sqrt(2.0))
     p.add_argument("--c2-phase", type=float, default=0.0)
@@ -126,8 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="probe count or inclusive range a:b")
     p.add_argument("--strategy", default=None, help="comma-separated subset")
     p.add_argument("--c1", type=float, default=1.0 / math.sqrt(2.0))
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for saved invocations; has no effect")
 
     p = sub.add_parser("verify", help="run the cross-route check suite")
     common(p, model=False)
@@ -184,10 +173,6 @@ def _runspec_from_args(ns: argparse.Namespace) -> RunSpec:
         kw["omega"] = ns.omega
     if hasattr(ns, "oracle"):
         kw["oracle"] = ns.oracle
-    if hasattr(ns, "jobs"):
-        if ns.jobs < 1:
-            raise UsageError(f"jobs must be >= 1, got {ns.jobs}")
-        kw["jobs"] = ns.jobs
     if hasattr(ns, "nmax"):
         if not 1 <= ns.nmax <= 10:
             raise UsageError(f"nmax must be in 1..10, got {ns.nmax}")
@@ -196,17 +181,13 @@ def _runspec_from_args(ns: argparse.Namespace) -> RunSpec:
         kw["seed"] = ns.seed
 
     if ns.command == "qfi":
-        strategy = _STRATEGY_FLAGS[ns.strategy]
+        strategy = _STRATEGY_BY_FLAG[ns.strategy]
         kw["strategies"] = (strategy,)
-        n_anc = ns.n_ancillas
-        if strategy is StrategyKind.GHZ_ANCILLA:
-            n_anc = 1 if n_anc is None else n_anc
-            if n_anc < 1:
-                raise UsageError("ghz-ancilla needs --n-ancillas >= 1")
-        else:
-            n_anc = 0 if n_anc is None else n_anc
-            if n_anc != 0:
-                raise UsageError(f"strategy {ns.strategy!r} takes no ancillas")
+        n_anc = STRATEGIES[strategy].default_ancillas if ns.n_ancillas is None else ns.n_ancillas
+        try:
+            check_ancillas(strategy, n_anc)
+        except ValueError as exc:
+            raise UsageError(f"--n-ancillas: {exc}") from None
         kw["n_ancillas"] = n_anc
         if kw["t"] <= 0:
             raise UsageError("qfi needs t > 0")
@@ -220,12 +201,12 @@ def _runspec_from_args(ns: argparse.Namespace) -> RunSpec:
             kw["strategies"] = tuple(StrategyKind)
         else:
             names = [s.strip() for s in ns.strategy.split(",") if s.strip()]
-            bad = [s for s in names if s not in _STRATEGY_FLAGS]
+            bad = [s for s in names if s not in _STRATEGY_BY_FLAG]
             if bad or not names:
                 raise UsageError(
                     f"unknown strategy {bad[0]!r}" if bad else "empty strategy list"
                 )
-            kw["strategies"] = tuple(_STRATEGY_FLAGS[s] for s in names)
+            kw["strategies"] = tuple(_STRATEGY_BY_FLAG[s] for s in names)
     return RunSpec(**kw)
 
 
@@ -294,12 +275,7 @@ def _cmd_qfi(rs: RunSpec) -> tuple[str, int]:
     model = rs.noise_model()
     strategy = rs.strategies[0]
     spec = rs.probe_spec(rs.n_lo, rs.n_ancillas)
-    compute = {
-        StrategyKind.UNCORRELATED: qfi_uncorrelated_closed,
-        StrategyKind.GHZ_FREE: qfi_ghz_closed,
-        StrategyKind.GHZ_ANCILLA: qfi_ancilla_closed,
-    }[strategy]
-    result = compute(spec, model, rs.t)
+    result = qfi_closed(strategy, spec, model, rs.t)
     record = {
         "model": rs.model,
         "strategy": strategy.value,
@@ -315,11 +291,8 @@ def _cmd_qfi(rs: RunSpec) -> tuple[str, int]:
         "qcrb": rs.t / result.f_freq if result.f_freq > 0 else math.inf,
     }
     if rs.oracle:
-        if strategy is StrategyKind.UNCORRELATED:
-            single = rs.probe_spec(1, 0)
-            oracle = rs.n_lo * qfi_sld_oracle(single, model, rs.t, rs.omega).f_freq
-        else:
-            oracle = qfi_sld_oracle(spec, model, rs.t, rs.omega).f_freq
+        unit, copies = block_probe(strategy, spec)
+        oracle = copies * qfi_sld_oracle(unit, model, rs.t, rs.omega).f_freq
         record["oracle_f_freq"] = oracle
         record["oracle_rel_dev"] = (
             abs(result.f_freq - oracle) / oracle if oracle > 0 else math.inf
@@ -342,7 +315,6 @@ def _cmd_sweep(rs: RunSpec) -> tuple[str, int]:
         rs.n_hi,
         strategies=rs.strategies,
         c1=rs.c1,
-        jobs=rs.jobs,
     )
     return _render([row.as_dict() for row in rows], rs.fmt), 0
 

@@ -22,22 +22,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (
-    CP_TOL,
-    ChannelParams,
-    NoiseModel,
-    _choi_min,
-    a_coefficients,
-    is_cptp,
-    params_at,
+from .channel import NoiseModel, _FloatMath, _log_channel, is_cptp, params_at
+from .state import (
+    STRATEGIES,
+    DirectSumState,
+    ProbeSpec,
+    StrategyKind,
+    _block_log_terms,
+    check_ancillas,
+    evolve_dense,
 )
-from .state import DirectSumState, ProbeSpec, evolve_dense
 
 __all__ = [
     "SLD_EIGENVALUE_CUTOFF",
     "BlockBloch",
     "QfiResult",
     "log_qfi_phase",
+    "qfi_closed",
     "qfi_ghz_closed",
     "qfi_uncorrelated_closed",
     "qfi_ancilla_closed",
@@ -48,7 +49,6 @@ __all__ = [
 
 SLD_EIGENVALUE_CUTOFF = 1e-12
 _TINY = sys.float_info.min  # smallest normal double; below it a result has underflowed
-_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,89 +72,8 @@ class QfiResult:
     route: str
 
 
-# (weight, pole) of each term of the block trace r0 = sum_i w_i (A_i/2)^N,
-# with weights w1 = |c1|^2, w2 = |c2|^2 and poles in the row order of
-# `_log_channel` (pp, pm, mp, mm). The uncorrelated form has no terms: its
-# per-qubit block trace w1 (A++ + A--)/2 + w2 (A-+ + A+-)/2 is 1 identically.
-_BLOCK_TERMS = {
-    "closed_ghz": ((0, 0), (0, 3), (1, 2), (1, 1)),
-    "closed_ancilla": ((0, 0), (1, 1)),
-    "closed_uncorrelated": (),
-}
-
-
-class _FloatMath:
-    """The numpy functions the closed form uses, for one Python float.
-
-    A numpy call costs about a microsecond whatever its size, which would
-    make a single-point evaluation several times slower than the array
-    evaluation of a whole scan step. `log` returns -inf at 0 and `fmax`
-    ignores NaN, as their numpy counterparts do under np.errstate.
-    """
-
-    exp, expm1, log1p = math.exp, math.expm1, math.log1p
-
-    @staticmethod
-    def log(value: float) -> float:
-        return math.log(value) if value > 0.0 else -math.inf
-
-    @staticmethod
-    def logaddexp(a: float, b: float) -> float:
-        top = max(a, b)
-        return top if top == -math.inf else top + math.log1p(math.exp(-abs(a - b)))
-
-    @staticmethod
-    def fmax(a: float, b: float) -> float:
-        return b if math.isnan(a) else max(a, b)
-
-
-def _log_channel(model: NoiseModel, t, xp, slope: bool):
-    """log|eta_perp| and log(A/2) for the poles (pp, pm, mp, mm) at the times t.
-
-    `xp` is numpy for an array t and `_FloatMath` for a float. Returns
-    (log_eta, log_half, dlog_eta, dlog_half): log_half is a 4-tuple whose
-    entries are shaped like t or constant, and the last two are the
-    t-derivatives (None for custom models, whose slope is not analytic).
-    Named models are written out in exact logarithms (g = exp(-gamma t)), so
-    that N * log(...) keeps full precision at large N; a vanishing
-    coefficient gives -inf. They are CPTP for every gamma, t >= 0 (their
-    smallest Choi eigenvalue is 0, or (1 - g)/2 for dpc). Custom models go
-    through `params_at` point by point, each point checked for complete
-    positivity.
-    """
-    gamma = model.gamma
-    if model.kind == "custom":
-        points = [params_at(model, float(s)) for s in t]
-        eta = np.array([p.eta_perp for p in points])
-        a = a_coefficients(ChannelParams(
-            0.0, eta, np.array([p.eta_par for p in points]),
-            np.array([p.kappa for p in points]),
-        ))
-        bad = _choi_min(a, eta) < -CP_TOL
-        if bad.any():
-            raise ValueError(f"model parameters at t={float(t[np.argmax(bad)])} are not CPTP")
-        log_half = tuple(
-            np.log(np.maximum(v, 0.0)) - _LOG2 for v in (a.a_pp, a.a_pm, a.a_mp, a.a_mm)
-        )
-        return np.log(np.abs(eta)), log_half, None, None
-    x = gamma * t
-    if model.kind == "pdc":  # A++ = A+- = 2, A-+ = A-- = 0
-        return -x, (0.0, 0.0, -math.inf, -math.inf), -gamma, (0.0, 0.0, 0.0, 0.0)
-    em1 = xp.expm1(-x)  # g - 1
-    # d/dt log(1 - g) = gamma g / (1 - g)
-    d_low = -gamma * (1.0 + em1) / em1 if slope else None
-    if model.kind == "adc":  # A++ = 2g, A+- = 2, A-+ = 0, A-- = 2(1 - g)
-        log_half = (-x, 0.0, -math.inf, xp.log(-em1))
-        return -0.5 * x, log_half, -0.5 * gamma, (-gamma, 0.0, 0.0, d_low)
-    # dpc: A++ = A+- = 1 + g, A-+ = A-- = 1 - g
-    high, low = xp.log1p(0.5 * em1), xp.log(-em1) - _LOG2
-    d_high = -gamma * (1.0 + em1) / (2.0 + em1) if slope else None
-    return -x, (high, high, low, low), -gamma, (d_high, d_high, d_low, d_low)
-
-
-def _log_f_phase(route: str, spec: ProbeSpec, model: NoiseModel, t, xp, slope: bool):
+def _log_f_phase(terms, spec: ProbeSpec, model: NoiseModel, t, xp, slope: bool):
     """(log F_phase, d/dt log F_phase or None) at t, a float or a 1-d array."""
-    terms = _BLOCK_TERMS[route]
     n = spec.n_probes
     power = n if terms else 1
     w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
@@ -164,34 +83,38 @@ def _log_f_phase(route: str, spec: ProbeSpec, model: NoiseModel, t, xp, slope: b
     if slope and d_eta is not None:
         d_f = 2.0 * power * d_eta + 0.0 * t  # shaped like t
     if terms:
-        parts = [_FloatMath.log(w[i]) + n * log_half[row] for i, row in terms]
+        parts = _block_log_terms(terms, spec, log_half)
         log_r0 = functools.reduce(xp.logaddexp, parts)
         # a zero block trace comes with a zero numerator, so (-inf) - (-inf)
         # = nan stands for F = 0
         log_f = xp.fmax(log_f - log_r0, -math.inf)
         if d_f is not None:
-            for part, (_, row) in zip(parts, terms):
-                d_f = d_f - n * xp.exp(part - log_r0) * d_half[row]
+            for part, (_, pole, _) in zip(parts, terms):
+                d_f = d_f - n * xp.exp(part - log_r0) * d_half[pole]
     return log_f, d_f
 
 
-def log_qfi_phase(route: str, spec: ProbeSpec, model: NoiseModel, t, slope: bool = False):
-    """log F_phase of one closed form, at one time or over a whole array of times.
+def log_qfi_phase(
+    strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel, t, slope: bool = False
+):
+    """log F_phase of one strategy's closed form, at one time or over an array of times.
 
-    For the GHZ forms (route "closed_ghz" or "closed_ancilla")
+    For the GHZ strategies (those with block terms in `state.STRATEGIES`)
 
         log F = log(4 |c1 c2|^2 N^2) + 2N log|eta_perp|
                 - logsumexp_i(log w_i + N log(A_i/2)),
 
-    summed over the block-trace terms of the route; the uncorrelated form is
-    log(4 |c1 c2|^2 N) + 2 log|eta_perp|. Nothing is raised to the N-th power
-    in linear space, so the value neither underflows nor loses precision at
-    large N*gamma*t. A vanishing numerator or block trace gives -inf.
+    summed over the strategy's block terms, which `state.coherence_block`
+    exponentiates into the block diagonal; the uncorrelated form is
+    log(4 |c1 c2|^2 N) + 2 log|eta_perp|. Nothing is raised to the N-th
+    power in linear space, so the value neither underflows nor loses
+    precision at large N*gamma*t. A vanishing numerator or block trace gives
+    -inf. The spec's ancilla count is not checked here.
 
-    Returns a float for a float t of a named model, else an array shaped
-    like t. With `slope` set, returns the pair (log F, d/dt log F), taken at
-    gamma*t > 0; the derivative is analytic for the named models and None
-    for custom ones.
+    Returns a float (computed with `math` alone) for a float t of a named
+    model, else an array shaped like t. With `slope` set, returns the pair
+    (log F, d/dt log F), taken at gamma*t > 0; the derivative is analytic
+    for the named models and None for custom ones.
     """
     scalar = isinstance(t, (int, float)) and model.kind != "custom"
     t_arr = float(t) if scalar else np.asarray(t, dtype=float)
@@ -200,27 +123,37 @@ def log_qfi_phase(route: str, spec: ProbeSpec, model: NoiseModel, t, slope: bool
         raise ValueError(f"interrogation time must be >= 0, got {low}")
     if slope and model.gamma * low == 0.0:
         raise ValueError("the slope of log F is taken at gamma*t > 0 only")
+    terms = STRATEGIES[strategy].block_terms
     if scalar:
-        log_f, d_f = _log_f_phase(route, spec, model, t_arr, _FloatMath, slope)
+        log_f, d_f = _log_f_phase(terms, spec, model, t_arr, _FloatMath, slope)
         return (log_f, d_f) if slope else log_f
     times = t_arr.reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_f, d_f = _log_f_phase(route, spec, model, times, np, slope)
+        log_f, d_f = _log_f_phase(terms, spec, model, times, np, slope)
     log_f = log_f.reshape(t_arr.shape)
     if not slope:
         return log_f
     return log_f, None if d_f is None else d_f.reshape(t_arr.shape)
 
 
-def _closed(route: str, spec: ProbeSpec, model: NoiseModel, t: float) -> QfiResult:
-    log_f = float(log_qfi_phase(route, spec, model, t))
+def qfi_closed(
+    strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel, t: float
+) -> QfiResult:
+    """Closed-form information of `strategy` for the probe `spec` at time t.
+
+    Raises ValueError when the spec's ancilla count does not fit the
+    strategy, and when the information is positive but underflows double
+    precision.
+    """
+    check_ancillas(strategy, spec.n_ancillas)
+    log_f = float(log_qfi_phase(strategy, spec, model, t))
     f_phase = math.exp(log_f)
     f_freq = t * t * f_phase
     if math.isfinite(log_f) and (f_phase < _TINY or (t > 0.0 and f_freq < _TINY)):
         raise ValueError(
             f"information underflows double precision at t={t} (log F_phase = {log_f:.6g})"
         )
-    return QfiResult(f_phase, f_freq, route)
+    return QfiResult(f_phase, f_freq, STRATEGIES[strategy].route)
 
 
 def _checked_params(model: NoiseModel, t: float):
@@ -239,9 +172,7 @@ def qfi_ghz_closed(spec: ProbeSpec, model: NoiseModel, t: float) -> QfiResult:
     r0 = 2^-N [ |c1|^2 (a_pp^N + a_mm^N) + |c2|^2 (a_mp^N + a_pm^N) ],
     evaluated in log space (`log_qfi_phase`).
     """
-    if spec.n_ancillas != 0:
-        raise ValueError("ancilla-free closed form requires n_ancillas == 0")
-    return _closed("closed_ghz", spec, model, t)
+    return qfi_closed(StrategyKind.GHZ_FREE, spec, model, t)
 
 
 def qfi_ancilla_closed(spec: ProbeSpec, model: NoiseModel, t: float) -> QfiResult:
@@ -251,9 +182,7 @@ def qfi_ancilla_closed(spec: ProbeSpec, model: NoiseModel, t: float) -> QfiResul
     r0 = 2^-N ( |c1|^2 a_pp^N + |c2|^2 a_pm^N ). The ancilla count never
     enters, so the result is independent of how many ancillas are attached.
     """
-    if spec.n_ancillas < 1:
-        raise ValueError("ancilla-assisted closed form requires n_ancillas >= 1")
-    return _closed("closed_ancilla", spec, model, t)
+    return qfi_closed(StrategyKind.GHZ_ANCILLA, spec, model, t)
 
 
 def qfi_uncorrelated_closed(spec: ProbeSpec, model: NoiseModel, t: float) -> QfiResult:
@@ -263,7 +192,7 @@ def qfi_uncorrelated_closed(spec: ProbeSpec, model: NoiseModel, t: float) -> Qfi
     with every pole-population exponent equal to 1 the block trace
     |c1|^2 (a_pp + a_mm)/2 + |c2|^2 (a_mp + a_pm)/2 is 1 identically.
     """
-    return _closed("closed_uncorrelated", spec, model, t)
+    return qfi_closed(StrategyKind.UNCORRELATED, spec, model, t)
 
 
 def block_bloch_of(ds: DirectSumState) -> BlockBloch:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from .channel import NoiseModel
 from .fisher import log_qfi_phase, qfi_ancilla_closed, qfi_ghz_closed, qfi_uncorrelated_closed
 from .measurement import saturation_check
-from .state import ProbeSpec
+from .state import STRATEGIES, ProbeSpec, StrategyKind, check_ancillas
 
 __all__ = [
     "StrategyKind",
@@ -55,12 +54,6 @@ SCAN_WINDOW = (1e-4, 1e2)
 REFINE_POINTS = 64
 REFINE_REL_WIDTH = 1e-8  # bracket width, relative, at which the slope is interpolated
 _TINY = sys.float_info.min
-
-
-class StrategyKind(Enum):
-    UNCORRELATED = "uncorrelated"
-    GHZ_FREE = "ghz_free"
-    GHZ_ANCILLA = "ghz_ancilla"
 
 
 @dataclass(frozen=True)
@@ -113,29 +106,13 @@ class Table1Row:
         }
 
 
-def _check_strategy_spec(strategy: StrategyKind, spec: ProbeSpec) -> None:
-    if strategy is StrategyKind.GHZ_ANCILLA:
-        if spec.n_ancillas < 1:
-            raise ValueError("ancilla strategy needs n_ancillas >= 1")
-    elif spec.n_ancillas != 0:
-        raise ValueError(f"strategy {strategy.value!r} takes no ancillas")
-
-
-_ROUTES = {
-    StrategyKind.UNCORRELATED: "closed_uncorrelated",
-    StrategyKind.GHZ_FREE: "closed_ghz",
-    StrategyKind.GHZ_ANCILLA: "closed_ancilla",
-}
-
-
 def _objective(
     strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel
 ) -> Callable[[np.ndarray], np.ndarray]:
     """F_omega/t = t * F_phase as a function of an array of times."""
-    route = _ROUTES[strategy]
 
     def f_over_t(t: np.ndarray) -> np.ndarray:
-        return t * np.exp(log_qfi_phase(route, spec, model, t))
+        return t * np.exp(log_qfi_phase(strategy, spec, model, t))
 
     return f_over_t
 
@@ -157,10 +134,9 @@ def _log_slope(
             return (logs[t.size:] - logs[: t.size]) / (2.0 * h)
 
         return slope
-    route = _ROUTES[strategy]
 
     def slope(t: np.ndarray) -> np.ndarray:
-        return log_qfi_phase(route, spec, model, t, slope=True)[1] + 1.0 / t
+        return log_qfi_phase(strategy, spec, model, t, slope=True)[1] + 1.0 / t
 
     return slope
 
@@ -199,8 +175,9 @@ def maximize_f_over_t(
 ) -> tuple[float, float]:
     """Maximize F_omega(t)/t over the interrogation time.
 
-    Returns (t_opt, f_over_t_max). The scan window is `window` in units of
-    1/gamma, its lower edge divided by N for the GHZ strategies; the sampled
+    Returns (t_opt, f_over_t_max). The spec's ancilla count must fit the
+    strategy. The scan window is `window` in units of 1/gamma, its lower
+    edge divided by N for the correlated (GHZ) strategies; the sampled
     profile must rise strictly to a single interior peak and never rise
     again past it, otherwise a ValueError is raised rather than silently
     refining one of several candidate peaks. A ValueError is also raised when
@@ -209,10 +186,10 @@ def maximize_f_over_t(
     """
     if model.gamma <= 0:
         raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
-    _check_strategy_spec(strategy, spec)
+    check_ancillas(strategy, spec.n_ancillas)
     f = _objective(strategy, spec, model)
     lo, hi = window[0] / model.gamma, window[1] / model.gamma
-    if strategy is not StrategyKind.UNCORRELATED:
+    if STRATEGIES[strategy].correlated:
         lo /= spec.n_probes
     grid = np.geomspace(lo, hi, scan_points)
     values = f(grid)
@@ -238,7 +215,7 @@ def sensitivity_ratio(
     """R = max_t(F_uncorrelated/t) / max_t(F_strategy/t) at equal probe count."""
     if strategy is StrategyKind.UNCORRELATED:
         raise ValueError("compare a correlated strategy against the uncorrelated one")
-    unc_spec = ProbeSpec(spec.c1, spec.c2, spec.n_probes, 0)
+    unc_spec = ProbeSpec(spec.c1, spec.c2, spec.n_probes)
     _, best_unc = maximize_f_over_t(StrategyKind.UNCORRELATED, unc_spec, model)
     _, best = maximize_f_over_t(strategy, spec, model)
     return best_unc / best
@@ -250,30 +227,26 @@ def sweep(
     n_max: int,
     strategies: Sequence[StrategyKind] | None = None,
     c1: complex = 1.0 / math.sqrt(2.0),
-    jobs: int = 1,
 ) -> list[SweepRow]:
     """Optimal-time summary rows for N = n_min..n_max, one per strategy.
 
     Rows come out with N ascending and strategies in declaration order.
-    Ancilla rows use a single ancilla (the information does not depend on
-    how many). The uncorrelated optimum is computed once, for one probe: its
-    time does not depend on N and its F/t is N times the single-probe value.
-    The saturation gap is evaluated at the optimal time with the corner
-    readout; uncorrelated rows quote the single-probe gap since that strategy
-    is measured qubit by qubit. `jobs` is validated and otherwise ignored;
-    it is kept so that saved invocations still replay.
+    Each probe carries its strategy's default ancilla count (the information
+    does not depend on how many). The uncorrelated optimum is computed once,
+    for one probe: its time does not depend on N and its F/t is N times the
+    single-probe value. The saturation gap is evaluated at the optimal time
+    with the corner readout; uncorrelated rows quote the single-probe gap
+    since that strategy is measured qubit by qubit.
     """
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad probe range {n_min}..{n_max}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     chosen = list(StrategyKind) if strategies is None else [
         s for s in StrategyKind if s in set(strategies)
     ]
     if not chosen:
         raise ValueError("no strategies selected")
     c2 = math.sqrt(1.0 - abs(c1) ** 2)
-    single = ProbeSpec(c1, c2, 1, 0)
+    single = ProbeSpec(c1, c2, 1)
     t_unc, best_single = maximize_f_over_t(StrategyKind.UNCORRELATED, single, model)
     if StrategyKind.UNCORRELATED in chosen:
         _, _, gap_unc = saturation_check(single, model, t_unc, omega=0.0)
@@ -284,8 +257,7 @@ def sweep(
             if strategy is StrategyKind.UNCORRELATED:
                 t_opt, best, ratio, gap = t_unc, best_unc, 1.0, gap_unc
             else:
-                n_anc = 1 if strategy is StrategyKind.GHZ_ANCILLA else 0
-                spec = ProbeSpec(c1, c2, n, n_anc)
+                spec = ProbeSpec(c1, c2, n, STRATEGIES[strategy].default_ancillas)
                 t_opt, best = maximize_f_over_t(strategy, spec, model)
                 ratio = best_unc / best
                 _, _, gap = saturation_check(spec, model, t_opt, omega=0.0)

@@ -1,10 +1,11 @@
-"""Generalized GHZ probe states and their evolution under phase-covariant noise.
+"""Generalized GHZ probe states, the strategies that use them, and their evolution.
 
 The probe c1|0...0> + c2|1...1> evolves into a direct sum: a 2x2 coherence
 block on the span of |0...0> and |1...1>, plus a phase-free residual that is
 diagonal in the computational basis and degenerate within Hamming classes.
-Both that compact representation and a full density-matrix evolution (the
-oracle route) are provided, together with a comparator between the two.
+`STRATEGIES` is the one place that says what each strategy is. The compact
+representation built from it, a full density-matrix evolution (the oracle
+route, which does not read the table) and a comparator are provided.
 """
 
 from __future__ import annotations
@@ -12,16 +13,33 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelParams, a_coefficients, is_cptp, superoperator
+from .channel import (
+    ChannelParams,
+    NoiseModel,
+    _FloatMath,
+    _log_channel,
+    _log_params,
+    a_coefficients,
+    is_cptp,
+    params_at,
+    superoperator,
+)
 
 __all__ = [
     "MAX_DENSE_QUBITS",
+    "StrategyKind",
+    "Strategy",
+    "STRATEGIES",
     "ProbeSpec",
     "DirectSumState",
     "DenseState",
+    "check_ancillas",
+    "ghz_strategy",
+    "block_probe",
     "ghz_state",
     "coherence_block",
     "evolve_directsum_free",
@@ -31,6 +49,77 @@ __all__ = [
 ]
 
 MAX_DENSE_QUBITS = 12
+
+
+class StrategyKind(Enum):
+    UNCORRELATED = "uncorrelated"
+    GHZ_FREE = "ghz_free"
+    GHZ_ANCILLA = "ghz_ancilla"
+
+
+# pole rows, in the order of `channel._log_channel`: A++, A+-, A-+, A--
+PP, PM, MP, MM = range(4)
+# pole rows of a probe qubit found in |0> and in |1>, on the branch from
+# |0...0> (weight 0, |c1|^2) and on the one from |1...1> (weight 1, |c2|^2)
+_BRANCH_POLES = ((PP, MM), (MP, PM))
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """What one strategy is, as data; `STRATEGIES` holds one per kind.
+
+    default_ancillas: 0 for a strategy that takes no noise-free ancillas;
+    else 1, and the strategy needs at least one (the information does not
+    depend on how many).
+    block_terms: (weight, pole, side) of each term w (A/2)^N of the block
+    diagonal, side 0 being |0...0><0...0|; they sum to the closed form's
+    block trace r0. No terms: the probe is N one-qubit probes (see
+    `block_probe`), each with block trace 1 identically.
+    residual: (ancilla bit, first k, last k - N, weights) of each family of
+    residual classes, k counting the probe qubits in |0>; class k holds
+    sum_w w (A0/2)^k (A1/2)^(N-k), (A0, A1) the branch poles of w, on each
+    of C(N, k) configurations, all ancillas in the family's bit.
+    route: the `QfiResult.route` of the closed form.
+    """
+
+    default_ancillas: int
+    block_terms: tuple[tuple[int, int, int], ...]
+    residual: tuple[tuple[int, int, int, tuple[int, ...]], ...]
+    route: str
+
+    @property
+    def correlated(self) -> bool:
+        """Whether the N probes share one coherence block."""
+        return bool(self.block_terms)
+
+    def admits(self, n_ancillas: int) -> bool:
+        return n_ancillas >= 1 if self.default_ancillas else n_ancillas == 0
+
+
+STRATEGIES = {
+    StrategyKind.UNCORRELATED: Strategy(0, (), (), "closed_uncorrelated"),
+    # without ancillas both branches land on the same configurations
+    StrategyKind.GHZ_FREE: Strategy(
+        0, ((0, PP, 0), (0, MM, 1), (1, MP, 0), (1, PM, 1)), ((0, 1, -1, (0, 1)),),
+        "closed_ghz",
+    ),
+    # the ancillas tag each branch, so the cross terms leave the block
+    StrategyKind.GHZ_ANCILLA: Strategy(
+        1, ((0, PP, 0), (1, PM, 1)), ((0, 0, -1, (0,)), (1, 1, 0, (1,))), "closed_ancilla",
+    ),
+}
+
+
+def check_ancillas(kind: StrategyKind, n_ancillas: int) -> None:
+    """Raise ValueError unless strategy `kind` admits n_ancillas ancillas."""
+    if not STRATEGIES[kind].admits(n_ancillas):
+        need = "at least one ancilla" if STRATEGIES[kind].default_ancillas else "no ancillas"
+        raise ValueError(f"strategy {kind.value!r} takes {need}, got n_ancillas = {n_ancillas}")
+
+
+def ghz_strategy(n_ancillas: int) -> StrategyKind:
+    """The strategy with a shared coherence block that admits n_ancillas ancillas."""
+    return next(k for k, e in STRATEGIES.items() if e.correlated and e.admits(n_ancillas))
 
 
 @dataclass(frozen=True)
@@ -66,21 +155,24 @@ class ProbeSpec:
         return ProbeSpec(amp, amp, n_probes, n_ancillas)
 
 
+def block_probe(kind: StrategyKind, spec: ProbeSpec) -> tuple[ProbeSpec, int]:
+    """The probe holding one coherence block of `kind` on `spec`, and how many copies:
+    (spec, 1) if the probes share one block, else N one-qubit probes."""
+    if STRATEGIES[kind].correlated:
+        return spec, 1
+    return ProbeSpec(spec.c1, spec.c2, 1), spec.n_probes
+
+
 @dataclass(frozen=True, eq=False)
 class DirectSumState:
     """Evolved probe in block (+) residual form.
 
     block is the 2x2 coherence sector in the {|0...0>, |1...1>} basis.
     residual lists (population, multiplicity) per Hamming class, every
-    population phase-free. Ordering convention (k = number of probe
-    qubits left in |0>):
-
-      * no ancillas: k = 1 .. N-1
-      * with ancillas: first the c1 family (ancillas in |0>) for
-        k = 0 .. N-1, then the c2 family (ancillas in |1>) for k = 1 .. N
-
-    phase_total is the accumulated block phase N*(theta_noise + omega*t);
-    its derivative with respect to the encoded phase omega*t is n_probes.
+    population phase-free, in the order of the strategy's residual families
+    in `STRATEGIES`. phase_total is the accumulated block phase
+    N*(theta_noise + omega*t); its derivative with respect to the encoded
+    phase omega*t is n_probes.
     """
 
     block: np.ndarray
@@ -137,101 +229,96 @@ def ghz_state(spec: ProbeSpec) -> DenseState:
     return DenseState(np.outer(psi, psi.conj()), n)
 
 
-def _half_power(a: float, n: int) -> float:
-    """(a/2)**n, in log space when a > 0 to dodge intermediate extremes."""
-    if n == 0:
-        return 1.0
-    if a <= 0.0:
-        # exact zeros (and tiny negatives from roundoff) have no log form
-        return 0.0 if a == 0.0 else (a / 2.0) ** n
-    return math.exp(n * (math.log(a) - math.log(2.0)))
-
-
 def _require_cptp(params: ChannelParams) -> None:
     if not is_cptp(params):
         raise ValueError("channel parameters are not CPTP")
 
 
-def coherence_block(
-    spec: ProbeSpec, params: ChannelParams, omega: float, t: float
-) -> tuple[np.ndarray, float]:
-    """The 2x2 coherence block of an evolved GHZ probe and its phase_total.
+def _block_log_terms(terms, spec: ProbeSpec, log_half) -> list:
+    """log(w (A/2)^N) of each of a strategy's block terms, log_half holding floats or arrays.
 
-    This is the part of the direct sum that carries the phase; building it
-    costs O(1) in N. The off-diagonal is
-    c1*conj(c2)*eta_perp^N*exp(-i*phase_total) with
-    phase_total = N*(theta_noise + omega*t). Without ancillas the diagonal is
-    2^-N * (|c1|^2 a_pp^N + |c2|^2 a_mp^N, |c1|^2 a_mm^N + |c2|^2 a_pm^N);
-    attached ancillas kill the cross terms, leaving 2^-N |c1|^2 a_pp^N and
-    2^-N |c2|^2 a_pm^N.
+    The closed form sums these into the block trace and the coherence block
+    puts each on its side of the diagonal, so both read the same numbers.
     """
-    _require_cptp(params)
+    log_w = (_FloatMath.log(abs(spec.c1) ** 2), _FloatMath.log(abs(spec.c2) ** 2))
     n = spec.n_probes
-    a = a_coefficients(params)
-    w1, w2 = abs(spec.c1) ** 2, abs(spec.c2) ** 2
+    return [log_w[w] + n * log_half[pole] for w, pole, _ in terms]
+
+
+def _block(terms, spec, params, log_eta, log_half, omega, t) -> tuple[np.ndarray, float]:
+    """The coherence block with the given block terms, from log space, and phase_total."""
+    diag = [0.0, 0.0]
+    for (_, _, side), value in zip(terms, _block_log_terms(terms, spec, log_half)):
+        diag[side] += math.exp(value)
+    n = spec.n_probes
     phase = n * (params.theta_noise + omega * t)
-    off = spec.c1 * np.conj(spec.c2) * params.eta_perp**n * cmath.exp(-1j * phase)
-    if spec.n_ancillas == 0:
-        top = w1 * _half_power(a.a_pp, n) + w2 * _half_power(a.a_mp, n)
-        bottom = w1 * _half_power(a.a_mm, n) + w2 * _half_power(a.a_pm, n)
+    eta_n = math.copysign(1.0, params.eta_perp) ** n * math.exp(n * log_eta)
+    off = spec.c1 * spec.c2.conjugate() * eta_n * cmath.exp(-1j * phase)
+    return np.array([[diag[0], off], [off.conjugate(), diag[1]]], dtype=complex), phase
+
+
+def coherence_block(
+    spec: ProbeSpec, model: NoiseModel, omega: float, t: float
+) -> tuple[np.ndarray, float]:
+    """The 2x2 coherence block of a GHZ probe evolved for time t, and its phase_total.
+
+    The block carries the phase and costs O(1) in N. Its off-diagonal is
+    c1*conj(c2)*eta_perp^N*exp(-i*phase_total), phase_total =
+    N*(theta_noise + omega*t); its diagonal holds the block terms w (A/2)^N
+    of the spec's strategy (`ghz_strategy`). Every entry is built from
+    N*log(A/2) and N*log|eta_perp| (keeping eta_perp's sign), the model's
+    exact logarithms that `fisher.log_qfi_phase` sums, so the block and the
+    closed-form information agree at any N.
+    """
+    params = params_at(model, t)
+    if model.kind == "custom":
+        _require_cptp(params)
+        log_eta, log_half = _log_params(params, _FloatMath)
     else:
-        top = w1 * _half_power(a.a_pp, n)
-        bottom = w2 * _half_power(a.a_pm, n)
-    block = np.array([[top, off], [np.conj(off), bottom]], dtype=complex)
-    return block, phase
+        log_eta, log_half, _, _ = _log_channel(model, t, _FloatMath, False)
+    terms = STRATEGIES[ghz_strategy(spec.n_ancillas)].block_terms
+    return _block(terms, spec, params, log_eta, log_half, omega, t)
+
+
+def _residual_layout(kind: StrategyKind, n: int):
+    """(k, ancilla bit, weights) of each residual class of `kind`, in order."""
+    for bit, first, last, weights in STRATEGIES[kind].residual:
+        for k in range(first, n + last + 1):
+            yield k, bit, weights
+
+
+def _evolve_directsum(
+    kind: StrategyKind, spec: ProbeSpec, params: ChannelParams, omega: float, t: float
+) -> DirectSumState:
+    """Evolve `kind`'s probe into its block and the residual of the table's layout."""
+    check_ancillas(kind, spec.n_ancillas)
+    _require_cptp(params)
+    terms = STRATEGIES[kind].block_terms
+    block, phase = _block(terms, spec, params, *_log_params(params, _FloatMath), omega, t)
+    n = spec.n_probes
+    w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
+    a = a_coefficients(params)
+    half = (a.a_pp / 2.0, a.a_pm / 2.0, a.a_mp / 2.0, a.a_mm / 2.0)
+    residual = tuple(
+        (sum(w[i] * half[_BRANCH_POLES[i][0]] ** k * half[_BRANCH_POLES[i][1]] ** (n - k)
+             for i in weights), math.comb(n, k))
+        for k, _, weights in _residual_layout(kind, n)
+    )
+    return DirectSumState(block, residual, phase, n, spec.n_ancillas)
 
 
 def evolve_directsum_free(
     spec: ProbeSpec, params: ChannelParams, omega: float, t: float
 ) -> DirectSumState:
-    """Evolve an ancilla-free GHZ probe, all qubits through the channel.
-
-    The block comes from `coherence_block`. Residual class k carries
-    2^-N * (|c1|^2 a_pp^k a_mm^(N-k) + |c2|^2 a_mp^k a_pm^(N-k)) with
-    multiplicity C(N, k).
-    """
-    if spec.n_ancillas != 0:
-        raise ValueError("free evolution takes an ancilla-free spec; use the ancilla builder")
-    block, phase = coherence_block(spec, params, omega, t)
-    n = spec.n_probes
-    a = a_coefficients(params)
-    w1, w2 = abs(spec.c1) ** 2, abs(spec.c2) ** 2
-    residual = tuple(
-        (
-            w1 * _half_power(a.a_pp, k) * _half_power(a.a_mm, n - k)
-            + w2 * _half_power(a.a_mp, k) * _half_power(a.a_pm, n - k),
-            math.comb(n, k),
-        )
-        for k in range(1, n)
-    )
-    return DirectSumState(block, residual, phase, n, 0)
+    """Evolve an ancilla-free GHZ probe, all qubits through the channel."""
+    return _evolve_directsum(StrategyKind.GHZ_FREE, spec, params, omega, t)
 
 
 def evolve_directsum_ancilla(
     spec: ProbeSpec, params: ChannelParams, omega: float, t: float
 ) -> DirectSumState:
-    """Evolve an ancilla-assisted GHZ probe; only probe qubits see the channel.
-
-    The block comes from `coherence_block`. The residual splits into the two
-    ancilla sectors: weights |c1|^2 a_pp^k a_mm^(N-k) for k = 0 .. N-1 and
-    |c2|^2 a_mp^k a_pm^(N-k) for k = 1 .. N, each times 2^-N with
-    multiplicity C(N, k).
-    """
-    if spec.n_ancillas < 1:
-        raise ValueError("ancilla evolution needs n_ancillas >= 1")
-    block, phase = coherence_block(spec, params, omega, t)
-    n = spec.n_probes
-    a = a_coefficients(params)
-    w1, w2 = abs(spec.c1) ** 2, abs(spec.c2) ** 2
-    family1 = [
-        (w1 * _half_power(a.a_pp, k) * _half_power(a.a_mm, n - k), math.comb(n, k))
-        for k in range(0, n)
-    ]
-    family2 = [
-        (w2 * _half_power(a.a_mp, k) * _half_power(a.a_pm, n - k), math.comb(n, k))
-        for k in range(1, n + 1)
-    ]
-    return DirectSumState(block, tuple(family1 + family2), phase, n, spec.n_ancillas)
+    """Evolve an ancilla-assisted GHZ probe; only probe qubits see the channel."""
+    return _evolve_directsum(StrategyKind.GHZ_ANCILLA, spec, params, omega, t)
 
 
 # Pauli basis (I, X, Y, Z) of the extended Bloch column: rho = (1/2) sum_a v_a P_a
@@ -277,16 +364,6 @@ def evolve_dense(
     return DenseState(rho, n)
 
 
-def _residual_classes(ds: DirectSumState) -> list[tuple[int, int, int]]:
-    """(k_zeros, ancilla_bit, multiplicity) for each residual entry, in order."""
-    n = ds.n_probes
-    if ds.n_ancillas == 0:
-        return [(k, 0, math.comb(n, k)) for k in range(1, n)]
-    fam1 = [(k, 0, math.comb(n, k)) for k in range(0, n)]
-    fam2 = [(k, 1, math.comb(n, k)) for k in range(1, n + 1)]
-    return fam1 + fam2
-
-
 def assert_consistency(ds: DirectSumState, dense: DenseState) -> float:
     """Max deviation between the direct-sum data and a dense density matrix.
 
@@ -309,12 +386,12 @@ def assert_consistency(ds: DirectSumState, dense: DenseState) -> float:
         abs(ds.block[0, 1] - m[0, last]),
         abs(ds.block[1, 0] - m[last, 0]),
     )
-    classes = _residual_classes(ds)
+    classes = list(_residual_layout(ghz_strategy(na), n))
     if len(classes) != len(ds.residual):
         raise ValueError("residual entry count does not match the class layout")
     anc_suffix = {0: 0, 1: (1 << na) - 1}
-    for (k, anc_bit, mult), (pop, stored_mult) in zip(classes, ds.residual):
-        if mult != stored_mult:
+    for (k, anc_bit, _), (pop, mult) in zip(classes, ds.residual):
+        if mult != math.comb(n, k):
             raise ValueError(f"multiplicity mismatch in class k={k}")
         for probe_bits in range(1 << n):
             if n - probe_bits.bit_count() != k:

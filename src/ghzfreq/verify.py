@@ -34,12 +34,7 @@ from .channel import (
     pdc,
     superoperator,
 )
-from .fisher import (
-    qfi_ancilla_closed,
-    qfi_ghz_closed,
-    qfi_sld_oracle,
-    qfi_uncorrelated_closed,
-)
+from .fisher import qfi_closed, qfi_ghz_closed, qfi_sld_oracle, qfi_uncorrelated_closed
 from .measurement import (
     GhzObservable,
     UnusableWorkingPointError,
@@ -49,11 +44,13 @@ from .measurement import (
 )
 from .optimize import StrategyKind, maximize_f_over_t, sensitivity_ratio, tabulated_f_over_t
 from .state import (
+    STRATEGIES,
     ProbeSpec,
+    _evolve_directsum,
     assert_consistency,
+    block_probe,
     evolve_dense,
-    evolve_directsum_ancilla,
-    evolve_directsum_free,
+    ghz_strategy,
 )
 
 __all__ = ["CheckResult", "run_verification"]
@@ -85,25 +82,21 @@ def _check_route_agreement(rng: np.random.Generator, nmax: int) -> CheckResult:
     for make in _MODELS:
         model = make(1.0)
         for n in range(1, nmax + 1):
-            for n_anc in (0, 1):
-                for _ in range(3):
-                    spec = _random_spec(rng, n, n_anc)
+            # three draws per GHZ strategy, each followed by one of the
+            # uncorrelated strategy, checked by additivity over its one-qubit
+            # blocks
+            for kind, draws in (
+                (StrategyKind.GHZ_FREE, 3), (StrategyKind.UNCORRELATED, 1),
+                (StrategyKind.GHZ_ANCILLA, 3), (StrategyKind.UNCORRELATED, 1),
+            ):
+                for _ in range(draws):
+                    spec = _random_spec(rng, n, STRATEGIES[kind].default_ancillas)
                     t = rng.uniform(0.05, 1.5)
                     omega = rng.uniform(-2.0, 2.0)
-                    if n_anc == 0:
-                        closed = qfi_ghz_closed(spec, model, t).f_freq
-                    else:
-                        closed = qfi_ancilla_closed(spec, model, t).f_freq
-                    oracle = qfi_sld_oracle(spec, model, t, omega).f_freq
+                    closed = qfi_closed(kind, spec, model, t).f_freq
+                    unit, copies = block_probe(kind, spec)
+                    oracle = copies * qfi_sld_oracle(unit, model, t, omega).f_freq
                     worst = max(worst, abs(closed - oracle) / max(oracle, 1e-300))
-                # uncorrelated strategy: additivity over single qubits
-                spec = _random_spec(rng, n, 0)
-                t = rng.uniform(0.05, 1.5)
-                omega = rng.uniform(-2.0, 2.0)
-                closed = qfi_uncorrelated_closed(spec, model, t).f_freq
-                single = ProbeSpec(spec.c1, spec.c2, 1, 0)
-                oracle = n * qfi_sld_oracle(single, model, t, omega).f_freq
-                worst = max(worst, abs(closed - oracle) / max(oracle, 1e-300))
     return CheckResult(
         "route_agreement",
         worst <= 1e-7,
@@ -120,8 +113,8 @@ def _check_uncorrelated_denominator(rng: np.random.Generator, nmax: int) -> Chec
             spec = _random_spec(rng, n, 0)
             t = rng.uniform(0.5, 1.2)
             omega = rng.uniform(-2.0, 2.0)
-            single = ProbeSpec(spec.c1, spec.c2, 1, 0)
-            oracle = n * qfi_sld_oracle(single, model, t, omega).f_freq
+            unit, copies = block_probe(StrategyKind.UNCORRELATED, spec)
+            oracle = copies * qfi_sld_oracle(unit, model, t, omega).f_freq
             closed = qfi_uncorrelated_closed(spec, model, t).f_freq
             worst_ok = max(worst_ok, abs(closed - oracle) / max(oracle, 1e-300))
             # the rejected variant raises the block weights to the N-th power
@@ -160,10 +153,9 @@ def _check_tabulated_forms(rng: np.random.Generator, nmax: int) -> CheckResult:
                 ratio_dev = max(ratio_dev, abs(lit / closed - 2.0))
             else:
                 worst_match = max(worst_match, abs(lit - closed) / closed)
-            for strat, f in (
-                (StrategyKind.GHZ_ANCILLA, qfi_ancilla_closed(ProbeSpec.balanced(n, 1), model, t).f_freq / t),
-                (StrategyKind.UNCORRELATED, qfi_uncorrelated_closed(spec, model, t).f_freq / t),
-            ):
+            for strat in (StrategyKind.GHZ_ANCILLA, StrategyKind.UNCORRELATED):
+                probe = ProbeSpec.balanced(n, STRATEGIES[strat].default_ancillas)
+                f = qfi_closed(strat, probe, model, t).f_freq / t
                 lit = tabulated_f_over_t(kind, strat, n, 1.0, t)
                 worst_match = max(worst_match, abs(lit - f) / f)
     passed = worst_match <= 1e-12 and ratio_dev <= 1e-9
@@ -233,10 +225,7 @@ def _check_directsum_consistency(rng: np.random.Generator, nmax: int) -> CheckRe
             t = rng.uniform(0.05, 1.2)
             omega = rng.uniform(-2.0, 2.0)
             params = params_at(model, t)
-            if n_anc == 0:
-                ds = evolve_directsum_free(spec, params, omega, t)
-            else:
-                ds = evolve_directsum_ancilla(spec, params, omega, t)
+            ds = _evolve_directsum(ghz_strategy(n_anc), spec, params, omega, t)
             dense = evolve_dense(spec, params, omega, t)
             worst = max(worst, assert_consistency(ds, dense))
             trace_dev = max(trace_dev, abs(ds.block_trace() + ds.residual_mass() - 1.0))
@@ -286,7 +275,7 @@ def _check_saturation(rng: np.random.Generator) -> CheckResult:
             ok, delta, gap = saturation_check(spec, model, t, omega)
             all_ok = all_ok and ok
             worst = max(worst, abs(gap))
-            n_total = spec.n_probes + spec.n_ancillas
+            n_total = spec.n_total
             quad = error_propagation_sensitivity(spec, model, t, omega, GhzObservable(n_total, delta))
             for i in range(SCAN_PHASES):
                 obs = GhzObservable(n_total, 2.0 * math.pi * i / SCAN_PHASES)
@@ -337,17 +326,14 @@ def _check_noiseless_limit(nmax: int) -> CheckResult:
     model = pdc(0.0)
     for n in range(1, nmax + 1):
         for t in (0.3, 1.7):
-            spec = ProbeSpec.balanced(n, 0)
-            worst = max(
-                worst,
-                abs(qfi_ghz_closed(spec, model, t).f_freq - n**2 * t**2),
-                abs(qfi_uncorrelated_closed(spec, model, t).f_freq - n * t**2),
-                abs(qfi_sld_oracle(spec, model, t, 0.7).f_freq - n**2 * t**2),
-            )
-            anc = ProbeSpec.balanced(n, 1)
-            worst = max(
-                worst, abs(qfi_ancilla_closed(anc, model, t).f_freq - n**2 * t**2)
-            )
+            oracle = qfi_sld_oracle(ProbeSpec.balanced(n), model, t, 0.7).f_freq
+            worst = max(worst, abs(oracle - n**2 * t**2))
+            for kind, law in (
+                (StrategyKind.GHZ_FREE, n**2), (StrategyKind.GHZ_ANCILLA, n**2),
+                (StrategyKind.UNCORRELATED, n),
+            ):
+                probe = ProbeSpec.balanced(n, STRATEGIES[kind].default_ancillas)
+                worst = max(worst, abs(qfi_closed(kind, probe, model, t).f_freq - law * t**2))
     return CheckResult(
         "noiseless_limit",
         worst <= 1e-12,

@@ -158,11 +158,6 @@ class TestSweep:
         (row,) = sweep(dpc(1.0), 2, 2, strategies=[StrategyKind.GHZ_FREE])
         assert row.ratio_r == pytest.approx(R_DPC_FREE_N2, rel=1e-9)
 
-    def test_worker_pool_is_transparent(self):
-        serial = sweep(adc(1.0), 1, 3, jobs=1)
-        pooled = sweep(adc(1.0), 1, 3, jobs=4)
-        assert serial == pooled  # dataclass equality, bit-for-bit floats
-
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
             sweep(adc(1.0), 3, 2)
