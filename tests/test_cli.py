@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -309,6 +310,54 @@ class TestRepeatedCalls:
             code, out, err = run_capture(["qfi", "--model", "adc", "--n", "2"], capsys)
             assert code == 2
             assert out == "" and "required" in err
+
+
+QFI_POINT = ["--model", "adc", "--gamma", "1", "--n", "2", "--t", "0.5"]
+SWEEP_RANGE = ["--model", "adc", "--gamma", "1", "--n", "1:2"]
+
+# (argv, word that names the offending input on stderr)
+USAGE_ERRORS = [
+    *(([cmd, "--model", "adc", "--gamma", g, "--n", "2", "--t", "0.5"], "gamma")
+      for cmd in ("qfi", "table1") for g in ("-1", "nan", "inf")),
+    *((["channel", "--model", "dpc", "--gamma", g, "--t", "0.5"], "gamma")
+      for g in ("-1", "nan", "inf")),
+    *((["sweep", "--model", "pdc", "--gamma", g, "--n", "2"], "gamma")
+      for g in ("-1", "nan", "inf", "0")),
+    *(([cmd, "--model", "adc", "--gamma", "1", "--n", "2", "--t", t], "t")
+      for cmd in ("qfi", "table1") for t in ("0", "-1")),
+    (["channel", "--model", "adc", "--gamma", "1", "--t", "-1"], "t"),
+    *(([cmd, "--model", "adc", "--gamma", "1", "--n", n, *extra], "probe")
+      for cmd, extra in (("qfi", ["--t", "0.5"]), ("table1", ["--t", "0.5"]), ("sweep", []))
+      for n in ("0", "x", "3:2", "1:2:3")),
+    (["qfi", "--model", "adc", "--gamma", "1", "--n", "2:3", "--t", "0.5"], "probe"),
+    (["qfi", *QFI_POINT, "--c1", "1.5"], "c1"),
+    (["sweep", *SWEEP_RANGE, "--c1", "1.5"], "c1"),
+    (["verify", "--nmax", "0"], "nmax"),
+    (["verify", "--nmax", "11"], "nmax"),
+    (["sweep", *SWEEP_RANGE, "--strategy", "ghz-free,nosuch"], "strategy"),
+    (["sweep", *SWEEP_RANGE, "--strategy", " , "], "strategy"),
+    (["qfi", *QFI_POINT, "--strategy", "ghz-free", "--n-ancillas", "1"], "ancillas"),
+    (["qfi", *QFI_POINT, "--strategy", "ghz-ancilla", "--n-ancillas", "0"], "ancillas"),
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, word", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS]
+    )
+    def test_exit_2_naming_the_input(self, argv, word, capsys):
+        code, out, err = run_capture(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert re.search(rf"\b{word}\b", err, re.IGNORECASE), err
+
+    def test_spec_file_with_a_bad_command(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"command": "nosuch", "model": "adc"}))
+        code, out, err = run_capture(["--spec", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "command" in err and "nosuch" in err
 
 
 class TestSpecFile:
