@@ -279,26 +279,19 @@ def is_cptp(params: ChannelParams, tol: float = CP_TOL) -> bool:
     return choi_min_eigenvalue(params) >= -tol
 
 
-def affine_apply(
-    params: ChannelParams,
-    omega: float,
-    t: float,
-    r: np.ndarray,
-    unchecked: bool = False,
-) -> np.ndarray:
+def affine_apply(params: ChannelParams, omega: float, t: float, r: np.ndarray) -> np.ndarray:
     """Map a Bloch vector through the channel with frequency encoding.
 
     The rotation angle is theta_noise + omega*t. Rejects non-CPTP params
-    and |r| > 1 unless ``unchecked`` is set.
+    and |r| > 1.
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
-    if not unchecked:
-        if not is_cptp(params):
-            raise ValueError("channel parameters are not CPTP; pass unchecked=True to force")
-        if np.linalg.norm(r) > 1.0 + 1e-9:
-            raise ValueError(f"Bloch vector norm {np.linalg.norm(r):.6f} exceeds 1")
+    if not is_cptp(params):
+        raise ValueError("channel parameters are not CPTP")
+    if np.linalg.norm(r) > 1.0 + 1e-9:
+        raise ValueError(f"Bloch vector norm {np.linalg.norm(r):.6f} exceeds 1")
     th = params.theta_noise + omega * t
     cth, sth = math.cos(th), math.sin(th)
     ep, el, ka = params.eta_perp, params.eta_par, params.kappa

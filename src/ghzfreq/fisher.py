@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import NoiseModel, _FloatMath, _log_channel, is_cptp, params_at
+from .channel import NoiseModel, _FloatMath, _log_channel, params_at
 from .state import (
     STRATEGIES,
     DirectSumState,
@@ -156,15 +156,6 @@ def qfi_closed(
     return QfiResult(f_phase, f_freq, STRATEGIES[strategy].route)
 
 
-def _checked_params(model: NoiseModel, t: float):
-    if t < 0:
-        raise ValueError(f"interrogation time must be >= 0, got {t}")
-    params = params_at(model, t)
-    if not is_cptp(params):
-        raise ValueError(f"model parameters at t={t} are not CPTP")
-    return params
-
-
 def qfi_ghz_closed(spec: ProbeSpec, model: NoiseModel, t: float) -> QfiResult:
     """Ancilla-free GHZ strategy.
 
@@ -229,12 +220,12 @@ def qfi_bloch_2x2(bb: BlockBloch) -> float:
     return f / bb.r0
 
 
-def _sld_qfi(rho: np.ndarray, drho: np.ndarray, eps: float) -> float:
-    """2 * sum_{ij} |<i|drho|j>|^2 / (lam_i + lam_j) over pairs above eps."""
+def _sld_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
+    """2 * sum_{ij} |<i|drho|j>|^2 / (lam_i + lam_j) over pairs above SLD_EIGENVALUE_CUTOFF."""
     lam, vec = np.linalg.eigh(rho)
     m = vec.conj().T @ drho @ vec
     s = lam[:, None] + lam[None, :]
-    mask = s > eps
+    mask = s > SLD_EIGENVALUE_CUTOFF
     return float(2.0 * np.sum(np.abs(m[mask]) ** 2 / s[mask]))
 
 
@@ -244,7 +235,6 @@ def qfi_sld_oracle(
     t: float,
     omega: float,
     dphi: float | None = None,
-    eps: float = SLD_EIGENVALUE_CUTOFF,
 ) -> QfiResult:
     """Brute-force QFI from the full density matrix.
 
@@ -253,7 +243,7 @@ def qfi_sld_oracle(
     differences of step dphi), and evaluates the eigendecomposition form of
     the symmetric-logarithmic-derivative information.
     """
-    params = _checked_params(model, t)
+    params = params_at(model, t)
     rho = evolve_dense(spec, params, omega, t).matrix
     n = spec.n_probes
     if dphi is None:
@@ -268,5 +258,5 @@ def qfi_sld_oracle(
         plus = evolve_dense(spec, replace(params, theta_noise=params.theta_noise + dphi), omega, t)
         minus = evolve_dense(spec, replace(params, theta_noise=params.theta_noise - dphi), omega, t)
         drho = (plus.matrix - minus.matrix) / (2.0 * dphi)
-    f_phase = _sld_qfi(rho, drho, eps)
+    f_phase = _sld_qfi(rho, drho)
     return QfiResult(f_phase, t * t * f_phase, "sld_oracle")

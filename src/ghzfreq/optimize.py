@@ -166,35 +166,36 @@ def _slope_root(slope: Callable[[np.ndarray], np.ndarray], a: float, b: float) -
 
 
 def maximize_f_over_t(
-    strategy: StrategyKind,
-    spec: ProbeSpec,
-    model: NoiseModel,
-    *,
-    scan_points: int = SCAN_POINTS,
-    window: tuple[float, float] = SCAN_WINDOW,
+    strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel
 ) -> tuple[float, float]:
     """Maximize F_omega(t)/t over the interrogation time.
 
     Returns (t_opt, f_over_t_max). The spec's ancilla count must fit the
-    strategy. The scan window is `window` in units of 1/gamma, its lower
-    edge divided by N for the correlated (GHZ) strategies; the sampled
-    profile must rise strictly to a single interior peak and never rise
-    again past it, otherwise a ValueError is raised rather than silently
-    refining one of several candidate peaks. A ValueError is also raised when
-    the slope of log(F/t) does not change sign between the scan points either
-    side of the peak.
+    strategy. The scan takes SCAN_POINTS times across SCAN_WINDOW in units
+    of 1/gamma, its lower edge divided by N for the correlated (GHZ)
+    strategies; the sampled profile must rise strictly to a single interior
+    peak and never rise again past it, otherwise a ValueError is raised
+    rather than silently refining one of several candidate peaks. A
+    ValueError is also raised when F/t is 0 at every scanned time (a probe
+    without phase coherence, |c1 c2| = 0), and when the slope of log(F/t)
+    does not change sign between the scan points either side of the peak.
     """
     if model.gamma <= 0:
         raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
     check_ancillas(strategy, spec.n_ancillas)
     f = _objective(strategy, spec, model)
-    lo, hi = window[0] / model.gamma, window[1] / model.gamma
+    lo, hi = SCAN_WINDOW[0] / model.gamma, SCAN_WINDOW[1] / model.gamma
     if STRATEGIES[strategy].correlated:
         lo /= spec.n_probes
-    grid = np.geomspace(lo, hi, scan_points)
+    grid = np.geomspace(lo, hi, SCAN_POINTS)
     values = f(grid)
+    if not np.any(values > 0.0):
+        raise ValueError(
+            "F/t is 0 at every scanned time: the probe has no phase coherence "
+            "(|c1 c2|^2 is 0 in floating point), so there is no optimal time"
+        )
     peak = int(np.argmax(values))
-    if peak == 0 or peak == scan_points - 1:
+    if peak == 0 or peak == SCAN_POINTS - 1:
         raise ValueError(
             f"profile peaks at the scan boundary (index {peak}); widen the window"
         )

@@ -148,6 +148,25 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("c1", ["0.0", "1.0"])
+    def test_probe_without_coherence_exits_3(self, c1, capsys):
+        code, out, err = run_capture(
+            ["sweep", "--model", "adc", "--gamma", "1", "--n", "2", "--c1", c1], capsys
+        )
+        assert code == 3 and out == ""
+        assert "no phase coherence" in err
+
+    @pytest.mark.parametrize("model", ["adc", "dpc", "pdc"])
+    def test_tiny_rate(self, model, capsys):
+        # t_opt ~ 1e300, so F = t^2 F_phase overflows although F/t and the gap do not
+        code, out, err = run_capture(
+            ["sweep", "--model", model, "--gamma", "1e-300", "--n", "3"], capsys
+        )
+        assert code == 0 and err == ""
+        for row in parse_csv(out):
+            assert 1e298 < float(row["t_opt"]) < 1e301
+            assert abs(float(row["saturation_gap"])) <= 1e-15
+
 
 class TestLargeNSweep:
     @pytest.mark.parametrize("model", ["adc", "dpc"])
