@@ -115,7 +115,7 @@ def _argv_from_spec_file(argv: list[str]) -> list[str]:
         raise UsageError("--spec replaces all other arguments")
     try:
         payload = json.loads(Path(argv[1]).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read spec file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"spec file is not valid JSON: {exc}") from None
@@ -277,9 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, handler, help: str, rate=_RATE) -> argparse.ArgumentParser:
+    def command(name: str, handler, summary: str, rate=_RATE) -> argparse.ArgumentParser:
         """A subcommand run by `handler`; `rate` is the type of --gamma, None for no model."""
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         if rate is not None:
             p.add_argument("--model", choices=sorted(_MODEL_FACTORIES), required=True)
@@ -325,15 +325,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if "--spec" in argv:
             argv = _argv_from_spec_file(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         ns = _build_parser().parse_args(argv)
+        text, code = ns.handler(ns)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code) if exc.code else 0
-    try:
-        text, code = ns.handler(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

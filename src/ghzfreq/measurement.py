@@ -128,14 +128,14 @@ def saturation_check(
     Returns (is_saturating, best_delta, gap) with gap = variance / (t/F) - 1
     and is_saturating = |gap| <= SATURATION_REL_TOL. The variance is taken at
     the better of the two quadrature phases, where the mean crosses zero with
-    maximal slope (ties go to the smaller delta). The gap is formed as
-    variance * t * F_phase - 1, which stays finite where F = t^2 F_phase
-    overflows at a huge t. The
-    information is the closed form of the spec's strategy (`ghz_strategy`).
-    Only the 2x2 coherence block is built, from the same log-space terms as
-    that closed form, so the cost does not grow with N and the gap stays at
-    rounding level at any N. That no other measurement phase does better is
-    checked by a phase scan in `verify`.
+    maximal slope (ties go to the smaller delta). The information is the
+    closed form of the spec's strategy (`ghz_strategy`), and the gap is
+    formed as variance * t * F_phase - 1, which stays finite where
+    F = t^2 F_phase overflows at a huge t. Only the 2x2 coherence block is
+    built, from the same log-space terms as that closed form, so the cost
+    does not grow with N and the gap stays at rounding level at any N. That
+    no other measurement phase does better is checked by a phase scan in
+    `verify`.
     """
     f_phase = qfi_closed(ghz_strategy(spec.n_ancillas), spec, model, t).f_phase
     if f_phase <= 0.0:

@@ -197,7 +197,8 @@ def maximize_f_over_t(
     peak = int(np.argmax(values))
     if peak == 0 or peak == SCAN_POINTS - 1:
         raise ValueError(
-            f"profile peaks at the scan boundary (index {peak}); widen the window"
+            f"profile peaks at the scan boundary (index {peak}); "
+            "the optimum lies outside SCAN_WINDOW"
         )
     diffs = np.diff(values)
     if not (np.all(diffs[:peak] > 0.0) and np.all(diffs[peak:] <= 0.0)):

@@ -413,6 +413,13 @@ class TestSpecFile:
         code, _, err = run_capture(["qfi", "--spec", "x.json"], capsys)
         assert code == 2 and "replaces" in err
 
+    def test_rejects_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run_capture(["--spec", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "spec file" in err
+
     def test_rejects_non_object_payload(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text("[1, 2, 3]")
