@@ -127,12 +127,19 @@ def params_at(model: NoiseModel, t: float) -> ChannelParams:
         adc: (0, sqrt(g), g, g - 1)
         dpc: (0, g, g, 0)
         pdc: (0, g, 1, 0)
+
+    A custom model's rule(t) is the one place its parameters enter, so a
+    ValueError is raised there unless every field is finite.
     """
     if t < 0:
         raise ValueError(f"interrogation time must be >= 0, got {t}")
     if model.kind == "custom":
         assert model.rule is not None
-        return model.rule(t)
+        params = model.rule(t)
+        fields = (params.theta_noise, params.eta_perp, params.eta_par, params.kappa)
+        if not all(math.isfinite(v) for v in fields):
+            raise ValueError(f"model parameters at t={t} are not finite: {params}")
+        return params
     g = math.exp(-model.gamma * t)
     if model.kind == "adc":
         return ChannelParams(0.0, math.exp(-0.5 * model.gamma * t), g, g - 1.0)
@@ -234,21 +241,21 @@ def _log_channel(model: NoiseModel, t, xp, slope: bool):
     (g = exp(-gamma t)), so that N * log(...) keeps full precision at large
     N; a vanishing coefficient gives -inf. They are CPTP for every gamma,
     t >= 0 (their smallest Choi eigenvalue is 0, or (1 - g)/2 for dpc).
-    Custom models take an array t and go through `params_at` point by point,
-    each point checked for complete positivity.
+    Custom models take an array t of any shape and go through `params_at`
+    point by point, each point checked for complete positivity.
     """
     gamma = model.gamma
     if model.kind == "custom":
-        points = [params_at(model, float(s)) for s in t]
-        params = ChannelParams(
-            0.0,
-            np.array([p.eta_perp for p in points]),
-            np.array([p.eta_par for p in points]),
-            np.array([p.kappa for p in points]),
-        )
-        bad = _choi_min(a_coefficients(params), params.eta_perp) < -CP_TOL
+        times = np.ravel(t)
+        points = [params_at(model, float(s)) for s in times]
+        params = ChannelParams(0.0, *(
+            np.array([getattr(p, name) for p in points]).reshape(np.shape(t))
+            for name in ("eta_perp", "eta_par", "kappa")
+        ))
+        # NaN-safe: a NaN eigenvalue is not CPTP either
+        bad = ~(_choi_min(a_coefficients(params), params.eta_perp) >= -CP_TOL)
         if bad.any():
-            raise ValueError(f"model parameters at t={float(t[np.argmax(bad)])} are not CPTP")
+            raise ValueError(f"model parameters at t={float(times[np.argmax(bad)])} are not CPTP")
         return (*_log_params(params, np), None, None)
     x = gamma * t
     if model.kind == "pdc":  # A++ = A+- = 2, A-+ = A-- = 0

@@ -74,6 +74,8 @@ _TIME = _checked(float, lambda t: math.isfinite(t) and t >= 0.0, "a finite time 
 _POSITIVE_TIME = _checked(float, lambda t: math.isfinite(t) and t > 0.0, "a finite time > 0")
 _AMPLITUDE = _checked(float, lambda c: 0.0 <= c <= 1.0, "a real amplitude in [0, 1]")
 _NMAX = _checked(int, lambda n: 1 <= n <= 10, "a value in 1..10")
+_FINITE = _checked(float, math.isfinite, "a finite value")
+_SEED = _checked(int, lambda s: s >= 0, "a seed >= 0")
 
 
 def _probe_range(text: str) -> tuple[int, int]:
@@ -294,8 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=sorted(_STRATEGY_BY_FLAG), default="ghz-free")
     p.add_argument("--n-ancillas", type=int, default=None)
     p.add_argument("--c1", type=_AMPLITUDE, default=1.0 / math.sqrt(2.0))
-    p.add_argument("--c2-phase", type=float, default=0.0)
-    p.add_argument("--omega", type=float, default=0.0)
+    p.add_argument("--c2-phase", type=_FINITE, default=0.0)
+    p.add_argument("--omega", type=_FINITE, default=0.0)
     p.add_argument("--oracle", action="store_true", help="add dense-oracle column")
 
     p = command("table1", _cmd_table1, "closed-form F/t summary table")
@@ -313,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", _cmd_verify, "run the cross-route check suite", rate=None)
     p.add_argument("--nmax", type=_NMAX, default=5)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_SEED, default=7)
 
     p = command("channel", _cmd_channel, "inspect the noise map at one time")
     p.add_argument("--t", type=_TIME, required=True)

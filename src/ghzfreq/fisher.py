@@ -72,25 +72,37 @@ class QfiResult:
     route: str
 
 
-def _log_f_phase(terms, spec: ProbeSpec, model: NoiseModel, t, xp, slope: bool):
-    """(log F_phase, d/dt log F_phase or None) at t, a float or a 1-d array."""
-    n = spec.n_probes
+def _log_f_phase(terms, w, log_w, n, model: NoiseModel, t, xp, slope: bool):
+    """(log F_phase, d/dt log F_phase or None) at t over the block `terms`.
+
+    w = (|c1|^2, |c2|^2), the log weights log_w that the terms index
+    (`state._block_log_terms`) and n the probe count are floats for one
+    probe at a float or an array t, or (rows, 1) columns against a
+    (rows, points) t, one row per probe.
+    """
     power = n if terms else 1
-    w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
     log_eta, log_half, d_eta, d_half = _log_channel(model, t, xp, slope)
-    log_f = _FloatMath.log(4.0 * w[0] * w[1] * n * power) + 2.0 * power * log_eta
     d_f = None
     if slope and d_eta is not None:
         d_f = 2.0 * power * d_eta + 0.0 * t  # shaped like t
+    # the block trace is summed before log F is formed, and its terms are
+    # dropped as they are summed unless the slope reads them again: fewer
+    # (rows, points) arrays are alive at once
     if terms:
-        parts = _block_log_terms(terms, spec, log_half)
+        parts = _block_log_terms(terms, log_w, n, log_half)
+        if d_f is not None:
+            parts = list(parts)
         log_r0 = functools.reduce(xp.logaddexp, parts)
+    log_f = xp.log(4.0 * w[0] * w[1] * n * power) + 2.0 * power * log_eta
+    if terms:
         # a zero block trace comes with a zero numerator, so (-inf) - (-inf)
         # = nan stands for F = 0
         log_f = xp.fmax(log_f - log_r0, -math.inf)
         if d_f is not None:
             for part, (_, pole, _) in zip(parts, terms):
-                d_f = d_f - n * xp.exp(part - log_r0) * d_half[pole]
+                # a pole whose log is constant in t (pdc; adc's A+- and A-+) adds nothing
+                if not isinstance(d_half[pole], float) or d_half[pole] != 0.0:
+                    d_f = d_f - n * xp.exp(part - log_r0) * d_half[pole]
     return log_f, d_f
 
 
@@ -124,16 +136,14 @@ def log_qfi_phase(
     if slope and model.gamma * low == 0.0:
         raise ValueError("the slope of log F is taken at gamma*t > 0 only")
     terms = STRATEGIES[strategy].block_terms
+    w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
+    probe = (w, (_FloatMath.log(w[0]), _FloatMath.log(w[1])), spec.n_probes)
     if scalar:
-        log_f, d_f = _log_f_phase(terms, spec, model, t_arr, _FloatMath, slope)
-        return (log_f, d_f) if slope else log_f
-    times = t_arr.reshape(-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_f, d_f = _log_f_phase(terms, spec, model, times, np, slope)
-    log_f = log_f.reshape(t_arr.shape)
-    if not slope:
-        return log_f
-    return log_f, None if d_f is None else d_f.reshape(t_arr.shape)
+        log_f, d_f = _log_f_phase(terms, *probe, model, t_arr, _FloatMath, slope)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_f, d_f = _log_f_phase(terms, *probe, model, t_arr, np, slope)
+    return (log_f, d_f) if slope else log_f
 
 
 def qfi_closed(
@@ -220,10 +230,20 @@ def qfi_bloch_2x2(bb: BlockBloch) -> float:
     return f / bb.r0
 
 
-def _sld_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
-    """2 * sum_{ij} |<i|drho|j>|^2 / (lam_i + lam_j) over pairs above SLD_EIGENVALUE_CUTOFF."""
+def _sld_qfi(rho: np.ndarray, drho) -> float:
+    """2 * sum_{ij} |<i|drho|j>|^2 / (lam_i + lam_j) over pairs above SLD_EIGENVALUE_CUTOFF.
+
+    drho is a dense matrix, or the pair (drho[0, -1], drho[-1, 0]) when
+    those corners are its only nonzero entries; <i|drho|j> is then the
+    rank-2 sum conj(v_0i) drho[0, -1] v_-1j + conj(v_-1i) drho[-1, 0] v_0j
+    over the first and last rows of the eigenvectors, not a dense product.
+    """
     lam, vec = np.linalg.eigh(rho)
-    m = vec.conj().T @ drho @ vec
+    if isinstance(drho, tuple):
+        first, last = vec[0], vec[-1]
+        m = np.outer(first.conj(), drho[0] * last) + np.outer(last.conj(), drho[1] * first)
+    else:
+        m = vec.conj().T @ drho @ vec
     s = lam[:, None] + lam[None, :]
     mask = s > SLD_EIGENVALUE_CUTOFF
     return float(2.0 * np.sum(np.abs(m[mask]) ** 2 / s[mask]))
@@ -247,9 +267,7 @@ def qfi_sld_oracle(
     rho = evolve_dense(spec, params, omega, t).matrix
     n = spec.n_probes
     if dphi is None:
-        drho = np.zeros_like(rho)
-        drho[0, -1] = -1j * n * rho[0, -1]
-        drho[-1, 0] = 1j * n * rho[-1, 0]
+        drho = (-1j * n * rho[0, -1], 1j * n * rho[-1, 0])
     else:
         if not (0.0 < dphi <= 1e-3):
             raise ValueError(f"finite-difference step must lie in (0, 1e-3], got {dphi}")

@@ -1,25 +1,35 @@
 """Interrogation-time optimization and strategy comparison.
 
 The figure of merit throughout is F_omega(t)/t, the frequency information
-per unit of total measurement time. For each strategy it is maximized over
-t in two stages, both on the log-space closed form `fisher.log_qfi_phase`
-evaluated over arrays of times:
+per unit of total measurement time. It is maximized over t for a batch of
+rows at once, a row being one (strategy, probe) pair under one noise model.
+Every step evaluates the log-space closed form (`fisher._log_f_phase`) for
+all rows in one array call, N and the amplitudes as (rows, 1) columns
+against a (rows, points) array of times. The GHZ strategies share a batch:
+their block terms are joined and a row gives a term its strategy lacks the
+log weight -inf. Two stages:
 
-  * a geometric scan of the whole window in one array call, which also
-    certifies that the sampled profile rises to a single interior peak;
+  * a geometric scan of the whole window, one (rows, SCAN_POINTS) call,
+    which also certifies that each row's sampled profile rises to a single
+    interior peak;
   * a bracketing search on the sign of d/dt log(F/t) between the scan
-    points either side of the peak. Each step evaluates the slope at
-    REFINE_POINTS interior points in one array call and keeps the
-    sub-interval where it changes sign. The slope is analytic for the named
-    models and a central difference of log(F/t) for custom ones.
+    points either side of each row's peak. Each step evaluates the slope at
+    REFINE_POINTS interior points of every bracket still open in one call
+    and keeps, per row, the sub-interval where it changes sign. The slope is
+    analytic for the named models and a central difference of log(F/t) for
+    custom ones.
 
-The slope's sign stays resolvable down to a few ulps of the optimum, where a
-value-based search stops at about sqrt(eps) because the profile is flat to
-second order at the peak.
+A row is frozen once its bracket is narrow enough and is evaluated no more,
+so its result is the same to the bit whichever rows share its batch;
+`maximize_f_over_t` is the one-row batch. A failed check names the row's
+strategy and N. The slope's sign stays resolvable down to a few ulps of the
+optimum, where a value-based search stops at about sqrt(eps) because the
+profile is flat to second order at the peak.
 
-`sweep` packages the per-N results (optimal time, peak value, ratio against
-the best uncorrelated scheme, and the readout saturation gap at the
-optimum) into rows ready for tabulation.
+`sweep` optimizes its GHZ rows in batches of at most BATCH_ROWS, so memory
+does not grow with the probe range, and packages the per-N results
+(optimal time, peak value, ratio against the best uncorrelated scheme, and
+the readout saturation gap at the optimum) into rows ready for tabulation.
 """
 
 from __future__ import annotations
@@ -31,8 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import NoiseModel
-from .fisher import log_qfi_phase, qfi_ancilla_closed, qfi_ghz_closed, qfi_uncorrelated_closed
+from .channel import NoiseModel, _FloatMath
+from .fisher import _log_f_phase, qfi_ancilla_closed, qfi_ghz_closed, qfi_uncorrelated_closed
 from .measurement import saturation_check
 from .state import STRATEGIES, ProbeSpec, StrategyKind, check_ancillas
 
@@ -53,6 +63,13 @@ SCAN_POINTS = 200
 SCAN_WINDOW = (1e-4, 1e2)
 REFINE_POINTS = 64
 REFINE_REL_WIDTH = 1e-8  # bracket width, relative, at which the slope is interpolated
+_SCAN_STEPS = np.arange(float(SCAN_POINTS))
+_REFINE_STEPS = np.arange(1.0, REFINE_POINTS + 1)
+# rows that `sweep` optimizes in one batch. About ten (BATCH_ROWS, SCAN_POINTS)
+# arrays of 51 kB are alive at once during the scan. A larger batch makes
+# fewer numpy calls per row: the 60 rows of `sweep --n 1:30` ran about 8%
+# faster as one batch, with 0.5 MB more peak memory.
+BATCH_ROWS = 32
 _TINY = sys.float_info.min
 
 
@@ -106,63 +123,185 @@ class Table1Row:
         }
 
 
+def _probe_table(rows: Sequence[tuple[StrategyKind, ProbeSpec]], terms) -> np.ndarray:
+    """One column per row holding |c1|^2, |c2|^2, the log weight of each of
+    `terms` and N. A term the row's strategy lacks gets the log weight -inf,
+    which drops it from the logsumexp of the block trace."""
+    table = []
+    for kind, spec in rows:
+        own = STRATEGIES[kind].block_terms
+        w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
+        log_w = (_FloatMath.log(w[0]), _FloatMath.log(w[1]))
+        table.append([*w, *(log_w[t[0]] if t in own else -math.inf for t in terms), spec.n_probes])
+    return np.array(table, dtype=float).T.copy()
+
+
+def _probe(table: np.ndarray):
+    """The (w, log_w, n) arguments of `fisher._log_f_phase` for the rows of
+    `table`: (rows, 1) columns, or floats for a single row, which numpy
+    broadcasts against its (1, points) times more cheaply and to the same bits."""
+    if table.shape[1] == 1:
+        columns = table[:, 0].tolist()
+    else:
+        columns = [row[:, None] for row in table]
+    return tuple(columns[:2]), tuple(columns[2:-1]), columns[-1]
+
+
 def _objective(
-    strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel
+    terms, table: np.ndarray, model: NoiseModel
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """F_omega/t = t * F_phase as a function of an array of times."""
+    """F_omega/t = t * F_phase of each row of `table` over a (rows, points) array of times."""
+    probe = _probe(table)
 
     def f_over_t(t: np.ndarray) -> np.ndarray:
-        return t * np.exp(log_qfi_phase(strategy, spec, model, t))
+        return t * np.exp(_log_f_phase(terms, *probe, model, t, np, False)[0])
 
     return f_over_t
 
 
 def _log_slope(
-    strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel,
-    f: Callable[[np.ndarray], np.ndarray],
+    terms, table: np.ndarray, model: NoiseModel
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """d/dt log(F/t) over an array of times.
+    """d/dt log(F/t) of each row of `table` over a (rows, points) array of times.
 
     Analytic for the named models; for custom ones a central difference of
-    log f with a relative step of 1e-6, both sides in one call of f.
+    log(F/t) with a relative step of 1e-6, both sides in one objective call.
     """
     if model.kind == "custom":
+        f = _objective(terms, table, model)
+
         def slope(t: np.ndarray) -> np.ndarray:
             h = 1e-6 * t
-            with np.errstate(divide="ignore"):
-                logs = np.log(f(np.concatenate([t - h, t + h])))
-            return (logs[t.size:] - logs[: t.size]) / (2.0 * h)
+            logs = np.log(f(np.concatenate([t - h, t + h], axis=1)))
+            return (logs[:, t.shape[1]:] - logs[:, : t.shape[1]]) / (2.0 * h)
 
         return slope
 
+    probe = _probe(table)
+
     def slope(t: np.ndarray) -> np.ndarray:
-        return log_qfi_phase(strategy, spec, model, t, slope=True)[1] + 1.0 / t
+        return _log_f_phase(terms, *probe, model, t, np, True)[1] + 1.0 / t
 
     return slope
 
 
-def _slope_root(slope: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    """Locate the sign change of a decreasing slope inside [a, b].
+def _row_name(row: tuple[StrategyKind, ProbeSpec], model: NoiseModel) -> str:
+    """Which row failed, for an error message."""
+    kind, spec = row
+    return f"strategy={kind.value} model={model.kind} n={spec.n_probes}"
 
-    Each step evaluates the slope at REFINE_POINTS evenly spaced interior
-    points in one call and keeps the sub-interval ending at the first point
-    where it is no longer positive. Once the bracket is narrower than
-    REFINE_REL_WIDTH, the root is interpolated linearly between its ends.
+
+def _interior(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """REFINE_POINTS evenly spaced points strictly inside each row's [a, b]."""
+    return a[:, None] + _REFINE_STEPS * ((b - a) / (REFINE_POINTS + 1))[:, None]
+
+
+def _slope_roots(terms, table, model, a, b, rows) -> np.ndarray:
+    """Locate the sign change of each row's decreasing slope inside [a, b].
+
+    Each step evaluates the slope of every row still searching at
+    REFINE_POINTS evenly spaced interior points of its bracket in one call
+    and keeps the sub-interval ending at the first point where it is no
+    longer positive. A row whose bracket is narrower than REFINE_REL_WIDTH
+    is frozen: its root is interpolated linearly between the bracket's ends
+    and it is evaluated no more, so what it returns does not depend on the
+    other rows of the batch.
     """
-    points = np.linspace(a, b, REFINE_POINTS + 2)
+    slope = _log_slope(terms, table, model)
+    points = np.concatenate([a[:, None], _interior(a, b), b[:, None]], axis=1)
     values = slope(points)
-    if not (values[0] > 0.0 > values[-1]):
+    changes = (values[:, 0] > 0.0) & (values[:, -1] < 0.0)
+    if not changes.all():
+        r = int(np.argmin(changes))
         raise ValueError(
             "the slope of log(F/t) does not change sign inside the scan bracket "
-            f"[{a!r}, {b!r}] (slopes {values[0]!r}, {values[-1]!r})"
+            f"[{float(a[r])!r}, {float(b[r])!r}] "
+            f"(slopes {float(values[r, 0])!r}, {float(values[r, -1])!r}): "
+            f"{_row_name(rows[r], model)}"
         )
+    roots = np.empty(len(a))
+    active = np.arange(len(a))
     while True:
-        i = int(np.argmax(values <= 0.0))
-        a, b, s_a, s_b = points[i - 1], points[i], values[i - 1], values[i]
-        if b - a <= REFINE_REL_WIDTH * b:
-            return float(a + (b - a) * s_a / (s_a - s_b))
-        points = np.linspace(a, b, REFINE_POINTS + 2)
-        values = np.concatenate(([s_a], slope(points[1:-1]), [s_b]))
+        # flat index of the first point of each row where the slope is <= 0
+        right = np.argmax(values <= 0.0, axis=1) + np.arange(0, values.size, values.shape[1])
+        a, b = points.take(right - 1), points.take(right)
+        s_a, s_b = values.take(right - 1), values.take(right)
+        done = b - a <= REFINE_REL_WIDTH * b
+        if done.any():
+            roots[active[done]] = (a + (b - a) * s_a / (s_a - s_b))[done]
+            if done.all():
+                return roots
+            keep = ~done
+            active, a, b, s_a, s_b = active[keep], a[keep], b[keep], s_a[keep], s_b[keep]
+            slope = _log_slope(terms, table[:, active], model)
+        inner = _interior(a, b)
+        points = np.concatenate([a[:, None], inner, b[:, None]], axis=1)
+        values = np.concatenate([s_a[:, None], slope(inner), s_b[:, None]], axis=1)
+
+
+def _maximize_rows(
+    rows: Sequence[tuple[StrategyKind, ProbeSpec]], model: NoiseModel
+) -> list[tuple[float, float]]:
+    """(t_opt, f_over_t_max) of each (strategy, spec) row, all rows in one batch.
+
+    The rows are either all correlated (GHZ) or all uncorrelated. Their
+    strategies' block terms are joined, in `STRATEGIES` order, and a row
+    gives a term its strategy lacks the log weight -inf, so one array call
+    evaluates every row. The scan is one (rows, SCAN_POINTS) call; the slope
+    search then follows each row's own bracket (`_slope_roots`). Every check
+    of `maximize_f_over_t` is made per row, and a failure names the row's
+    strategy and N.
+    """
+    if model.gamma <= 0:
+        raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
+    for kind, spec in rows:
+        check_ancillas(kind, spec.n_ancillas)
+    kinds = {kind for kind, _ in rows}
+    correlated = {STRATEGIES[kind].correlated for kind in kinds}
+    if len(correlated) != 1:
+        raise ValueError("a batch holds either correlated or uncorrelated rows, not both")
+    terms = tuple(dict.fromkeys(
+        term for kind in STRATEGIES if kind in kinds for term in STRATEGIES[kind].block_terms
+    ))
+    table = _probe_table(rows, terms)
+    # the table holds one log weight per joined term: term i reads log_w[i]
+    terms = tuple((i, pole, side) for i, (_, pole, side) in enumerate(terms))
+    lo = np.full(len(rows), SCAN_WINDOW[0] / model.gamma)
+    if correlated.pop():
+        lo /= table[-1]
+    log_lo = np.log(lo)
+    step = (math.log(SCAN_WINDOW[1] / model.gamma) - log_lo) / (SCAN_POINTS - 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        grid = np.exp(log_lo[:, None] + _SCAN_STEPS * step[:, None])
+        f = _objective(terms, table, model)
+        values = f(grid)
+        peak = np.argmax(values, axis=1)
+        coherent = np.any(values > 0.0, axis=1)
+        inside = (peak > 0) & (peak < SCAN_POINTS - 1)
+        diffs = np.diff(values, axis=1)
+        rising = _SCAN_STEPS[1:] <= peak[:, None]
+        unimodal = np.all(np.where(rising, diffs > 0.0, diffs <= 0.0), axis=1)
+        passed = coherent & inside & unimodal
+        if not passed.all():
+            r = int(np.argmin(passed))
+            if not coherent[r]:
+                raise ValueError(
+                    "F/t is 0 at every scanned time: the probe has no phase coherence "
+                    "(|c1 c2|^2 is 0 in floating point), so there is no optimal time: "
+                    f"{_row_name(rows[r], model)}"
+                )
+            if not inside[r]:
+                raise ValueError(
+                    f"profile peaks at the scan boundary (index {peak[r]}); "
+                    f"the optimum lies outside SCAN_WINDOW: {_row_name(rows[r], model)}"
+                )
+            raise ValueError(
+                f"sampled profile is not unimodal over the scan window: {_row_name(rows[r], model)}"
+            )
+        row = np.arange(len(rows))
+        t_opt = _slope_roots(terms, table, model, grid[row, peak - 1], grid[row, peak + 1], rows)
+        best = f(t_opt[:, None])[:, 0]
+    return list(zip(t_opt.tolist(), best.tolist()))
 
 
 def maximize_f_over_t(
@@ -170,45 +309,19 @@ def maximize_f_over_t(
 ) -> tuple[float, float]:
     """Maximize F_omega(t)/t over the interrogation time.
 
-    Returns (t_opt, f_over_t_max). The spec's ancilla count must fit the
-    strategy. The scan takes SCAN_POINTS times across SCAN_WINDOW in units
-    of 1/gamma, its lower edge divided by N for the correlated (GHZ)
-    strategies; the sampled profile must rise strictly to a single interior
-    peak and never rise again past it, otherwise a ValueError is raised
-    rather than silently refining one of several candidate peaks. A
-    ValueError is also raised when F/t is 0 at every scanned time (a probe
-    without phase coherence, |c1 c2| = 0), and when the slope of log(F/t)
-    does not change sign between the scan points either side of the peak.
+    Returns (t_opt, f_over_t_max); this is the one-row batch of the
+    maximizer that `sweep` runs over many rows. The spec's ancilla count
+    must fit the strategy. The scan takes SCAN_POINTS times across
+    SCAN_WINDOW in units of 1/gamma, its lower edge divided by N for the
+    correlated (GHZ) strategies; the sampled profile must rise strictly to a
+    single interior peak and never rise again past it, otherwise a
+    ValueError is raised rather than silently refining one of several
+    candidate peaks. A ValueError is also raised when F/t is 0 at every
+    scanned time (a probe without phase coherence, |c1 c2| = 0), and when
+    the slope of log(F/t) does not change sign between the scan points
+    either side of the peak.
     """
-    if model.gamma <= 0:
-        raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
-    check_ancillas(strategy, spec.n_ancillas)
-    f = _objective(strategy, spec, model)
-    lo, hi = SCAN_WINDOW[0] / model.gamma, SCAN_WINDOW[1] / model.gamma
-    if STRATEGIES[strategy].correlated:
-        lo /= spec.n_probes
-    grid = np.geomspace(lo, hi, SCAN_POINTS)
-    values = f(grid)
-    if not np.any(values > 0.0):
-        raise ValueError(
-            "F/t is 0 at every scanned time: the probe has no phase coherence "
-            "(|c1 c2|^2 is 0 in floating point), so there is no optimal time"
-        )
-    peak = int(np.argmax(values))
-    if peak == 0 or peak == SCAN_POINTS - 1:
-        raise ValueError(
-            f"profile peaks at the scan boundary (index {peak}); "
-            "the optimum lies outside SCAN_WINDOW"
-        )
-    diffs = np.diff(values)
-    if not (np.all(diffs[:peak] > 0.0) and np.all(diffs[peak:] <= 0.0)):
-        raise ValueError(
-            "sampled profile is not unimodal over the scan window: "
-            f"strategy={strategy.value} model={model.kind} n={spec.n_probes}"
-        )
-    slope = _log_slope(strategy, spec, model, f)
-    t_opt = _slope_root(slope, float(grid[peak - 1]), float(grid[peak + 1]))
-    return t_opt, float(f(t_opt))
+    return _maximize_rows([(strategy, spec)], model)[0]
 
 
 def sensitivity_ratio(
@@ -236,9 +349,11 @@ def sweep(
     Each probe carries its strategy's default ancilla count (the information
     does not depend on how many). The uncorrelated optimum is computed once,
     for one probe: its time does not depend on N and its F/t is N times the
-    single-probe value. The saturation gap is evaluated at the optimal time
-    with the corner readout; uncorrelated rows quote the single-probe gap
-    since that strategy is measured qubit by qubit.
+    single-probe value. The GHZ rows are optimized in batches of at most
+    BATCH_ROWS consecutive rows (`_maximize_rows`); a row's result does not
+    depend on the batch it falls in. The saturation gap is evaluated at the
+    optimal time with the corner readout; uncorrelated rows quote the
+    single-probe gap since that strategy is measured qubit by qubit.
     """
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad probe range {n_min}..{n_max}")
@@ -252,27 +367,33 @@ def sweep(
     t_unc, best_single = maximize_f_over_t(StrategyKind.UNCORRELATED, single, model)
     if StrategyKind.UNCORRELATED in chosen:
         _, _, gap_unc = saturation_check(single, model, t_unc, omega=0.0)
+    correlated = [s for s in chosen if STRATEGIES[s].correlated]
+    per_chunk = max(1, BATCH_ROWS // max(1, len(correlated)))
     rows = []
-    for n in range(n_min, n_max + 1):
-        best_unc = n * best_single
-        for strategy in chosen:
-            if strategy is StrategyKind.UNCORRELATED:
-                t_opt, best, ratio, gap = t_unc, best_unc, 1.0, gap_unc
-            else:
-                spec = ProbeSpec(c1, c2, n, STRATEGIES[strategy].default_ancillas)
-                t_opt, best = maximize_f_over_t(strategy, spec, model)
-                ratio = best_unc / best
-                _, _, gap = saturation_check(spec, model, t_opt, omega=0.0)
-            rows.append(SweepRow(
-                n=n,
-                strategy=strategy,
-                model=model.kind,
-                gamma=model.gamma,
-                t_opt=t_opt,
-                f_over_t_max=best,
-                ratio_r=ratio,
-                saturation_gap=gap,
-            ))
+    for first in range(n_min, n_max + 1, per_chunk):
+        probes = range(first, min(first + per_chunk, n_max + 1))
+        batch = [(s, ProbeSpec(c1, c2, n, STRATEGIES[s].default_ancillas))
+                 for n in probes for s in correlated]
+        optima = iter(zip(batch, _maximize_rows(batch, model) if batch else ()))
+        for n in probes:
+            best_unc = n * best_single
+            for strategy in chosen:
+                if strategy is StrategyKind.UNCORRELATED:
+                    t_opt, best, ratio, gap = t_unc, best_unc, 1.0, gap_unc
+                else:
+                    (_, spec), (t_opt, best) = next(optima)
+                    ratio = best_unc / best
+                    _, _, gap = saturation_check(spec, model, t_opt, omega=0.0)
+                rows.append(SweepRow(
+                    n=n,
+                    strategy=strategy,
+                    model=model.kind,
+                    gamma=model.gamma,
+                    t_opt=t_opt,
+                    f_over_t_max=best,
+                    ratio_r=ratio,
+                    saturation_gap=gap,
+                ))
     return rows
 
 

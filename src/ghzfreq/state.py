@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -234,21 +235,24 @@ def _require_cptp(params: ChannelParams) -> None:
         raise ValueError("channel parameters are not CPTP")
 
 
-def _block_log_terms(terms, spec: ProbeSpec, log_half) -> list:
-    """log(w (A/2)^N) of each of a strategy's block terms, log_half holding floats or arrays.
+def _block_log_terms(terms, log_w, n, log_half) -> Iterator:
+    """log(w (A/2)^N) of each block term (i, pole, side), one at a time,
+    log_w[i] being its log weight and n the probe count.
 
+    For one probe i is the term's branch and log_w = (log|c1|^2, log|c2|^2).
+    Floats or arrays that broadcast: a batch of probes holds log_w and n as
+    (rows, 1) columns against log_half over a (rows, points) array of times.
     The closed form sums these into the block trace and the coherence block
     puts each on its side of the diagonal, so both read the same numbers.
     """
-    log_w = (_FloatMath.log(abs(spec.c1) ** 2), _FloatMath.log(abs(spec.c2) ** 2))
-    n = spec.n_probes
-    return [log_w[w] + n * log_half[pole] for w, pole, _ in terms]
+    return (log_w[i] + n * log_half[pole] for i, pole, _ in terms)
 
 
 def _block(terms, spec, params, log_eta, log_half, omega, t) -> tuple[np.ndarray, float]:
     """The coherence block with the given block terms, from log space, and phase_total."""
+    log_w = (_FloatMath.log(abs(spec.c1) ** 2), _FloatMath.log(abs(spec.c2) ** 2))
     diag = [0.0, 0.0]
-    for (_, _, side), value in zip(terms, _block_log_terms(terms, spec, log_half)):
+    for (_, _, side), value in zip(terms, _block_log_terms(terms, log_w, spec.n_probes, log_half)):
         diag[side] += math.exp(value)
     n = spec.n_probes
     phase = n * (params.theta_noise + omega * t)

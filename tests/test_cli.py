@@ -168,6 +168,20 @@ class TestSweep:
             assert abs(float(row["saturation_gap"])) <= 1e-15
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "adc", "--gamma", "1e154", "--n", "1:2"],
+        ["--model", "adc", "--gamma", "1e300", "--n", "1:2"],
+        ["--model", "dpc", "--gamma", "1e300", "--n", "1000000"],
+    ], ids=" ".join)
+    def test_huge_rate(self, argv, capsys):
+        # t_opt ~ 1e-300, so F = t^2 F_phase underflows although F/t and the gap do not
+        code, out, err = run_capture(["sweep", *argv], capsys)
+        assert code == 0 and err == ""
+        for row in parse_csv(out):
+            assert 0.0 < float(row["t_opt"]) < 1e-150
+            assert abs(float(row["saturation_gap"])) <= 2e-15
+
+
 class TestLargeNSweep:
     @pytest.mark.parametrize("model", ["adc", "dpc"])
     def test_million_probes(self, model, capsys):
@@ -351,6 +365,11 @@ USAGE_ERRORS = [
     (["qfi", "--model", "adc", "--gamma", "1", "--n", "2:3", "--t", "0.5"], "probe"),
     (["qfi", *QFI_POINT, "--c1", "1.5"], "c1"),
     (["sweep", *SWEEP_RANGE, "--c1", "1.5"], "c1"),
+    (["qfi", *QFI_POINT, "--c2-phase", "inf"], "c2-phase"),
+    (["qfi", *QFI_POINT, "--c2-phase", "nan"], "c2-phase"),
+    (["qfi", *QFI_POINT, "--omega", "nan"], "omega"),
+    (["qfi", *QFI_POINT, "--omega", "-inf"], "omega"),
+    (["verify", "--seed", "-1"], "seed"),
     (["verify", "--nmax", "0"], "nmax"),
     (["verify", "--nmax", "11"], "nmax"),
     (["sweep", *SWEEP_RANGE, "--strategy", "ghz-free,nosuch"], "strategy"),

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ghzfreq.channel import adc, dpc, params_at, pdc
+from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc
 from ghzfreq.fisher import (
+    _sld_qfi,
     block_bloch_of,
     qfi_ancilla_closed,
     qfi_bloch_2x2,
@@ -12,7 +13,13 @@ from ghzfreq.fisher import (
     qfi_sld_oracle,
     qfi_uncorrelated_closed,
 )
-from ghzfreq.state import ProbeSpec, evolve_directsum_ancilla, evolve_directsum_free
+from ghzfreq.optimize import StrategyKind, maximize_f_over_t
+from ghzfreq.state import (
+    ProbeSpec,
+    evolve_dense,
+    evolve_directsum_ancilla,
+    evolve_directsum_free,
+)
 
 MODELS = [adc, dpc, pdc]
 
@@ -187,3 +194,49 @@ class TestSldOracle:
         spec = ProbeSpec.balanced(2)
         assert qfi_ghz_closed(spec, adc(1.0), 0.5).route == "closed_ghz"
         assert qfi_sld_oracle(spec, adc(1.0), 0.5, 0.0).route == "sld_oracle"
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_rank_two_product_matches_dense_product(self, make):
+        # the analytic drho has two nonzero corners; the rank-2 form of
+        # <i|drho|j> must give the dense product's information
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            spec = random_spec(rng, n)
+            rho = evolve_dense(spec, params_at(make(1.0), 0.4), 0.7, 0.4).matrix
+            corners = (-1j * n * rho[0, -1], 1j * n * rho[-1, 0])
+            dense = np.zeros_like(rho)
+            dense[0, -1], dense[-1, 0] = corners
+            assert _sld_qfi(rho, corners) == pytest.approx(_sld_qfi(rho, dense), rel=1e-15)
+
+
+def _rule_with(**fields):
+    base = {"theta_noise": 0.0, "eta_perp": 0.5, "eta_par": 0.5, "kappa": 0.0}
+    return custom(lambda t: ChannelParams(**{**base, **fields}))
+
+
+# custom maps that are not finite, or whose Choi spectrum is NaN although
+# every field is finite (a_pp = inf, a_mm = -inf)
+BAD_CUSTOM = {
+    "eta_perp nan": _rule_with(eta_perp=math.nan),
+    "eta_par inf": _rule_with(eta_par=math.inf),
+    "kappa -inf": _rule_with(kappa=-math.inf),
+    "theta nan": _rule_with(theta_noise=math.nan),
+    "nan spectrum": _rule_with(eta_par=1e308, kappa=1e308),
+}
+
+
+class TestCustomModelsOutsideTheDomain:
+    """A custom map that is not finite or not CPTP gets an error, never a number."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_CUSTOM))
+    @pytest.mark.parametrize("closed", [qfi_ghz_closed, qfi_ancilla_closed,
+                                        qfi_uncorrelated_closed])
+    def test_closed_forms_raise(self, name, closed):
+        spec = ProbeSpec.balanced(2, 1 if closed is qfi_ancilla_closed else 0)
+        with pytest.raises(ValueError, match="not finite|not CPTP"):
+            closed(spec, BAD_CUSTOM[name], 0.5)
+
+    @pytest.mark.parametrize("name", sorted(BAD_CUSTOM))
+    def test_maximizer_raises(self, name):
+        with pytest.raises(ValueError, match="not finite|not CPTP"):
+            maximize_f_over_t(StrategyKind.GHZ_FREE, ProbeSpec.balanced(2), BAD_CUSTOM[name])

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ghzfreq import optimize
 from ghzfreq.channel import ChannelParams, adc, custom, dpc, pdc
+from ghzfreq.cli import run
 from ghzfreq.optimize import (
+    STRATEGIES,
     StrategyKind,
     maximize_f_over_t,
     sensitivity_ratio,
@@ -221,3 +224,81 @@ class TestUnderflow:
             table1(dpc(1.0), 20000, 0.2)
         with pytest.raises(ValueError, match="underflow"):
             tabulated_f_over_t("dpc", StrategyKind.GHZ_FREE, 20000, 1.0, 0.2)
+
+
+def _adc_like_rule(t):
+    """A CPTP custom map: adc's poles, eta_perp wobbling below sqrt(g)."""
+    g = math.exp(-t)
+    return ChannelParams(0.0, math.exp(-0.5 * t) * (0.95 + 0.05 * math.cos(3.0 * t)), g, g - 1.0)
+
+
+GHZ = [StrategyKind.GHZ_FREE, StrategyKind.GHZ_ANCILLA]
+BATCH_CASES = [
+    *((make, gamma, 40) for make in (adc, dpc, pdc) for gamma in (0.3, 1.3, 7.0)),
+    (lambda gamma: custom(_adc_like_rule, gamma), 1.0, 10),
+]
+
+
+def _key(row):
+    return row.t_opt, row.f_over_t_max, row.ratio_r, row.saturation_gap
+
+
+class TestBatch:
+    """`sweep` optimizes its GHZ rows in batches; a row's numbers do not
+    depend on which other rows share its batch."""
+
+    @pytest.mark.parametrize("make,gamma,n_max", BATCH_CASES)
+    def test_each_row_equals_the_row_alone(self, make, gamma, n_max):
+        model = make(gamma)
+        rows = sweep(model, 1, n_max, c1=0.6)
+        assert len(rows) == 3 * n_max
+        for row in rows:
+            if row.strategy is StrategyKind.UNCORRELATED:
+                continue
+            (alone,) = sweep(model, row.n, row.n, strategies=[row.strategy], c1=0.6)
+            assert _key(alone) == _key(row), (row.n, row.strategy)
+            spec = ProbeSpec(0.6, 0.8, row.n, STRATEGIES[row.strategy].default_ancillas)
+            assert maximize_f_over_t(row.strategy, spec, model) == (row.t_opt, row.f_over_t_max)
+
+    def test_cli_rows_equal_the_rows_alone(self, capsys):
+        argv = ["sweep", "--model", "dpc", "--gamma", "2.2", "--c1", "0.7"]
+        assert run([*argv, "--n", "1:12"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for n in range(1, 13):
+            for i, flag in enumerate(("ghz-free", "ghz-ancilla")):
+                assert run([*argv, "--n", str(n), "--strategy", flag]) == 0
+                alone = capsys.readouterr().out.splitlines()[1]
+                assert alone == lines[1 + 3 * (n - 1) + 1 + i]
+
+    def test_rows_either_side_of_a_chunk_boundary(self):
+        per_chunk = optimize.BATCH_ROWS // len(GHZ)
+        edge = 1 + per_chunk  # the first N of the second chunk
+        rows = sweep(adc(1.0), 1, edge + 1, strategies=GHZ)
+        for row in rows[-6:]:
+            (alone,) = sweep(adc(1.0), row.n, row.n, strategies=[row.strategy])
+            assert _key(alone) == _key(row), (row.n, row.strategy)
+
+    def test_chunk_size_does_not_move_a_bit(self, monkeypatch):
+        whole = sweep(dpc(0.8), 1, 25, c1=0.55)
+        monkeypatch.setattr(optimize, "BATCH_ROWS", 5)
+        assert [_key(r) for r in sweep(dpc(0.8), 1, 25, c1=0.55)] == [_key(r) for r in whole]
+
+    def test_unimodality_failure_names_its_n(self):
+        # this profile has a second peak for N = 2 only
+        def rule(t):
+            return ChannelParams(0.0, math.exp(-t) * (0.95 + 0.05 * math.cos(10.0 * t)), 1.0, 0.0)
+
+        model = custom(rule)
+        sweep(model, 1, 1, strategies=[StrategyKind.GHZ_FREE])
+        sweep(model, 3, 3, strategies=[StrategyKind.GHZ_FREE])
+        with pytest.raises(ValueError, match=r"not unimodal.*strategy=ghz_free .*n=2\b"):
+            sweep(model, 1, 3, strategies=[StrategyKind.GHZ_FREE])
+
+    def test_no_coherence_names_the_strategy_and_n(self):
+        with pytest.raises(ValueError, match=r"no phase coherence.*strategy=ghz_free .*n=3\b"):
+            maximize_f_over_t(StrategyKind.GHZ_FREE, ProbeSpec(1.0, 0.0, 3), adc(1.0))
+
+    def test_large_range_finishes(self):
+        rows = sweep(pdc(1.0), 1, 2000, strategies=GHZ)
+        assert len(rows) == 4000
+        assert all(abs(r.t_opt * 2.0 * r.n - 1.0) <= 1e-11 for r in rows)
