@@ -31,15 +31,9 @@ from .channel import (
 )
 from .fisher import (
     SLD_EIGENVALUE_CUTOFF,
-    BlockBloch,
     QfiResult,
-    block_bloch_of,
-    qfi_ancilla_closed,
-    qfi_bloch_2x2,
     qfi_closed,
-    qfi_ghz_closed,
     qfi_sld_oracle,
-    qfi_uncorrelated_closed,
 )
 from .measurement import (
     GhzObservable,
@@ -65,15 +59,13 @@ from .state import (
     ProbeSpec,
     assert_consistency,
     evolve_dense,
-    evolve_directsum_ancilla,
-    evolve_directsum_free,
+    evolve_directsum,
     ghz_state,
 )
 from .verify import CheckResult, run_verification
 
 __all__ = [
     "ACoefficients",
-    "BlockBloch",
     "CP_TOL",
     "ChannelParams",
     "CheckResult",
@@ -93,15 +85,13 @@ __all__ = [
     "adc",
     "affine_apply",
     "assert_consistency",
-    "block_bloch_of",
     "choi_matrix",
     "choi_min_eigenvalue",
     "custom",
     "dpc",
     "error_propagation_sensitivity",
     "evolve_dense",
-    "evolve_directsum_ancilla",
-    "evolve_directsum_free",
+    "evolve_directsum",
     "expectation_moments",
     "ghz_state",
     "integrate_master_equation",
@@ -109,12 +99,8 @@ __all__ = [
     "maximize_f_over_t",
     "params_at",
     "pdc",
-    "qfi_ancilla_closed",
-    "qfi_bloch_2x2",
     "qfi_closed",
-    "qfi_ghz_closed",
     "qfi_sld_oracle",
-    "qfi_uncorrelated_closed",
     "run_verification",
     "saturation_check",
     "sensitivity_ratio",

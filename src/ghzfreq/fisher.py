@@ -5,10 +5,10 @@ about the encoded phase phi = omega*t; f_freq = t**2 * f_phase is the
 information about the frequency itself and is what enters the Cramer-Rao
 bound Var(omega) * T >= t / f_freq for total acquisition time T.
 
-Three independent routes to the same number:
+Two independent routes to the same number:
 
-  * closed forms in the pole-population coefficients (per strategy),
-  * the 2x2 Bloch-vector formula applied to the coherence block,
+  * the closed form in the pole-population coefficients, one log-space
+    expression for every strategy (`qfi_closed`, `log_qfi_phase`),
   * a symmetric-logarithmic-derivative eigendecomposition of the full
     density matrix (the oracle; shares no algebra with the closed forms).
 """
@@ -25,7 +25,6 @@ import numpy as np
 from .channel import NoiseModel, _FloatMath, _log_channel, params_at
 from .state import (
     STRATEGIES,
-    DirectSumState,
     ProbeSpec,
     StrategyKind,
     _block_log_terms,
@@ -35,34 +34,14 @@ from .state import (
 
 __all__ = [
     "SLD_EIGENVALUE_CUTOFF",
-    "BlockBloch",
     "QfiResult",
     "log_qfi_phase",
     "qfi_closed",
-    "qfi_ghz_closed",
-    "qfi_uncorrelated_closed",
-    "qfi_ancilla_closed",
-    "block_bloch_of",
-    "qfi_bloch_2x2",
     "qfi_sld_oracle",
 ]
 
 SLD_EIGENVALUE_CUTOFF = 1e-12
 _TINY = sys.float_info.min  # smallest normal double; below it a result has underflowed
-
-
-@dataclass(frozen=True, eq=False)
-class BlockBloch:
-    """Subnormalized Bloch data of the coherence block.
-
-    r0 is the block trace, r the Bloch vector scaled so that the block is
-    (r0*I + r.sigma)/2, and dr_dphi the analytic derivative of r with
-    respect to the encoded phase.
-    """
-
-    r0: float
-    r: np.ndarray
-    dr_dphi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,9 +130,21 @@ def qfi_closed(
 ) -> QfiResult:
     """Closed-form information of `strategy` for the probe `spec` at time t.
 
-    Raises ValueError when the spec's ancilla count does not fit the
-    strategy, and when the information is positive but underflows double
-    precision.
+    With N the probe count and a_xy the pole populations
+    (`channel.a_coefficients`):
+
+      * GHZ_FREE: F = 4 t^2 |c1 c2|^2 N^2 eta_perp^(2N) / r0 with the block
+        trace r0 = 2^-N [ |c1|^2 (a_pp^N + a_mm^N) + |c2|^2 (a_mp^N + a_pm^N) ];
+      * GHZ_ANCILLA: the same numerator over the smaller block trace
+        r0 = 2^-N ( |c1|^2 a_pp^N + |c2|^2 a_pm^N ). The ancilla count never
+        enters, so the result is independent of how many are attached;
+      * UNCORRELATED: N independent one-qubit probes with amplitudes
+        (c1, c2), F = 4 t^2 |c1 c2|^2 N eta_perp^2; with every exponent 1
+        the block trace is 1 identically.
+
+    All three are evaluated in log space (`log_qfi_phase`). Raises
+    ValueError when the spec's ancilla count does not fit the strategy, and
+    when the information is positive but underflows double precision.
     """
     check_ancillas(strategy, spec.n_ancillas)
     log_f = float(log_qfi_phase(strategy, spec, model, t))
@@ -164,70 +155,6 @@ def qfi_closed(
             f"information underflows double precision at t={t} (log F_phase = {log_f:.6g})"
         )
     return QfiResult(f_phase, f_freq, STRATEGIES[strategy].route)
-
-
-def qfi_ghz_closed(spec: ProbeSpec, model: NoiseModel, t: float) -> QfiResult:
-    """Ancilla-free GHZ strategy.
-
-    F = 4 t^2 |c1 c2|^2 N^2 eta_perp^(2N) / r0 with the block trace
-    r0 = 2^-N [ |c1|^2 (a_pp^N + a_mm^N) + |c2|^2 (a_mp^N + a_pm^N) ],
-    evaluated in log space (`log_qfi_phase`).
-    """
-    return qfi_closed(StrategyKind.GHZ_FREE, spec, model, t)
-
-
-def qfi_ancilla_closed(spec: ProbeSpec, model: NoiseModel, t: float) -> QfiResult:
-    """Ancilla-assisted GHZ strategy.
-
-    Same numerator as the free case over the smaller block trace
-    r0 = 2^-N ( |c1|^2 a_pp^N + |c2|^2 a_pm^N ). The ancilla count never
-    enters, so the result is independent of how many ancillas are attached.
-    """
-    return qfi_closed(StrategyKind.GHZ_ANCILLA, spec, model, t)
-
-
-def qfi_uncorrelated_closed(spec: ProbeSpec, model: NoiseModel, t: float) -> QfiResult:
-    """N independent single-qubit probes, each carrying amplitudes (c1, c2).
-
-    The single-qubit result multiplied by N, F = 4 t^2 |c1 c2|^2 N eta_perp^2:
-    with every pole-population exponent equal to 1 the block trace
-    |c1|^2 (a_pp + a_mm)/2 + |c2|^2 (a_mp + a_pm)/2 is 1 identically.
-    """
-    return qfi_closed(StrategyKind.UNCORRELATED, spec, model, t)
-
-
-def block_bloch_of(ds: DirectSumState) -> BlockBloch:
-    """Bloch data of the coherence block, with the analytic phase derivative.
-
-    The block off-diagonal rotates as exp(-i*phase_total) with
-    d(phase_total)/d(phi) = n_probes, so dr/dphi = N * (-ry, rx, 0): the
-    derivative is orthogonal to r by construction.
-    """
-    b = ds.block
-    r0 = float(b[0, 0].real + b[1, 1].real)
-    rx = 2.0 * b[0, 1].real
-    ry = -2.0 * b[0, 1].imag
-    rz = float(b[0, 0].real - b[1, 1].real)
-    n = ds.n_probes
-    r = np.array([rx, ry, rz])
-    dr = np.array([-n * ry, n * rx, 0.0])
-    return BlockBloch(r0, r, dr)
-
-
-def qfi_bloch_2x2(bb: BlockBloch) -> float:
-    """Phase information of a subnormalized 2x2 block from its Bloch data.
-
-    F = (|dr|^2 + (r.dr)^2 / (r0 - |r|^2)) / r0. The second term is skipped
-    whenever |r.dr| < 1e-12; for every state built here r.dr vanishes
-    identically, which also sidesteps the r0 = |r|^2 singularity.
-    """
-    if bb.r0 <= 0.0:
-        return 0.0
-    f = float(bb.dr_dphi @ bb.dr_dphi)
-    radial = float(bb.r @ bb.dr_dphi)
-    if abs(radial) >= 1e-12:
-        f += radial * radial / (bb.r0 - float(bb.r @ bb.r))
-    return f / bb.r0
 
 
 def _sld_qfi(rho: np.ndarray, drho) -> float:

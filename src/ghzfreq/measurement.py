@@ -127,8 +127,10 @@ def saturation_check(
 
     Returns (is_saturating, best_delta, gap) with gap = variance / (t/F) - 1
     and is_saturating = |gap| <= SATURATION_REL_TOL. The variance is taken at
-    the better of the two quadrature phases, where the mean crosses zero with
-    maximal slope (ties go to the smaller delta). The information is the
+    the quadrature phase best_delta in [0, pi), where the mean crosses zero
+    with maximal slope; the other quadrature phase, best_delta + pi, flips
+    the sign of the mean and of the slope, which enter squared, so it gives
+    the same variance. The information is the
     closed form of the spec's strategy (`ghz_strategy`), taken as F_phase
     from `log_qfi_phase`, and the gap is formed as the phase variance
     (<O^2> - <O>^2) / (d<O>/dphi)^2 times F_phase, minus 1. t cancels out
@@ -145,16 +147,9 @@ def saturation_check(
     # quadrature condition: phase_total - delta - arg(c1 conj(c2)) = pi/2 (mod pi)
     alpha = cmath.phase(spec.c1 * np.conj(spec.c2))
     quad = (phase_total - alpha - 0.5 * math.pi) % math.pi
-    best_delta = math.nan
-    best = math.inf
-    for delta in (quad, quad + math.pi):
-        try:
-            val = _phase_variance(block, spec.n_probes, GhzObservable(spec.n_total, delta))
-        except UnusableWorkingPointError:
-            continue
-        if val < best:
-            best, best_delta = val, delta
-    if not math.isfinite(best):
-        raise ValueError("the readout has no phase response at quadrature")
-    gap = best * f_phase - 1.0
-    return abs(gap) <= SATURATION_REL_TOL, best_delta, gap
+    try:
+        variance = _phase_variance(block, spec.n_probes, GhzObservable(spec.n_total, quad))
+    except UnusableWorkingPointError:
+        raise ValueError("the readout has no phase response at quadrature") from None
+    gap = variance * f_phase - 1.0
+    return abs(gap) <= SATURATION_REL_TOL, quad, gap

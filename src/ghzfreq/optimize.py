@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import NoiseModel, _FloatMath
-from .fisher import _log_f_phase, qfi_ancilla_closed, qfi_ghz_closed, qfi_uncorrelated_closed
+from .fisher import _log_f_phase, qfi_closed
 from .measurement import saturation_check
 from .state import STRATEGIES, ProbeSpec, StrategyKind, check_ancillas
 
@@ -430,15 +430,15 @@ def tabulated_f_over_t(
     if strategy is StrategyKind.UNCORRELATED:
         log_value = math.log(n) + log_t - (x if kind == "adc" else 2.0 * x)
     elif kind == "adc":
-        denominator = np.logaddexp(0.0, -n * x)
+        denominator = _FloatMath.logaddexp(0.0, -n * x)
         if strategy is StrategyKind.GHZ_FREE:
-            denominator = np.logaddexp(denominator, n * log_1mg)
-        log_value = math.log(2.0) + ghz - n * x - float(denominator)
+            denominator = _FloatMath.logaddexp(denominator, n * log_1mg)
+        log_value = math.log(2.0) + ghz - n * x - denominator
     elif kind == "dpc":
         log_hi = n * math.log1p(0.5 * math.expm1(-x))  # N log((1 + g)/2)
         if strategy is StrategyKind.GHZ_FREE:
-            denominator = np.logaddexp(log_hi, n * (log_1mg - math.log(2.0)))
-            log_value = math.log(2.0) + ghz - 2.0 * n * x - float(denominator)
+            denominator = _FloatMath.logaddexp(log_hi, n * (log_1mg - math.log(2.0)))
+            log_value = math.log(2.0) + ghz - 2.0 * n * x - denominator
         else:
             log_value = ghz - 2.0 * n * x - log_hi
     else:
@@ -461,9 +461,9 @@ def table1(model: NoiseModel, n: int, t: float) -> Table1Row:
         raise ValueError(f"F/t needs t > 0, got {t}")
     spec_free = ProbeSpec.balanced(n, 0)
     spec_anc = ProbeSpec.balanced(n, 1)
-    f_ghz = qfi_ghz_closed(spec_free, model, t).f_freq / t
-    f_anc = qfi_ancilla_closed(spec_anc, model, t).f_freq / t
-    f_unc = qfi_uncorrelated_closed(spec_free, model, t).f_freq / t
+    f_ghz = qfi_closed(StrategyKind.GHZ_FREE, spec_free, model, t).f_freq / t
+    f_anc = qfi_closed(StrategyKind.GHZ_ANCILLA, spec_anc, model, t).f_freq / t
+    f_unc = qfi_closed(StrategyKind.UNCORRELATED, spec_free, model, t).f_freq / t
     literal = tabulated_f_over_t(model.kind, StrategyKind.GHZ_FREE, n, model.gamma, t)
     mismatch = abs(literal - f_ghz) > 1e-9 * max(abs(f_ghz), 1e-300)
     return Table1Row(

@@ -3,9 +3,11 @@
 The probe c1|0...0> + c2|1...1> evolves into a direct sum: a 2x2 coherence
 block on the span of |0...0> and |1...1>, plus a phase-free residual that is
 diagonal in the computational basis and degenerate within Hamming classes.
-`STRATEGIES` is the one place that says what each strategy is. The compact
-representation built from it, a full density-matrix evolution (the oracle
-route, which does not read the table) and a comparator are provided.
+`STRATEGIES` is the one place that says what each strategy is. Read from it
+are the coherence block alone (`coherence_block`, O(1) in N) and the whole
+direct sum of either GHZ strategy (`evolve_directsum(kind, ...)`). A full
+density-matrix evolution (the oracle route, which does not read the table)
+and a comparator between the two are also provided.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ __all__ = [
     "block_probe",
     "ghz_state",
     "coherence_block",
-    "evolve_directsum_free",
-    "evolve_directsum_ancilla",
+    "evolve_directsum",
     "evolve_dense",
     "assert_consistency",
 ]
@@ -291,10 +292,19 @@ def _residual_layout(kind: StrategyKind, n: int):
             yield k, bit, weights
 
 
-def _evolve_directsum(
+def evolve_directsum(
     kind: StrategyKind, spec: ProbeSpec, params: ChannelParams, omega: float, t: float
 ) -> DirectSumState:
-    """Evolve `kind`'s probe into its block and the residual of the table's layout."""
+    """Evolve the GHZ probe of strategy `kind` into its block and the residual
+    of the table's layout; only the probe qubits see the channel.
+
+    Raises ValueError for the uncorrelated strategy, which has no shared
+    block, when the spec's ancilla count does not fit `kind`, and when the
+    channel is not CPTP. The residual holds one population per Hamming
+    class, so the cost grows with N.
+    """
+    if not STRATEGIES[kind].correlated:
+        raise ValueError(f"strategy {kind.value!r} has no shared coherence block")
     check_ancillas(kind, spec.n_ancillas)
     _require_cptp(params)
     terms = STRATEGIES[kind].block_terms
@@ -309,20 +319,6 @@ def _evolve_directsum(
         for k, _, weights in _residual_layout(kind, n)
     )
     return DirectSumState(block, residual, phase, n, spec.n_ancillas)
-
-
-def evolve_directsum_free(
-    spec: ProbeSpec, params: ChannelParams, omega: float, t: float
-) -> DirectSumState:
-    """Evolve an ancilla-free GHZ probe, all qubits through the channel."""
-    return _evolve_directsum(StrategyKind.GHZ_FREE, spec, params, omega, t)
-
-
-def evolve_directsum_ancilla(
-    spec: ProbeSpec, params: ChannelParams, omega: float, t: float
-) -> DirectSumState:
-    """Evolve an ancilla-assisted GHZ probe; only probe qubits see the channel."""
-    return _evolve_directsum(StrategyKind.GHZ_ANCILLA, spec, params, omega, t)
 
 
 # Pauli basis (I, X, Y, Z) of the extended Bloch column: rho = (1/2) sum_a v_a P_a

@@ -34,10 +34,11 @@ from .channel import (
     pdc,
     superoperator,
 )
-from .fisher import qfi_closed, qfi_ghz_closed, qfi_sld_oracle, qfi_uncorrelated_closed
+from .fisher import qfi_closed, qfi_sld_oracle
 from .measurement import (
     GhzObservable,
     UnusableWorkingPointError,
+    _phase_variance,
     error_propagation_sensitivity,
     expectation_moments,
     saturation_check,
@@ -46,10 +47,11 @@ from .optimize import StrategyKind, maximize_f_over_t, sensitivity_ratio, tabula
 from .state import (
     STRATEGIES,
     ProbeSpec,
-    _evolve_directsum,
     assert_consistency,
     block_probe,
+    coherence_block,
     evolve_dense,
+    evolve_directsum,
     ghz_strategy,
 )
 
@@ -115,7 +117,7 @@ def _check_uncorrelated_denominator(rng: np.random.Generator, nmax: int) -> Chec
             omega = rng.uniform(-2.0, 2.0)
             unit, copies = block_probe(StrategyKind.UNCORRELATED, spec)
             oracle = copies * qfi_sld_oracle(unit, model, t, omega).f_freq
-            closed = qfi_uncorrelated_closed(spec, model, t).f_freq
+            closed = qfi_closed(StrategyKind.UNCORRELATED, spec, model, t).f_freq
             worst_ok = max(worst_ok, abs(closed - oracle) / max(oracle, 1e-300))
             # the rejected variant raises the block weights to the N-th power
             a = a_coefficients(params_at(model, t))
@@ -147,7 +149,7 @@ def _check_tabulated_forms(rng: np.random.Generator, nmax: int) -> CheckResult:
             n = int(rng.integers(1, max(nmax, 2) + 1))
             t = rng.uniform(0.05, 1.5)
             spec = ProbeSpec.balanced(n, 0)
-            closed = qfi_ghz_closed(spec, model, t).f_freq / t
+            closed = qfi_closed(StrategyKind.GHZ_FREE, spec, model, t).f_freq / t
             lit = tabulated_f_over_t(kind, StrategyKind.GHZ_FREE, n, 1.0, t)
             if kind == "dpc":
                 ratio_dev = max(ratio_dev, abs(lit / closed - 2.0))
@@ -225,7 +227,7 @@ def _check_directsum_consistency(rng: np.random.Generator, nmax: int) -> CheckRe
             t = rng.uniform(0.05, 1.2)
             omega = rng.uniform(-2.0, 2.0)
             params = params_at(model, t)
-            ds = _evolve_directsum(ghz_strategy(n_anc), spec, params, omega, t)
+            ds = evolve_directsum(ghz_strategy(n_anc), spec, params, omega, t)
             dense = evolve_dense(spec, params, omega, t)
             worst = max(worst, assert_consistency(ds, dense))
             trace_dev = max(trace_dev, abs(ds.block_trace() + ds.residual_mass() - 1.0))
@@ -258,11 +260,12 @@ SCAN_PHASES = 720
 def _check_saturation(rng: np.random.Generator) -> CheckResult:
     """Quadrature readout meets t/F, and no phase on a uniform grid beats it.
 
-    `saturation_check` evaluates only the two quadrature phases; here the
+    `saturation_check` evaluates only the quadrature phase; here the
     error-propagation sensitivity is also scanned over SCAN_PHASES measurement
-    phases in [0, 2*pi), and the margin is the smallest relative excess of a
-    grid phase's variance over the quadrature variance (about 0 when a grid
-    phase lands on quadrature, negative if one did better).
+    phases in [0, 2*pi) on one coherence block per working point, and the
+    margin is the smallest relative excess of a grid phase's variance over
+    the quadrature variance (about 0 when a grid phase lands on quadrature,
+    negative if one did better).
     """
     worst = 0.0
     margin = math.inf
@@ -277,10 +280,11 @@ def _check_saturation(rng: np.random.Generator) -> CheckResult:
             worst = max(worst, abs(gap))
             n_total = spec.n_total
             quad = error_propagation_sensitivity(spec, model, t, omega, GhzObservable(n_total, delta))
+            block, _ = coherence_block(spec, model, omega, t)
             for i in range(SCAN_PHASES):
                 obs = GhzObservable(n_total, 2.0 * math.pi * i / SCAN_PHASES)
                 try:
-                    value = error_propagation_sensitivity(spec, model, t, omega, obs)
+                    value = _phase_variance(block, spec.n_probes, obs) / t
                 except UnusableWorkingPointError:
                     continue
                 margin = min(margin, value / quad - 1.0)

@@ -22,21 +22,10 @@ from ghzfreq.channel import (
     pdc,
     superoperator,
 )
-from ghzfreq.fisher import (
-    block_bloch_of,
-    qfi_ancilla_closed,
-    qfi_bloch_2x2,
-    qfi_ghz_closed,
-    qfi_sld_oracle,
-    qfi_uncorrelated_closed,
-)
+from ghzfreq.fisher import qfi_closed, qfi_sld_oracle
 from ghzfreq.measurement import saturation_check
 from ghzfreq.optimize import StrategyKind, maximize_f_over_t, sensitivity_ratio, sweep, tabulated_f_over_t
-from ghzfreq.state import (
-    ProbeSpec,
-    evolve_directsum_ancilla,
-    evolve_directsum_free,
-)
+from ghzfreq.state import ProbeSpec, evolve_directsum, ghz_strategy
 
 MODELS = {"adc": adc, "dpc": dpc, "pdc": pdc}
 
@@ -46,9 +35,7 @@ def spec_from_amplitude(c1, n, n_anc=0):
 
 
 def closed_f(spec, model, t):
-    if spec.n_ancillas > 0:
-        return qfi_ancilla_closed(spec, model, t).f_freq
-    return qfi_ghz_closed(spec, model, t).f_freq
+    return qfi_closed(ghz_strategy(spec.n_ancillas), spec, model, t).f_freq
 
 
 def test_criterion_1_route_agreement():
@@ -73,7 +60,7 @@ def test_criterion_1_route_agreement():
                         omega = wt / gt
                         spec = spec_from_amplitude(c1, n, n_anc)
                         if strategy == "uncorrelated":
-                            closed = qfi_uncorrelated_closed(spec, model, gt).f_freq
+                            closed = qfi_closed(StrategyKind.UNCORRELATED, spec, model, gt).f_freq
                             single = spec_from_amplitude(c1, 1, 0)
                             oracle = n * qfi_sld_oracle(single, model, gt, omega).f_freq
                         else:
@@ -100,9 +87,9 @@ def test_criterion_2_tabulated_forms():
         anc = ProbeSpec.balanced(n, 1)
         for kind, make in MODELS.items():
             model = make(1.0)
-            f_anc = qfi_ancilla_closed(anc, model, gt).f_freq / gt
-            f_unc = qfi_uncorrelated_closed(spec, model, gt).f_freq / gt
-            f_ghz = qfi_ghz_closed(spec, model, gt).f_freq / gt
+            f_anc = qfi_closed(StrategyKind.GHZ_ANCILLA, anc, model, gt).f_freq / gt
+            f_unc = qfi_closed(StrategyKind.UNCORRELATED, spec, model, gt).f_freq / gt
+            f_ghz = qfi_closed(StrategyKind.GHZ_FREE, spec, model, gt).f_freq / gt
             lit_anc = tabulated_f_over_t(kind, StrategyKind.GHZ_ANCILLA, n, 1.0, gt)
             lit_unc = tabulated_f_over_t(kind, StrategyKind.UNCORRELATED, n, 1.0, gt)
             lit_ghz = tabulated_f_over_t(kind, StrategyKind.GHZ_FREE, n, 1.0, gt)
@@ -116,7 +103,7 @@ def test_criterion_2_tabulated_forms():
                 n_small = min(n, 5)
                 small = ProbeSpec.balanced(n_small)
                 oracle = qfi_sld_oracle(small, model, gt, 0.3).f_freq
-                derived = qfi_ghz_closed(small, model, gt).f_freq
+                derived = qfi_closed(StrategyKind.GHZ_FREE, small, model, gt).f_freq
                 worst_oracle = max(worst_oracle, abs(derived - oracle) / oracle)
             else:
                 worst_match = max(worst_match, abs(lit_ghz - f_ghz) / f_ghz)
@@ -213,10 +200,7 @@ def test_criterion_5_readout_saturation():
                     ok, delta, gap = saturation_check(spec, model, t, omega)
                     assert ok, (make.__name__, n, n_anc, t, gap)
                     params = params_at(model, t)
-                    if n_anc == 0:
-                        ds = evolve_directsum_free(spec, params, omega, t)
-                    else:
-                        ds = evolve_directsum_ancilla(spec, params, omega, t)
+                    ds = evolve_directsum(ghz_strategy(n_anc), spec, params, omega, t)
                     quad_dev = abs(math.cos(ds.phase_total - delta))
                     worst_gap = max(worst_gap, abs(gap))
                     worst_quad = max(worst_quad, quad_dev)
@@ -239,22 +223,15 @@ def test_criterion_6_noiseless_limits():
             anc = ProbeSpec.balanced(n, 1)
             for t in (0.3, 1.0, 2.0):
                 target = n * n * t * t
-                params = params_at(model, t)
                 routes = [
-                    qfi_ghz_closed(spec, model, t).f_freq,
-                    qfi_ancilla_closed(anc, model, t).f_freq,
+                    qfi_closed(StrategyKind.GHZ_FREE, spec, model, t).f_freq,
+                    qfi_closed(StrategyKind.GHZ_ANCILLA, anc, model, t).f_freq,
                     qfi_sld_oracle(spec, model, t, 0.9).f_freq,
                     qfi_sld_oracle(anc, model, t, 0.9).f_freq,
-                    t * t * qfi_bloch_2x2(
-                        block_bloch_of(evolve_directsum_free(spec, params, 0.9, t))
-                    ),
-                    t * t * qfi_bloch_2x2(
-                        block_bloch_of(evolve_directsum_ancilla(anc, params, 0.9, t))
-                    ),
                 ]
                 for f in routes:
                     worst = max(worst, abs(f - target) / target)
-                f_unc = qfi_uncorrelated_closed(spec, model, t).f_freq
+                f_unc = qfi_closed(StrategyKind.UNCORRELATED, spec, model, t).f_freq
                 worst = max(worst, abs(f_unc - n * t * t) / (n * t * t))
     assert worst <= 1e-12, f"worst noiseless deviation {worst:.3e}"
     print(f"[PASS] criterion 6: all routes within {worst:.3e} of the noiseless laws")
@@ -310,10 +287,7 @@ def test_criterion_8_structural_invariants():
             params = params_at(make(1.0), gt)
             for n_anc in (0, 2):
                 spec = spec_from_amplitude(c1, n, n_anc)
-                if n_anc == 0:
-                    ds = evolve_directsum_free(spec, params, omega, gt)
-                else:
-                    ds = evolve_directsum_ancilla(spec, params, omega, gt)
+                ds = evolve_directsum(ghz_strategy(n_anc), spec, params, omega, gt)
                 worst_trace = max(
                     worst_trace, abs(ds.block_trace() + ds.residual_mass() - 1.0)
                 )
@@ -331,7 +305,9 @@ def test_criterion_8_structural_invariants():
             c1 = rng.uniform(0.1, 0.9)
             gt = rng.uniform(0.05, 1.5)
             closed = {
-                k: qfi_ancilla_closed(spec_from_amplitude(c1, n, k), model, gt).f_freq
+                k: qfi_closed(
+                    StrategyKind.GHZ_ANCILLA, spec_from_amplitude(c1, n, k), model, gt
+                ).f_freq
                 for k in (1, 2, 3)
             }
             assert closed[1] == closed[2] == closed[3]
@@ -351,9 +327,11 @@ def test_criterion_8_structural_invariants():
             n = int(rng.integers(1, 7))
             c1 = rng.uniform(0.05, 0.95)
             gt = rng.uniform(1e-3, 2.0)
-            f_free = qfi_ghz_closed(spec_from_amplitude(c1, n), model, gt).f_freq
-            f_anc = qfi_ancilla_closed(
-                spec_from_amplitude(c1, n, 1), model, gt
+            f_free = qfi_closed(
+                StrategyKind.GHZ_FREE, spec_from_amplitude(c1, n), model, gt
+            ).f_freq
+            f_anc = qfi_closed(
+                StrategyKind.GHZ_ANCILLA, spec_from_amplitude(c1, n, 1), model, gt
             ).f_freq
             assert f_anc >= f_free * (1.0 - 1e-12), (make.__name__, n, c1, gt)
 

@@ -4,22 +4,9 @@ import numpy as np
 import pytest
 
 from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc
-from ghzfreq.fisher import (
-    _sld_qfi,
-    block_bloch_of,
-    qfi_ancilla_closed,
-    qfi_bloch_2x2,
-    qfi_ghz_closed,
-    qfi_sld_oracle,
-    qfi_uncorrelated_closed,
-)
+from ghzfreq.fisher import _sld_qfi, qfi_closed, qfi_sld_oracle
 from ghzfreq.optimize import StrategyKind, maximize_f_over_t
-from ghzfreq.state import (
-    ProbeSpec,
-    evolve_dense,
-    evolve_directsum_ancilla,
-    evolve_directsum_free,
-)
+from ghzfreq.state import ProbeSpec, evolve_dense
 
 MODELS = [adc, dpc, pdc]
 
@@ -41,14 +28,14 @@ class TestClosedForms:
         t = 0.6
         spec = ProbeSpec(0.6, 0.8, n)
         weight = 4.0 * (0.6 * 0.8) ** 2
-        r = qfi_ghz_closed(spec, adc(0.0), t)
+        r = qfi_closed(StrategyKind.GHZ_FREE, spec, adc(0.0), t)
         assert r.f_freq == pytest.approx(weight * n**2 * t**2, rel=1e-14)
         assert r.f_phase == pytest.approx(weight * n**2, rel=1e-14)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_phase_damping_form(self, n):
         gt = 0.45
-        r = qfi_ghz_closed(ProbeSpec.balanced(n), pdc(1.0), gt)
+        r = qfi_closed(StrategyKind.GHZ_FREE, ProbeSpec.balanced(n), pdc(1.0), gt)
         assert r.f_freq == pytest.approx(
             n**2 * gt**2 * math.exp(-2 * n * gt), rel=1e-13
         )
@@ -56,14 +43,14 @@ class TestClosedForms:
     def test_amplitude_damping_form(self):
         n, gt = 3, 0.8
         g = math.exp(-gt)
-        r = qfi_ghz_closed(ProbeSpec.balanced(n), adc(1.0), gt)
+        r = qfi_closed(StrategyKind.GHZ_FREE, ProbeSpec.balanced(n), adc(1.0), gt)
         expected = 2 * n**2 * gt**2 * g**n / (1 + g**n + (1 - g) ** n)
         assert r.f_freq == pytest.approx(expected, rel=1e-13)
 
     def test_ancilla_strategy_on_amplitude_damping(self):
         n, gt = 4, 0.5
         g = math.exp(-gt)
-        r = qfi_ancilla_closed(ProbeSpec.balanced(n, 1), adc(1.0), gt)
+        r = qfi_closed(StrategyKind.GHZ_ANCILLA, ProbeSpec.balanced(n, 1), adc(1.0), gt)
         assert r.f_freq == pytest.approx(
             2 * n**2 * gt**2 * g**n / (1 + g**n), rel=1e-13
         )
@@ -71,7 +58,7 @@ class TestClosedForms:
     def test_ancilla_count_never_enters(self):
         model, t = dpc(1.0), 0.7
         results = {
-            qfi_ancilla_closed(ProbeSpec.balanced(3, k), model, t).f_freq
+            qfi_closed(StrategyKind.GHZ_ANCILLA, ProbeSpec.balanced(3, k), model, t).f_freq
             for k in (1, 2, 3, 5)
         }
         assert len(results) == 1  # bitwise identical
@@ -83,9 +70,9 @@ class TestClosedForms:
                 n = int(rng.integers(1, 6))
                 spec = random_spec(rng, n)
                 t = rng.uniform(0.05, 2.0)
-                f_free = qfi_ghz_closed(spec, make(1.0), t).f_freq
-                f_anc = qfi_ancilla_closed(
-                    ProbeSpec(spec.c1, spec.c2, n, 1), make(1.0), t
+                f_free = qfi_closed(StrategyKind.GHZ_FREE, spec, make(1.0), t).f_freq
+                f_anc = qfi_closed(
+                    StrategyKind.GHZ_ANCILLA, ProbeSpec(spec.c1, spec.c2, n, 1), make(1.0), t
                 ).f_freq
                 assert f_anc >= f_free * (1.0 - 1e-12)
 
@@ -94,7 +81,7 @@ class TestClosedForms:
         for make in MODELS:
             spec = random_spec(rng, 5)
             t = rng.uniform(0.1, 1.5)
-            total = qfi_uncorrelated_closed(spec, make(1.0), t).f_freq
+            total = qfi_closed(StrategyKind.UNCORRELATED, spec, make(1.0), t).f_freq
             single = ProbeSpec(spec.c1, spec.c2, 1)
             oracle = 5 * qfi_sld_oracle(single, make(1.0), t, 0.4).f_freq
             assert total == pytest.approx(oracle, rel=1e-8)
@@ -106,7 +93,7 @@ class TestClosedForms:
             for _ in range(20):
                 n = int(rng.integers(1, 7))
                 t = rng.uniform(0.05, 2.0)
-                f = qfi_ghz_closed(ProbeSpec.balanced(n), make(1.0), t).f_freq
+                f = qfi_closed(StrategyKind.GHZ_FREE, ProbeSpec.balanced(n), make(1.0), t).f_freq
                 assert f <= n**2 * t**2 * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("make", MODELS)
@@ -114,48 +101,14 @@ class TestClosedForms:
         t, n = 0.8, 3
         spec = ProbeSpec.balanced(n)
         values = [
-            qfi_ghz_closed(spec, make(gamma), t).f_freq
+            qfi_closed(StrategyKind.GHZ_FREE, spec, make(gamma), t).f_freq
             for gamma in np.linspace(0.0, 3.0, 25)
         ]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_time_squared_relation(self):
-        r = qfi_ghz_closed(ProbeSpec.balanced(2), adc(1.0), 0.9)
+        r = qfi_closed(StrategyKind.GHZ_FREE, ProbeSpec.balanced(2), adc(1.0), 0.9)
         assert r.f_freq == pytest.approx(0.9**2 * r.f_phase, rel=1e-15)
-
-
-class TestBlochRoute:
-    @pytest.mark.parametrize("make", MODELS)
-    def test_matches_closed_form(self, make):
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            n = int(rng.integers(1, 6))
-            spec = random_spec(rng, n)
-            t = rng.uniform(0.05, 1.5)
-            params = params_at(make(1.0), t)
-            ds = evolve_directsum_free(spec, params, 0.7, t)
-            f_phase = qfi_bloch_2x2(block_bloch_of(ds))
-            closed = qfi_ghz_closed(spec, make(1.0), t)
-            assert f_phase * t**2 == pytest.approx(closed.f_freq, rel=1e-12)
-
-    def test_matches_closed_form_with_ancilla(self):
-        spec = random_spec(np.random.default_rng(2), 3, 1)
-        t = 0.6
-        params = params_at(adc(1.0), t)
-        ds = evolve_directsum_ancilla(spec, params, 0.0, t)
-        f_phase = qfi_bloch_2x2(block_bloch_of(ds))
-        closed = qfi_ancilla_closed(spec, adc(1.0), t)
-        assert f_phase * t**2 == pytest.approx(closed.f_freq, rel=1e-12)
-
-    def test_rotation_keeps_radius_stationary(self):
-        # the encoded phase rotates the block Bloch vector without stretching it
-        rng = np.random.default_rng(31)
-        for make in MODELS:
-            spec = random_spec(rng, 4)
-            t = rng.uniform(0.1, 1.0)
-            ds = evolve_directsum_free(params=params_at(make(1.0), t), spec=spec, omega=1.1, t=t)
-            bb = block_bloch_of(ds)
-            assert abs(float(np.dot(bb.r, bb.dr_dphi))) < 1e-15
 
 
 class TestSldOracle:
@@ -192,7 +145,7 @@ class TestSldOracle:
 
     def test_route_labels(self):
         spec = ProbeSpec.balanced(2)
-        assert qfi_ghz_closed(spec, adc(1.0), 0.5).route == "closed_ghz"
+        assert qfi_closed(StrategyKind.GHZ_FREE, spec, adc(1.0), 0.5).route == "closed_ghz"
         assert qfi_sld_oracle(spec, adc(1.0), 0.5, 0.0).route == "sld_oracle"
 
     @pytest.mark.parametrize("make", MODELS)
@@ -229,12 +182,12 @@ class TestCustomModelsOutsideTheDomain:
     """A custom map that is not finite or not CPTP gets an error, never a number."""
 
     @pytest.mark.parametrize("name", sorted(BAD_CUSTOM))
-    @pytest.mark.parametrize("closed", [qfi_ghz_closed, qfi_ancilla_closed,
-                                        qfi_uncorrelated_closed])
-    def test_closed_forms_raise(self, name, closed):
-        spec = ProbeSpec.balanced(2, 1 if closed is qfi_ancilla_closed else 0)
+    @pytest.mark.parametrize("kind", [StrategyKind.GHZ_FREE, StrategyKind.GHZ_ANCILLA,
+                                      StrategyKind.UNCORRELATED])
+    def test_closed_forms_raise(self, name, kind):
+        spec = ProbeSpec.balanced(2, 1 if kind is StrategyKind.GHZ_ANCILLA else 0)
         with pytest.raises(ValueError, match="not finite|not CPTP"):
-            closed(spec, BAD_CUSTOM[name], 0.5)
+            qfi_closed(kind, spec, BAD_CUSTOM[name], 0.5)
 
     @pytest.mark.parametrize("name", sorted(BAD_CUSTOM))
     def test_maximizer_raises(self, name):

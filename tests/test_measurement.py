@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ghzfreq.channel import adc, dpc, params_at, pdc
-from ghzfreq.fisher import qfi_ancilla_closed, qfi_ghz_closed
+from ghzfreq.fisher import qfi_closed
 from ghzfreq.measurement import (
     GhzObservable,
     UnusableWorkingPointError,
@@ -15,9 +15,9 @@ from ghzfreq.measurement import (
 )
 from ghzfreq.state import (
     ProbeSpec,
+    StrategyKind,
     evolve_dense,
-    evolve_directsum_ancilla,
-    evolve_directsum_free,
+    evolve_directsum,
 )
 
 
@@ -44,7 +44,7 @@ class TestMoments:
     def test_noiseless_aligned_phase(self):
         n, omega, t = 3, 1.3, 0.5
         spec = ProbeSpec.balanced(n)
-        ds = evolve_directsum_free(spec, params_at(adc(0.0), t), omega, t)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params_at(adc(0.0), t), omega, t)
         mean, second = expectation_moments(ds, GhzObservable(n, n * omega * t))
         assert mean == pytest.approx(1.0, abs=1e-13)
         assert second == pytest.approx(1.0, abs=1e-13)
@@ -52,7 +52,7 @@ class TestMoments:
     def test_phase_damping_quadrature(self):
         n, gt = 2, 0.8
         spec = ProbeSpec.balanced(n)
-        ds = evolve_directsum_free(spec, params_at(pdc(1.0), gt), 0.0, gt)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params_at(pdc(1.0), gt), 0.0, gt)
         mean, second = expectation_moments(
             ds, GhzObservable(n, ds.phase_total - math.pi / 2)
         )
@@ -67,7 +67,7 @@ class TestMoments:
         t = rng.uniform(0.2, 1.0)
         omega = rng.uniform(-2.0, 2.0)
         params = params_at(make(1.0), t)
-        ds = evolve_directsum_free(spec, params, omega, t)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params, omega, t)
         dense = evolve_dense(spec, params, omega, t)
         obs = GhzObservable(2, rng.uniform(0.0, 2 * math.pi))
         mean, second = expectation_moments(ds, obs)
@@ -82,7 +82,7 @@ class TestMoments:
         for _ in range(30):
             spec = ProbeSpec.balanced(int(rng.integers(1, 5)), 1)
             t = rng.uniform(0.05, 1.5)
-            ds = evolve_directsum_ancilla(spec, params_at(adc(1.0), t), 0.4, t)
+            ds = evolve_directsum(StrategyKind.GHZ_ANCILLA, spec, params_at(adc(1.0), t), 0.4, t)
             mean, second = expectation_moments(
                 ds, GhzObservable(ds.n_total, rng.uniform(0, 2 * math.pi))
             )
@@ -90,7 +90,7 @@ class TestMoments:
 
     def test_dimension_mismatch_rejected(self):
         spec = ProbeSpec.balanced(2)
-        ds = evolve_directsum_free(spec, params_at(adc(1.0), 0.3), 0.0, 0.3)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params_at(adc(1.0), 0.3), 0.0, 0.3)
         with pytest.raises(ValueError):
             expectation_moments(ds, GhzObservable(3))
 
@@ -112,11 +112,11 @@ class TestErrorPropagation:
         t = rng.uniform(0.1, 1.2)
         omega = rng.uniform(-2.0, 2.0)
         if n_anc == 0:
-            ds = evolve_directsum_free(spec, params_at(model, t), omega, t)
-            f = qfi_ghz_closed(spec, model, t).f_freq
+            ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params_at(model, t), omega, t)
+            f = qfi_closed(StrategyKind.GHZ_FREE, spec, model, t).f_freq
         else:
-            ds = evolve_directsum_ancilla(spec, params_at(model, t), omega, t)
-            f = qfi_ancilla_closed(spec, model, t).f_freq
+            ds = evolve_directsum(StrategyKind.GHZ_ANCILLA, spec, params_at(model, t), omega, t)
+            f = qfi_closed(StrategyKind.GHZ_ANCILLA, spec, model, t).f_freq
         obs = GhzObservable(ds.n_total, ds.phase_total - math.pi / 2)
         v = error_propagation_sensitivity(spec, model, t, omega, obs)
         assert v == pytest.approx(t / f, rel=1e-10)
@@ -124,8 +124,8 @@ class TestErrorPropagation:
     def test_detuned_phase_costs_variance(self):
         spec = ProbeSpec.balanced(3)
         model, t = adc(1.0), 0.5
-        ds = evolve_directsum_free(spec, params_at(model, t), 0.0, t)
-        bound = t / qfi_ghz_closed(spec, model, t).f_freq
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params_at(model, t), 0.0, t)
+        bound = t / qfi_closed(StrategyKind.GHZ_FREE, spec, model, t).f_freq
         detuned = GhzObservable(3, ds.phase_total - math.pi / 2 + 0.4)
         v = error_propagation_sensitivity(spec, model, t, 0.0, detuned)
         assert v > bound * 1.05
@@ -133,7 +133,7 @@ class TestErrorPropagation:
     def test_zero_slope_working_point_rejected(self):
         spec = ProbeSpec.balanced(2)
         model, t = adc(1.0), 0.5
-        ds = evolve_directsum_free(spec, params_at(model, t), 0.0, t)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params_at(model, t), 0.0, t)
         aligned = GhzObservable(2, ds.phase_total)  # mean extremum, no response
         with pytest.raises(UnusableWorkingPointError):
             error_propagation_sensitivity(spec, model, t, 0.0, aligned)
@@ -164,7 +164,7 @@ class TestSaturationCheck:
         spec = ProbeSpec.balanced(3)
         model, t, omega = adc(1.0), 0.7, 1.1
         _, best_delta, _ = saturation_check(spec, model, t, omega)
-        ds = evolve_directsum_free(spec, params_at(model, t), omega, t)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params_at(model, t), omega, t)
         assert abs(math.cos(ds.phase_total - best_delta)) < 1e-9
 
     def test_unbalanced_probe_state(self):

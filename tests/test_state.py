@@ -7,10 +7,10 @@ from ghzfreq.channel import ChannelParams, adc, dpc, params_at, pdc, superoperat
 from ghzfreq.state import (
     MAX_DENSE_QUBITS,
     ProbeSpec,
+    StrategyKind,
     assert_consistency,
     evolve_dense,
-    evolve_directsum_ancilla,
-    evolve_directsum_free,
+    evolve_directsum,
     ghz_state,
 )
 
@@ -76,7 +76,7 @@ class TestGhzState:
 class TestFreeEvolution:
     def test_identity_channel_keeps_purity(self):
         spec = ProbeSpec.balanced(3)
-        ds = evolve_directsum_free(spec, IDENTITY, 1.1, 0.4)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, IDENTITY, 1.1, 0.4)
         assert ds.block_trace() == pytest.approx(1.0, abs=1e-15)
         assert ds.residual_mass() == 0.0
         assert abs(ds.block[0, 1]) == pytest.approx(0.5, abs=1e-15)
@@ -86,7 +86,7 @@ class TestFreeEvolution:
         # dephasing never populates the residual, only shrinks coherence
         n, gt = 4, 0.7
         spec = ProbeSpec.balanced(n)
-        ds = evolve_directsum_free(spec, params_at(pdc(1.0), gt), 0.0, gt)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params_at(pdc(1.0), gt), 0.0, gt)
         assert ds.block[0, 0].real == pytest.approx(0.5, abs=1e-15)
         assert ds.block[1, 1].real == pytest.approx(0.5, abs=1e-15)
         assert abs(ds.block[0, 1]) == pytest.approx(0.5 * math.exp(-n * gt), rel=1e-13)
@@ -96,15 +96,15 @@ class TestFreeEvolution:
         n, gt = 3, 0.4
         g = math.exp(-gt)
         spec = ProbeSpec.balanced(n)
-        ds = evolve_directsum_free(spec, params_at(adc(1.0), gt), 0.0, gt)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params_at(adc(1.0), gt), 0.0, gt)
         assert ds.block[0, 0].real == pytest.approx(0.5 * g**n, rel=1e-13)
         assert ds.block[1, 1].real == pytest.approx(
             0.5 * ((1.0 - g) ** n + 1.0), rel=1e-13
         )
 
     def test_residual_multiplicities_are_binomial(self):
-        ds = evolve_directsum_free(
-            ProbeSpec.balanced(5), params_at(adc(1.0), 0.5), 0.0, 0.5
+        ds = evolve_directsum(
+            StrategyKind.GHZ_FREE, ProbeSpec.balanced(5), params_at(adc(1.0), 0.5), 0.0, 0.5
         )
         assert [m for _, m in ds.residual] == [math.comb(5, k) for k in range(1, 5)]
 
@@ -116,7 +116,7 @@ class TestFreeEvolution:
             t = rng.uniform(0.05, 1.2)
             omega = rng.uniform(-2.0, 2.0)
             params = params_at(make(1.0), t)
-            ds = evolve_directsum_free(spec, params, omega, t)
+            ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params, omega, t)
             dense = evolve_dense(spec, params, omega, t)
             assert assert_consistency(ds, dense) < 1e-12
 
@@ -124,7 +124,7 @@ class TestFreeEvolution:
 class TestAncillaEvolution:
     def test_identity_channel_keeps_purity(self):
         spec = ProbeSpec.balanced(2, 2)
-        ds = evolve_directsum_ancilla(spec, IDENTITY, 0.9, 0.3)
+        ds = evolve_directsum(StrategyKind.GHZ_ANCILLA, spec, IDENTITY, 0.9, 0.3)
         assert ds.block_trace() == pytest.approx(1.0, abs=1e-15)
         assert ds.residual_mass() == 0.0
 
@@ -133,7 +133,7 @@ class TestAncillaEvolution:
         n, gt = 3, 0.6
         g = math.exp(-gt)
         spec = ProbeSpec.balanced(n, 1)
-        ds = evolve_directsum_ancilla(spec, params_at(adc(1.0), gt), 0.0, gt)
+        ds = evolve_directsum(StrategyKind.GHZ_ANCILLA, spec, params_at(adc(1.0), gt), 0.0, gt)
         assert ds.block[0, 0].real == pytest.approx(0.5 * g**n, rel=1e-13)
         assert ds.block[1, 1].real == pytest.approx(0.5, rel=1e-13)
 
@@ -142,8 +142,8 @@ class TestAncillaEvolution:
         for make in (adc, dpc, pdc):
             spec = random_spec(rng, 4, 2)
             t = rng.uniform(0.1, 1.5)
-            ds = evolve_directsum_ancilla(
-                spec, params_at(make(1.0), t), 0.3, t
+            ds = evolve_directsum(
+                StrategyKind.GHZ_ANCILLA, spec, params_at(make(1.0), t), 0.3, t
             )
             assert ds.block_trace() + ds.residual_mass() == pytest.approx(
                 1.0, abs=1e-12
@@ -157,14 +157,21 @@ class TestAncillaEvolution:
         t = rng.uniform(0.05, 1.2)
         omega = rng.uniform(-2.0, 2.0)
         params = params_at(make(1.0), t)
-        ds = evolve_directsum_ancilla(spec, params, omega, t)
+        ds = evolve_directsum(StrategyKind.GHZ_ANCILLA, spec, params, omega, t)
         dense = evolve_dense(spec, params, omega, t)
         assert assert_consistency(ds, dense) < 1e-12
 
     def test_requires_an_ancilla(self):
         with pytest.raises(ValueError):
-            evolve_directsum_ancilla(
-                ProbeSpec.balanced(2, 0), IDENTITY, 0.0, 0.0
+            evolve_directsum(
+                StrategyKind.GHZ_ANCILLA, ProbeSpec.balanced(2, 0), IDENTITY, 0.0, 0.0
+            )
+
+    def test_uncorrelated_has_no_direct_sum(self):
+        # N one-qubit probes share no coherence block to build
+        with pytest.raises(ValueError, match="no shared coherence block"):
+            evolve_directsum(
+                StrategyKind.UNCORRELATED, ProbeSpec.balanced(2), IDENTITY, 0.0, 0.0
             )
 
 
@@ -249,7 +256,7 @@ class TestConsistencyChecker:
     def test_detects_corrupted_residual(self):
         spec = ProbeSpec.balanced(3)
         params = params_at(adc(1.0), 0.5)
-        ds = evolve_directsum_free(spec, params, 0.0, 0.5)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params, 0.0, 0.5)
         dense = evolve_dense(spec, params, 0.0, 0.5)
         broken = ds.__class__(
             ds.block,
@@ -263,7 +270,7 @@ class TestConsistencyChecker:
     def test_rejects_qubit_count_mismatch(self):
         spec = ProbeSpec.balanced(3)
         params = params_at(adc(1.0), 0.5)
-        ds = evolve_directsum_free(spec, params, 0.0, 0.5)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params, 0.0, 0.5)
         dense = evolve_dense(ProbeSpec.balanced(2), params, 0.0, 0.5)
         with pytest.raises(ValueError):
             assert_consistency(ds, dense)

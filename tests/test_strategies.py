@@ -21,16 +21,11 @@ from ghzfreq.state import (
     block_probe,
     coherence_block,
     evolve_dense,
-    evolve_directsum_ancilla,
-    evolve_directsum_free,
+    evolve_directsum,
     ghz_strategy,
 )
 
 MODELS = (adc, dpc, pdc)
-BUILDERS = {
-    StrategyKind.GHZ_FREE: evolve_directsum_free,
-    StrategyKind.GHZ_ANCILLA: evolve_directsum_ancilla,
-}
 GHZ_KINDS = (StrategyKind.GHZ_FREE, StrategyKind.GHZ_ANCILLA)
 
 
@@ -82,9 +77,9 @@ class TestStrategyTable:
             qfi_closed(kind, spec, adc(1.0), 0.3)
         with pytest.raises(ValueError):
             maximize_f_over_t(kind, spec, adc(1.0))
-        if kind in BUILDERS:
+        if kind in GHZ_KINDS:
             with pytest.raises(ValueError):
-                BUILDERS[kind](spec, params_at(adc(1.0), 0.3), 0.0, 0.3)
+                evolve_directsum(kind, spec, params_at(adc(1.0), 0.3), 0.0, 0.3)
         argv = ["qfi", "--model", "adc", "--gamma", "1", "--n", "3", "--t", "0.3",
                 "--strategy", cli_flag(kind)]
         assert run(argv + ["--n-ancillas", str(wrong)]) == 2
@@ -104,7 +99,7 @@ class TestStrategyTable:
             unit, _ = block_probe(kind, probe(kind, n, c1=rng.uniform(0.2, 0.9)))
             t, omega = rng.uniform(0.05, 1.5), rng.uniform(-2.0, 2.0)
             params = params_at(model, t)
-            ds = BUILDERS[ghz_strategy(unit.n_ancillas)](unit, params, omega, t)
+            ds = evolve_directsum(ghz_strategy(unit.n_ancillas), unit, params, omega, t)
             assert assert_consistency(ds, evolve_dense(unit, params, omega, t)) < 1e-12
             assert ds.block_trace() + ds.residual_mass() == pytest.approx(1.0, abs=1e-12)
             block, phase = coherence_block(unit, model, omega, t)
