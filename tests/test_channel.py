@@ -19,7 +19,7 @@ from ghzfreq.channel import (
     pdc,
     superoperator,
 )
-from ghzfreq.channel import _SZ, _jump_operators, _lindblad_rhs
+from ghzfreq.channel import _SZ, _FloatMath, _jump_operators, _lindblad_rhs
 
 
 def bloch_of(rho):
@@ -52,6 +52,17 @@ def rho_of(r):
         [[1.0 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1.0 - r[2]]],
         dtype=complex,
     )
+
+
+class TestFloatMath:
+    def test_logaddexp_matches_numpy(self):
+        # the scalar path of the log-space terms, -inf operands included
+        rng = np.random.default_rng(43)
+        pairs = rng.uniform(-800.0, 800.0, size=(2000, 2))
+        pairs[::7, 0] = -math.inf
+        pairs[::11, 1] = -math.inf
+        for a, b in pairs:
+            assert _FloatMath.logaddexp(float(a), float(b)) == float(np.logaddexp(a, b))
 
 
 class TestParamDictionaries:

@@ -167,6 +167,22 @@ class TestSaturationCheck:
         ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params_at(model, t), omega, t)
         assert abs(math.cos(ds.phase_total - best_delta)) < 1e-9
 
+    def test_opposite_quadrature_gives_the_same_variance(self):
+        # delta + pi flips the sign of the mean and of the slope, which enter squared
+        rng = np.random.default_rng(41)
+        for make in (adc, dpc, pdc):
+            for spec in (ProbeSpec.balanced(3), ProbeSpec.balanced(2, 1)):
+                t, omega = rng.uniform(0.1, 1.5), rng.uniform(-2.0, 2.0)
+                _, delta, _ = saturation_check(spec, make(1.0), t, omega)
+                assert 0.0 <= delta < math.pi
+                near = error_propagation_sensitivity(
+                    spec, make(1.0), t, omega, GhzObservable(spec.n_total, delta)
+                )
+                far = error_propagation_sensitivity(
+                    spec, make(1.0), t, omega, GhzObservable(spec.n_total, delta + math.pi)
+                )
+                assert far == pytest.approx(near, rel=1e-12)
+
     def test_unbalanced_probe_state(self):
         spec = ProbeSpec(0.55, math.sqrt(1 - 0.55**2), 2)
         ok, _, gap = saturation_check(spec, adc(1.0), 0.5, omega=0.3)

@@ -102,6 +102,20 @@ class TestFreeEvolution:
             0.5 * ((1.0 - g) ** n + 1.0), rel=1e-13
         )
 
+    def test_encoded_phase_only_rotates_the_coherence(self):
+        # omega turns the block off-diagonal; populations and |coherence| stay put
+        rng = np.random.default_rng(31)
+        for make in (adc, dpc, pdc):
+            spec = random_spec(rng, 4)
+            t = rng.uniform(0.1, 1.0)
+            params = params_at(make(1.0), t)
+            still = evolve_directsum(StrategyKind.GHZ_FREE, spec, params, 0.0, t)
+            moving = evolve_directsum(StrategyKind.GHZ_FREE, spec, params, 1.1, t)
+            assert moving.block[0, 0] == still.block[0, 0]
+            assert moving.block[1, 1] == still.block[1, 1]
+            assert abs(moving.block[0, 1]) == pytest.approx(abs(still.block[0, 1]), rel=1e-15)
+            assert moving.phase_total - still.phase_total == pytest.approx(4 * 1.1 * t, rel=1e-15)
+
     def test_residual_multiplicities_are_binomial(self):
         ds = evolve_directsum(
             StrategyKind.GHZ_FREE, ProbeSpec.balanced(5), params_at(adc(1.0), 0.5), 0.0, 0.5
