@@ -272,7 +272,7 @@ def _log_channel(model: NoiseModel, t, xp, slope: bool):
     return -x, (high, high, low, low), -gamma, (d_high, d_high, d_low, d_low)
 
 
-def is_cptp(params: ChannelParams, tol: float = CP_TOL) -> bool:
+def is_cptp(params: ChannelParams) -> bool:
     """Decide complete positivity from the exact Choi spectrum.
 
     Trace preservation is structural for the affine form, so the test reduces
@@ -281,16 +281,16 @@ def is_cptp(params: ChannelParams, tol: float = CP_TOL) -> bool:
         a_mp >= 0,  a_mm >= 0,  a_pp * a_pm >= 4 * eta_perp**2,
 
     evaluated as a minimum-eigenvalue threshold so the verdict agrees with a
-    numerical Choi eigensolver to within tol.
+    numerical Choi eigensolver to within CP_TOL.
     """
-    return choi_min_eigenvalue(params) >= -tol
+    return choi_min_eigenvalue(params) >= -CP_TOL
 
 
 def affine_apply(params: ChannelParams, omega: float, t: float, r: np.ndarray) -> np.ndarray:
     """Map a Bloch vector through the channel with frequency encoding.
 
-    The rotation angle is theta_noise + omega*t. Rejects non-CPTP params
-    and |r| > 1.
+    The rotation angle is theta_noise + omega*t; the map is ``superoperator``
+    applied to (1, r). Rejects non-CPTP params and |r| > 1.
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
@@ -299,24 +299,15 @@ def affine_apply(params: ChannelParams, omega: float, t: float, r: np.ndarray) -
         raise ValueError("channel parameters are not CPTP")
     if np.linalg.norm(r) > 1.0 + 1e-9:
         raise ValueError(f"Bloch vector norm {np.linalg.norm(r):.6f} exceeds 1")
-    th = params.theta_noise + omega * t
-    cth, sth = math.cos(th), math.sin(th)
-    ep, el, ka = params.eta_perp, params.eta_par, params.kappa
-    return np.array(
-        [
-            ep * (cth * r[0] - sth * r[1]),
-            ep * (sth * r[0] + cth * r[1]),
-            el * r[2] + ka,
-        ]
-    )
+    return (superoperator(params, omega, t) @ np.array([1.0, *r]))[1:]
 
 
 def superoperator(params: ChannelParams, omega: float, t: float) -> np.ndarray:
     """4x4 real matrix acting on the extended Bloch column (r0, rx, ry, rz).
 
-    Block form [[1, 0], [c, A]]; applying it to (tr(rho), r) reproduces
-    ``affine_apply`` and is the per-qubit building block of the dense
-    evolution.
+    Block form [[1, 0], [c, A]], acting on (tr(rho), r); the one place the
+    rotation is written out, used by ``affine_apply`` and, per qubit, by the
+    dense evolution.
     """
     th = params.theta_noise + omega * t
     cth, sth = math.cos(th), math.sin(th)

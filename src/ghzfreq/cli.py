@@ -147,7 +147,7 @@ def _argv_from_spec_file(argv: list[str]) -> list[str]:
 def _fmt_cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     if isinstance(value, float):
         return format(value, ".17g")

@@ -85,16 +85,7 @@ class SweepRow:
     saturation_gap: float
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "strategy": self.strategy.value,
-            "model": self.model,
-            "gamma": self.gamma,
-            "t_opt": self.t_opt,
-            "f_over_t_max": self.f_over_t_max,
-            "ratio_r": self.ratio_r,
-            "saturation_gap": self.saturation_gap,
-        }
+        return {**vars(self), "strategy": self.strategy.value}
 
 
 @dataclass(frozen=True)
@@ -110,17 +101,7 @@ class Table1Row:
     literal_mismatch: bool
 
     def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "gamma": self.gamma,
-            "t": self.t,
-            "f_ghz_over_t": self.f_ghz_over_t,
-            "f_ancilla_over_t": self.f_ancilla_over_t,
-            "f_uncorrelated_over_t": self.f_uncorrelated_over_t,
-            "f_ghz_over_t_literal": self.f_ghz_over_t_literal,
-            "literal_mismatch": self.literal_mismatch,
-        }
+        return dict(vars(self))
 
 
 def _probe_table(rows: Sequence[tuple[StrategyKind, ProbeSpec]], terms) -> np.ndarray:

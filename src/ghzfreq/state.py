@@ -26,7 +26,6 @@ from .channel import (
     _FloatMath,
     _log_channel,
     _log_params,
-    a_coefficients,
     is_cptp,
     params_at,
     superoperator,
@@ -170,15 +169,15 @@ class DirectSumState:
     """Evolved probe in block (+) residual form.
 
     block is the 2x2 coherence sector in the {|0...0>, |1...1>} basis.
-    residual lists (population, multiplicity) per Hamming class, every
-    population phase-free, in the order of the strategy's residual families
-    in `STRATEGIES`. phase_total is the accumulated block phase
+    residual holds the log of each Hamming class's phase-free population,
+    summed over its C(N, k) configurations, in the order of the strategy's
+    residual families in `STRATEGIES`. phase_total is the accumulated block phase
     N*(theta_noise + omega*t); its derivative with respect to the encoded
     phase omega*t is n_probes.
     """
 
     block: np.ndarray
-    residual: tuple[tuple[float, int], ...]
+    residual: np.ndarray
     phase_total: float
     n_probes: int
     n_ancillas: int = 0
@@ -191,7 +190,7 @@ class DirectSumState:
         return float(self.block[0, 0].real + self.block[1, 1].real)
 
     def residual_mass(self) -> float:
-        return float(sum(p * m for p, m in self.residual))
+        return float(np.exp(np.logaddexp.reduce(self.residual, initial=-np.inf)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,9 +248,14 @@ def _block_log_terms(terms, log_w, n, log_half) -> Iterator:
     return (log_w[i] + n * log_half[pole] for i, pole, _ in terms)
 
 
+def _log_weights(spec: ProbeSpec) -> tuple[float, float]:
+    """(log|c1|^2, log|c2|^2), -inf for a vanishing amplitude."""
+    return _FloatMath.log(abs(spec.c1) ** 2), _FloatMath.log(abs(spec.c2) ** 2)
+
+
 def _block(terms, spec, params, log_eta, log_half, omega, t) -> tuple[np.ndarray, float]:
     """The coherence block with the given block terms, from log space, and phase_total."""
-    log_w = (_FloatMath.log(abs(spec.c1) ** 2), _FloatMath.log(abs(spec.c2) ** 2))
+    log_w = _log_weights(spec)
     diag = [0.0, 0.0]
     for (_, _, side), value in zip(terms, _block_log_terms(terms, log_w, spec.n_probes, log_half)):
         diag[side] += math.exp(value)
@@ -285,11 +289,15 @@ def coherence_block(
     return _block(terms, spec, params, log_eta, log_half, omega, t)
 
 
-def _residual_layout(kind: StrategyKind, n: int):
-    """(k, ancilla bit, weights) of each residual class of `kind`, in order."""
+def _residual_families(kind: StrategyKind, n: int):
+    """(ancilla bit, array of k, weights) of each residual family of `kind`, in order."""
     for bit, first, last, weights in STRATEGIES[kind].residual:
-        for k in range(first, n + last + 1):
-            yield k, bit, weights
+        yield bit, np.arange(first, n + last + 1), weights
+
+
+def _k_log(k: np.ndarray, log_half: float) -> np.ndarray:
+    """k log(A/2) per class, 0 where k = 0 also for A = 0, since (A/2)^0 = 1."""
+    return np.multiply(k, log_half, out=np.zeros(k.shape), where=k > 0)
 
 
 def evolve_directsum(
@@ -300,24 +308,27 @@ def evolve_directsum(
 
     Raises ValueError for the uncorrelated strategy, which has no shared
     block, when the spec's ancilla count does not fit `kind`, and when the
-    channel is not CPTP. The residual holds one population per Hamming
-    class, so the cost grows with N.
+    channel is not CPTP. From the block's exact log(A/2), class k of a family
+    has the log mass log C(N, k) + logsumexp_w(log w + k log(A0/2) +
+    (N - k) log(A1/2)): one array expression per family, O(N), finite at any N.
     """
     if not STRATEGIES[kind].correlated:
         raise ValueError(f"strategy {kind.value!r} has no shared coherence block")
     check_ancillas(kind, spec.n_ancillas)
     _require_cptp(params)
-    terms = STRATEGIES[kind].block_terms
-    block, phase = _block(terms, spec, params, *_log_params(params, _FloatMath), omega, t)
+    log_eta, log_half = _log_params(params, _FloatMath)
+    block, phase = _block(STRATEGIES[kind].block_terms, spec, params, log_eta, log_half, omega, t)
     n = spec.n_probes
-    w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
-    a = a_coefficients(params)
-    half = (a.a_pp / 2.0, a.a_pm / 2.0, a.a_mp / 2.0, a.a_mm / 2.0)
-    residual = tuple(
-        (sum(w[i] * half[_BRANCH_POLES[i][0]] ** k * half[_BRANCH_POLES[i][1]] ** (n - k)
-             for i in weights), math.comb(n, k))
-        for k, _, weights in _residual_layout(kind, n)
-    )
+    log_w = _log_weights(spec)
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # log k!
+    residual = np.concatenate([
+        np.logaddexp.reduce([
+            log_w[i] + _k_log(k, log_half[_BRANCH_POLES[i][0]])
+            + _k_log(n - k, log_half[_BRANCH_POLES[i][1]])
+            for i in weights
+        ], axis=0) + (log_fact[n] - log_fact[k] - log_fact[n - k])
+        for _, k, weights in _residual_families(kind, n)
+    ])
     return DirectSumState(block, residual, phase, n, spec.n_ancillas)
 
 
@@ -367,10 +378,10 @@ def evolve_dense(
 def assert_consistency(ds: DirectSumState, dense: DenseState) -> float:
     """Max deviation between the direct-sum data and a dense density matrix.
 
-    Compares the four block entries against the dense corners and every
-    residual population against every dense diagonal configuration of its
-    Hamming class. Raises on mismatched qubit counts; the caller judges the
-    returned deviation.
+    Compares the four block entries against the dense corners, and each
+    residual class's mass over C(N, k) against every dense diagonal
+    configuration of its Hamming class. Raises on mismatched qubit counts;
+    the caller judges the returned deviation.
     """
     if ds.n_total != dense.n_qubits:
         raise ValueError(
@@ -386,13 +397,12 @@ def assert_consistency(ds: DirectSumState, dense: DenseState) -> float:
         abs(ds.block[0, 1] - m[0, last]),
         abs(ds.block[1, 0] - m[last, 0]),
     )
-    classes = list(_residual_layout(ghz_strategy(na), n))
+    classes = [(int(k), bit) for bit, ks, _ in _residual_families(ghz_strategy(na), n) for k in ks]
     if len(classes) != len(ds.residual):
         raise ValueError("residual entry count does not match the class layout")
     anc_suffix = {0: 0, 1: (1 << na) - 1}
-    for (k, anc_bit, _), (pop, mult) in zip(classes, ds.residual):
-        if mult != math.comb(n, k):
-            raise ValueError(f"multiplicity mismatch in class k={k}")
+    for (k, anc_bit), log_mass in zip(classes, ds.residual):
+        pop = math.exp(log_mass) / math.comb(n, k)  # n is at most MAX_DENSE_QUBITS
         for probe_bits in range(1 << n):
             if n - probe_bits.bit_count() != k:
                 continue

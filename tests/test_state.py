@@ -120,7 +120,22 @@ class TestFreeEvolution:
         ds = evolve_directsum(
             StrategyKind.GHZ_FREE, ProbeSpec.balanced(5), params_at(adc(1.0), 0.5), 0.0, 0.5
         )
-        assert [m for _, m in ds.residual] == [math.comb(5, k) for k in range(1, 5)]
+        # adc: A++/2 = g, A+-/2 = 1, A-+/2 = 0, A--/2 = 1 - g; the |0...0> branch
+        # has poles (A++, A--), the |1...1> branch (A-+, A+-)
+        g = math.exp(-0.5)
+        want = [
+            math.comb(5, k) * (0.5 * g**k * (1.0 - g) ** (5 - k) + 0.5 * 0.0**k * 1.0 ** (5 - k))
+            for k in range(1, 5)
+        ]
+        assert np.exp(ds.residual) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("make", [adc, dpc, pdc])
+    def test_residual_mass_past_double_binomials(self, make):
+        # C(1031, 515) > 1.8e308: a linear-space class mass would overflow
+        params = params_at(make(1.0), 0.3)
+        for kind, n_anc in ((StrategyKind.GHZ_FREE, 0), (StrategyKind.GHZ_ANCILLA, 1)):
+            ds = evolve_directsum(kind, ProbeSpec(0.6, 0.8, 1031, n_anc), params, 0.0, 0.3)
+            assert abs(ds.block_trace() + ds.residual_mass() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("make", [adc, dpc, pdc])
     def test_matches_dense_evolution(self, make):
@@ -274,12 +289,23 @@ class TestConsistencyChecker:
         dense = evolve_dense(spec, params, 0.0, 0.5)
         broken = ds.__class__(
             ds.block,
-            tuple((p * 1.01, m) for p, m in ds.residual),
+            ds.residual + math.log(1.01),
             ds.phase_total,
             ds.n_probes,
             ds.n_ancillas,
         )
         assert assert_consistency(broken, dense) > 1e-4
+
+    @pytest.mark.parametrize("n_anc", [0, 2])
+    def test_reset_map(self, n_anc):
+        # A++ = A-+ = 0: every probe lands in |1>, so (A/2)^0 = 1 must survive A = 0
+        reset = ChannelParams(0.0, 0.0, 0.0, -1.0)
+        kind = StrategyKind.GHZ_ANCILLA if n_anc else StrategyKind.GHZ_FREE
+        for n in range(1, 5):
+            spec = random_spec(np.random.default_rng(n), n, n_anc)
+            ds = evolve_directsum(kind, spec, reset, 0.7, 0.4)
+            assert assert_consistency(ds, evolve_dense(spec, reset, 0.7, 0.4)) <= 1e-12
+            assert abs(ds.block_trace() + ds.residual_mass() - 1.0) <= 1e-12
 
     def test_rejects_qubit_count_mismatch(self):
         spec = ProbeSpec.balanced(3)

@@ -124,6 +124,16 @@ def test_saturation_gap_exact_at_large_n(kind, make, n):
     assert ok and abs(gap) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", GHZ_KINDS)
+def test_direct_sum_closes_at_large_n(kind):
+    # dpc populates all four poles; at gamma N t = 1 block and residual both matter
+    n = 10**6
+    t = 1.0 / n
+    ds = evolve_directsum(kind, probe(kind, n), params_at(dpc(1.0), t), 0.0, t)
+    assert 0.1 < ds.block_trace() < 0.9
+    assert abs(ds.block_trace() + ds.residual_mass() - 1.0) <= 1e-8
+
+
 def test_error_propagation_builds_only_the_block():
     # pdc with an ancilla at N = 10^6: a residual would hold 2 * 10^6 classes
     model, n, omega = pdc(1.0), 10**6, 0.3
