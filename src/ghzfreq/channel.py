@@ -199,7 +199,8 @@ _LOG2 = math.log(2.0)
 
 
 class _FloatMath:
-    """The numpy functions the log-space terms use, for one Python float.
+    """The numpy functions the log-space terms and the coherence block use,
+    for one Python float.
 
     A numpy call costs about a microsecond whatever its size, which would
     make a single-point evaluation several times slower than the array
@@ -207,7 +208,7 @@ class _FloatMath:
     ignores NaN, as their numpy counterparts do under np.errstate.
     """
 
-    exp, expm1, log1p, maximum = math.exp, math.expm1, math.log1p, max
+    exp, expm1, log1p, maximum, cos, sin = math.exp, math.expm1, math.log1p, max, math.cos, math.sin
 
     @staticmethod
     def log(value: float) -> float:
@@ -230,6 +231,18 @@ def _log_params(params: ChannelParams, xp):
     return xp.log(abs(params.eta_perp)), log_half
 
 
+def _custom_params(model: NoiseModel, t) -> tuple[ChannelParams, np.ndarray]:
+    """A custom model's parameters at each of the times t, every field an
+    array shaped like t, and a mask of the times where they are not CPTP
+    (a NaN Choi eigenvalue counts as not CPTP)."""
+    points = [params_at(model, float(s)) for s in np.ravel(t)]
+    params = ChannelParams(*(
+        np.array([getattr(p, name) for p in points]).reshape(np.shape(t))
+        for name in ("theta_noise", "eta_perp", "eta_par", "kappa")
+    ))
+    return params, ~(_choi_min(a_coefficients(params), params.eta_perp) >= -CP_TOL)
+
+
 def _log_channel(model: NoiseModel, t, xp, slope: bool):
     """log|eta_perp| and log(A/2) for the poles (pp, pm, mp, mm) at the times t.
 
@@ -246,16 +259,10 @@ def _log_channel(model: NoiseModel, t, xp, slope: bool):
     """
     gamma = model.gamma
     if model.kind == "custom":
-        times = np.ravel(t)
-        points = [params_at(model, float(s)) for s in times]
-        params = ChannelParams(0.0, *(
-            np.array([getattr(p, name) for p in points]).reshape(np.shape(t))
-            for name in ("eta_perp", "eta_par", "kappa")
-        ))
-        # NaN-safe: a NaN eigenvalue is not CPTP either
-        bad = ~(_choi_min(a_coefficients(params), params.eta_perp) >= -CP_TOL)
+        params, bad = _custom_params(model, t)
         if bad.any():
-            raise ValueError(f"model parameters at t={float(times[np.argmax(bad)])} are not CPTP")
+            where = float(np.ravel(t)[np.argmax(bad)])
+            raise ValueError(f"model parameters at t={where} are not CPTP")
         return (*_log_params(params, np), None, None)
     x = gamma * t
     if model.kind == "pdc":  # A++ = A+- = 2, A-+ = A-- = 0

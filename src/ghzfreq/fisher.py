@@ -68,6 +68,11 @@ def _log_f_phase(terms, w, log_w, n, model: NoiseModel, t, xp, slope: bool):
     # dropped as they are summed unless the slope reads them again: fewer
     # (rows, points) arrays are alive at once
     if terms:
+        # a pole whose log(A/2) is the float -inf (adc's A-+, pdc's A-+ and
+        # A--) adds nothing: logaddexp(x, -inf) is x, and its slope term is 0
+        terms = [term for term in terms if not (
+            isinstance(log_half[term[1]], float) and log_half[term[1]] == -math.inf
+        )]
         parts = _block_log_terms(terms, log_w, n, log_half)
         if d_f is not None:
             parts = list(parts)

@@ -30,6 +30,10 @@ profile is flat to second order at the peak.
 does not grow with the probe range, and packages the per-N results
 (optimal time, peak value, ratio against the best uncorrelated scheme, and
 the readout saturation gap at the optimum) into rows ready for tabulation.
+The gaps of a batch are formed in one array pass as well
+(`measurement._saturation_gaps`), from the log F_phase that the optimizer's
+last evaluation gives at t_opt; `measurement.saturation_check` is the
+one-row call of that pass.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ import numpy as np
 
 from .channel import NoiseModel, _FloatMath
 from .fisher import _log_f_phase, qfi_closed
-from .measurement import saturation_check
-from .state import STRATEGIES, ProbeSpec, StrategyKind, check_ancillas
+from .measurement import _saturation_gaps, saturation_check
+from .state import STRATEGIES, ProbeSpec, StrategyKind, _probe_table, _row_name, check_ancillas
 
 __all__ = [
     "StrategyKind",
@@ -104,19 +108,6 @@ class Table1Row:
         return dict(vars(self))
 
 
-def _probe_table(rows: Sequence[tuple[StrategyKind, ProbeSpec]], terms) -> np.ndarray:
-    """One column per row holding |c1|^2, |c2|^2, the log weight of each of
-    `terms` and N. A term the row's strategy lacks gets the log weight -inf,
-    which drops it from the logsumexp of the block trace."""
-    table = []
-    for kind, spec in rows:
-        own = STRATEGIES[kind].block_terms
-        w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
-        log_w = (_FloatMath.log(w[0]), _FloatMath.log(w[1]))
-        table.append([*w, *(log_w[t[0]] if t in own else -math.inf for t in terms), spec.n_probes])
-    return np.array(table, dtype=float).T.copy()
-
-
 def _probe(table: np.ndarray):
     """The (w, log_w, n) arguments of `fisher._log_f_phase` for the rows of
     `table`: (rows, 1) columns, or floats for a single row, which numpy
@@ -130,12 +121,14 @@ def _probe(table: np.ndarray):
 
 def _objective(
     terms, table: np.ndarray, model: NoiseModel
-) -> Callable[[np.ndarray], np.ndarray]:
-    """F_omega/t = t * F_phase of each row of `table` over a (rows, points) array of times."""
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(F_omega/t, log F_phase) of each row of `table` over a (rows, points)
+    array of times, F_omega/t being t * exp(log F_phase)."""
     probe = _probe(table)
 
-    def f_over_t(t: np.ndarray) -> np.ndarray:
-        return t * np.exp(_log_f_phase(terms, *probe, model, t, np, False)[0])
+    def f_over_t(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        log_f = _log_f_phase(terms, *probe, model, t, np, False)[0]
+        return t * np.exp(log_f), log_f
 
     return f_over_t
 
@@ -153,7 +146,7 @@ def _log_slope(
 
         def slope(t: np.ndarray) -> np.ndarray:
             h = 1e-6 * t
-            logs = np.log(f(np.concatenate([t - h, t + h], axis=1)))
+            logs = np.log(f(np.concatenate([t - h, t + h], axis=1))[0])
             return (logs[:, t.shape[1]:] - logs[:, : t.shape[1]]) / (2.0 * h)
 
         return slope
@@ -164,12 +157,6 @@ def _log_slope(
         return _log_f_phase(terms, *probe, model, t, np, True)[1] + 1.0 / t
 
     return slope
-
-
-def _row_name(row: tuple[StrategyKind, ProbeSpec], model: NoiseModel) -> str:
-    """Which row failed, for an error message."""
-    kind, spec = row
-    return f"strategy={kind.value} model={model.kind} n={spec.n_probes}"
 
 
 def _interior(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -222,8 +209,9 @@ def _slope_roots(terms, table, model, a, b, rows) -> np.ndarray:
 
 def _maximize_rows(
     rows: Sequence[tuple[StrategyKind, ProbeSpec]], model: NoiseModel
-) -> list[tuple[float, float]]:
-    """(t_opt, f_over_t_max) of each (strategy, spec) row, all rows in one batch.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t_opt, f_over_t_max, log F_phase at t_opt) of each (strategy, spec)
+    row as (rows,) arrays, all rows in one batch.
 
     The rows are either all correlated (GHZ) or all uncorrelated. Their
     strategies' block terms are joined, in `STRATEGIES` order, and a row
@@ -231,22 +219,17 @@ def _maximize_rows(
     evaluates every row. The scan is one (rows, SCAN_POINTS) call; the slope
     search then follows each row's own bracket (`_slope_roots`). Every check
     of `maximize_f_over_t` is made per row, and a failure names the row's
-    strategy and N.
+    strategy and N. The last evaluation, at t_opt, gives both f_over_t_max
+    and log F_phase, which `sweep` passes on to the saturation gap.
     """
     if model.gamma <= 0:
         raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
     for kind, spec in rows:
         check_ancillas(kind, spec.n_ancillas)
-    kinds = {kind for kind, _ in rows}
-    correlated = {STRATEGIES[kind].correlated for kind in kinds}
+    correlated = {STRATEGIES[kind].correlated for kind, _ in rows}
     if len(correlated) != 1:
         raise ValueError("a batch holds either correlated or uncorrelated rows, not both")
-    terms = tuple(dict.fromkeys(
-        term for kind in STRATEGIES if kind in kinds for term in STRATEGIES[kind].block_terms
-    ))
-    table = _probe_table(rows, terms)
-    # the table holds one log weight per joined term: term i reads log_w[i]
-    terms = tuple((i, pole, side) for i, (_, pole, side) in enumerate(terms))
+    terms, table = _probe_table(rows)
     lo = np.full(len(rows), SCAN_WINDOW[0] / model.gamma)
     if correlated.pop():
         lo /= table[-1]
@@ -255,7 +238,7 @@ def _maximize_rows(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         grid = np.exp(log_lo[:, None] + _SCAN_STEPS * step[:, None])
         f = _objective(terms, table, model)
-        values = f(grid)
+        values, _ = f(grid)
         peak = np.argmax(values, axis=1)
         coherent = np.any(values > 0.0, axis=1)
         inside = (peak > 0) & (peak < SCAN_POINTS - 1)
@@ -281,8 +264,8 @@ def _maximize_rows(
             )
         row = np.arange(len(rows))
         t_opt = _slope_roots(terms, table, model, grid[row, peak - 1], grid[row, peak + 1], rows)
-        best = f(t_opt[:, None])[:, 0]
-    return list(zip(t_opt.tolist(), best.tolist()))
+        best, log_f = f(t_opt[:, None])
+    return t_opt, best[:, 0], log_f[:, 0]
 
 
 def maximize_f_over_t(
@@ -302,7 +285,8 @@ def maximize_f_over_t(
     the slope of log(F/t) does not change sign between the scan points
     either side of the peak.
     """
-    return _maximize_rows([(strategy, spec)], model)[0]
+    t_opt, best, _ = _maximize_rows([(strategy, spec)], model)
+    return float(t_opt[0]), float(best[0])
 
 
 def sensitivity_ratio(
@@ -333,8 +317,9 @@ def sweep(
     single-probe value. The GHZ rows are optimized in batches of at most
     BATCH_ROWS consecutive rows (`_maximize_rows`); a row's result does not
     depend on the batch it falls in. The saturation gap is evaluated at the
-    optimal time with the corner readout; uncorrelated rows quote the
-    single-probe gap since that strategy is measured qubit by qubit.
+    optimal time with the corner readout, for a whole batch at once;
+    uncorrelated rows quote the single-probe gap (one `saturation_check`
+    call per sweep) since that strategy is measured qubit by qubit.
     """
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad probe range {n_min}..{n_max}")
@@ -355,16 +340,19 @@ def sweep(
         probes = range(first, min(first + per_chunk, n_max + 1))
         batch = [(s, ProbeSpec(c1, c2, n, STRATEGIES[s].default_ancillas))
                  for n in probes for s in correlated]
-        optima = iter(zip(batch, _maximize_rows(batch, model) if batch else ()))
+        optima = iter(())
+        if batch:
+            t_opt, best, log_f = _maximize_rows(batch, model)
+            _, gaps = _saturation_gaps(batch, model, t_opt, log_f, 0.0)
+            optima = zip(t_opt.tolist(), best.tolist(), gaps.tolist())
         for n in probes:
             best_unc = n * best_single
             for strategy in chosen:
                 if strategy is StrategyKind.UNCORRELATED:
                     t_opt, best, ratio, gap = t_unc, best_unc, 1.0, gap_unc
                 else:
-                    (_, spec), (t_opt, best) = next(optima)
+                    t_opt, best, gap = next(optima)
                     ratio = best_unc / best
-                    _, _, gap = saturation_check(spec, model, t_opt, omega=0.0)
                 rows.append(SweepRow(
                     n=n,
                     strategy=strategy,

@@ -12,11 +12,10 @@ and a comparator between the two are also provided.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -253,17 +252,63 @@ def _log_weights(spec: ProbeSpec) -> tuple[float, float]:
     return _FloatMath.log(abs(spec.c1) ** 2), _FloatMath.log(abs(spec.c2) ** 2)
 
 
-def _block(terms, spec, params, log_eta, log_half, omega, t) -> tuple[np.ndarray, float]:
-    """The coherence block with the given block terms, from log space, and phase_total."""
-    log_w = _log_weights(spec)
+def _probe_table(rows: Sequence[tuple[StrategyKind, ProbeSpec]]) -> tuple[tuple, np.ndarray]:
+    """The block terms of a batch of (strategy, spec) rows, and one column per row.
+
+    The rows' strategies' block terms are joined in `STRATEGIES` order and
+    returned as (i, pole, side), i counting them. Each row's column holds
+    |c1|^2, |c2|^2, the log weight of each joined term and N. A term the
+    row's strategy lacks gets the log weight -inf, which drops it from the
+    logsumexp of the block trace and adds 0 to the block diagonal.
+    """
+    kinds = {kind for kind, _ in rows}
+    joined = tuple(dict.fromkeys(
+        term for kind in STRATEGIES if kind in kinds for term in STRATEGIES[kind].block_terms
+    ))
+    # per strategy, which of (log|c1|^2, log|c2|^2, -inf) each joined term reads
+    picks = {kind: [t[0] if t in STRATEGIES[kind].block_terms else 2 for t in joined]
+             for kind in kinds}
+    table = []
+    for kind, spec in rows:
+        w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
+        log_w = (_FloatMath.log(w[0]), _FloatMath.log(w[1]), -math.inf)
+        table.append([*w, *[log_w[i] for i in picks[kind]], spec.n_probes])
+    terms = tuple((i, pole, side) for i, (_, pole, side) in enumerate(joined))
+    return terms, np.array(table, dtype=float).T.copy()
+
+
+def _row_name(row: tuple[StrategyKind, ProbeSpec], model: NoiseModel) -> str:
+    """Which row of a batch failed, for an error message."""
+    kind, spec = row
+    return f"strategy={kind.value} model={model.kind} n={spec.n_probes}"
+
+
+def _block(terms, log_w, n, c12, sign, theta, log_eta, log_half, omega, t, xp):
+    """The coherence block's entries (r00, r11, r01) and phase_total, from log space.
+
+    Floats for one probe (xp = `_FloatMath`), or (rows,) arrays for a batch
+    of probes (xp = numpy). r00 and r11 sum exp(log w + N log(A/2)) over the
+    block terms on their side (`_block_log_terms`; a term of log weight -inf
+    adds 0), and r01 = c12 sign^N exp(N log|eta_perp|) exp(-i phase_total),
+    with c12 = c1 conj(c2), sign that of eta_perp and phase_total =
+    N (theta_noise + omega t).
+    """
     diag = [0.0, 0.0]
-    for (_, _, side), value in zip(terms, _block_log_terms(terms, log_w, spec.n_probes, log_half)):
-        diag[side] += math.exp(value)
-    n = spec.n_probes
-    phase = n * (params.theta_noise + omega * t)
-    eta_n = math.copysign(1.0, params.eta_perp) ** n * math.exp(n * log_eta)
-    off = spec.c1 * spec.c2.conjugate() * eta_n * cmath.exp(-1j * phase)
-    return np.array([[diag[0], off], [off.conjugate(), diag[1]]], dtype=complex), phase
+    for (_, _, side), value in zip(terms, _block_log_terms(terms, log_w, n, log_half)):
+        diag[side] = diag[side] + xp.exp(value)
+    phase = n * (theta + omega * t)
+    eta_n = sign**n * xp.exp(n * log_eta)
+    return diag[0], diag[1], c12 * eta_n * (xp.cos(phase) - 1j * xp.sin(phase)), phase
+
+
+def _block_matrix(terms, spec, params, log_eta, log_half, omega, t) -> tuple[np.ndarray, float]:
+    """The 2x2 coherence block of one probe (`_block`) and its phase_total."""
+    r00, r11, off, phase = _block(
+        terms, _log_weights(spec), spec.n_probes, spec.c1 * spec.c2.conjugate(),
+        math.copysign(1.0, params.eta_perp), params.theta_noise, log_eta, log_half,
+        omega, t, _FloatMath,
+    )
+    return np.array([[r00, off], [off.conjugate(), r11]], dtype=complex), phase
 
 
 def coherence_block(
@@ -286,7 +331,7 @@ def coherence_block(
     else:
         log_eta, log_half, _, _ = _log_channel(model, t, _FloatMath, False)
     terms = STRATEGIES[ghz_strategy(spec.n_ancillas)].block_terms
-    return _block(terms, spec, params, log_eta, log_half, omega, t)
+    return _block_matrix(terms, spec, params, log_eta, log_half, omega, t)
 
 
 def _residual_families(kind: StrategyKind, n: int):
@@ -317,7 +362,9 @@ def evolve_directsum(
     check_ancillas(kind, spec.n_ancillas)
     _require_cptp(params)
     log_eta, log_half = _log_params(params, _FloatMath)
-    block, phase = _block(STRATEGIES[kind].block_terms, spec, params, log_eta, log_half, omega, t)
+    block, phase = _block_matrix(
+        STRATEGIES[kind].block_terms, spec, params, log_eta, log_half, omega, t
+    )
     n = spec.n_probes
     log_w = _log_weights(spec)
     log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # log k!
@@ -381,7 +428,7 @@ def assert_consistency(ds: DirectSumState, dense: DenseState) -> float:
     Compares the four block entries against the dense corners, and each
     residual class's mass over C(N, k) against every dense diagonal
     configuration of its Hamming class. Raises on mismatched qubit counts;
-    the caller judges the returned deviation.
+    the caller judges the returned deviation, which is NaN if any entry is.
     """
     if ds.n_total != dense.n_qubits:
         raise ValueError(
@@ -391,12 +438,12 @@ def assert_consistency(ds: DirectSumState, dense: DenseState) -> float:
     na = ds.n_ancillas
     m = dense.matrix
     last = m.shape[0] - 1
-    dev = max(
+    devs = [
         abs(ds.block[0, 0] - m[0, 0]),
         abs(ds.block[1, 1] - m[last, last]),
         abs(ds.block[0, 1] - m[0, last]),
         abs(ds.block[1, 0] - m[last, 0]),
-    )
+    ]
     classes = [(int(k), bit) for bit, ks, _ in _residual_families(ghz_strategy(na), n) for k in ks]
     if len(classes) != len(ds.residual):
         raise ValueError("residual entry count does not match the class layout")
@@ -407,5 +454,5 @@ def assert_consistency(ds: DirectSumState, dense: DenseState) -> float:
             if n - probe_bits.bit_count() != k:
                 continue
             idx = (probe_bits << na) | anc_suffix[anc_bit]
-            dev = max(dev, abs(pop - m[idx, idx]))
-    return float(dev)
+            devs.append(abs(pop - m[idx, idx]))
+    return float(np.max(devs))  # a NaN deviation propagates, so it never reads as agreement

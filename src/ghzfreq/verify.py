@@ -215,10 +215,9 @@ def _check_master_equation(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_directsum_consistency(rng: np.random.Generator, nmax: int) -> CheckResult:
-    worst = 0.0
-    trace_dev = 0.0
-    min_eig = math.inf
-    moment_dev = 0.0
+    # every deviation is kept and folded with np.max/np.min, which propagate
+    # NaN, so a NaN fails the check instead of being skipped by max()
+    dense_devs, trace_devs, moment_devs, eigs = [], [], [], []
     for make in _MODELS:
         model = make(1.0)
         for n_anc in (0, 2):
@@ -229,17 +228,17 @@ def _check_directsum_consistency(rng: np.random.Generator, nmax: int) -> CheckRe
             params = params_at(model, t)
             ds = evolve_directsum(ghz_strategy(n_anc), spec, params, omega, t)
             dense = evolve_dense(spec, params, omega, t)
-            worst = max(worst, assert_consistency(ds, dense))
-            trace_dev = max(trace_dev, abs(ds.block_trace() + ds.residual_mass() - 1.0))
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(ds.block)[0]))
+            dense_devs.append(assert_consistency(ds, dense))
+            trace_devs.append(abs(ds.block_trace() + ds.residual_mass() - 1.0))
+            eigs.append(float(np.linalg.eigvalsh(ds.block)[0]))
             obs = GhzObservable(ds.n_total, rng.uniform(0.0, 2.0 * math.pi))
             mean, second = expectation_moments(ds, obs)
             o = obs.dense_matrix()
             mean_dense = float(np.trace(o @ dense.matrix).real)
             second_dense = float(np.trace(o @ o @ dense.matrix).real)
-            moment_dev = max(
-                moment_dev, abs(mean - mean_dense), abs(second - second_dense)
-            )
+            moment_devs += [abs(mean - mean_dense), abs(second - second_dense)]
+    worst, trace_dev, moment_dev = (float(np.max(d)) for d in (dense_devs, trace_devs, moment_devs))
+    min_eig = float(np.min(eigs))
     passed = (
         worst <= 1e-12
         and trace_dev <= 1e-12

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ghzfreq
@@ -298,6 +299,26 @@ class TestChannel:
 
 
 class TestVerify:
+    def test_nan_direct_sum_fails_the_consistency_check(self, monkeypatch):
+        # max(dev, nan) keeps dev, so the folds must not be Python max/min
+        from ghzfreq import verify
+
+        build = verify.evolve_directsum
+
+        def nan_residual(*args):
+            ds = build(*args)
+            return ds.__class__(ds.block, ds.residual * np.nan, ds.phase_total,
+                                ds.n_probes, ds.n_ancillas)
+
+        rng = np.random.default_rng(3)
+        assert verify._check_directsum_consistency(rng, 3).passed
+        monkeypatch.setattr(verify, "evolve_directsum", nan_residual)
+        with np.errstate(invalid="ignore"):  # logaddexp.reduce over the NaN residual
+            assert not verify._check_directsum_consistency(rng, 3).passed
+        monkeypatch.undo()
+        monkeypatch.setattr(verify, "assert_consistency", lambda ds, dense: math.nan)
+        assert not verify._check_directsum_consistency(rng, 3).passed
+
     def test_passes_and_reports(self, capsys):
         code, out, _ = run_capture(["verify", "--nmax", "2"], capsys)
         assert code == 0

@@ -1,11 +1,13 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from ghzfreq import optimize
+from ghzfreq import measurement, optimize
 from ghzfreq.channel import ChannelParams, adc, custom, dpc, pdc
 from ghzfreq.cli import run
+from ghzfreq.measurement import saturation_check
 from ghzfreq.optimize import (
     STRATEGIES,
     StrategyKind,
@@ -302,3 +304,54 @@ class TestBatch:
         rows = sweep(pdc(1.0), 1, 2000, strategies=GHZ)
         assert len(rows) == 4000
         assert all(abs(r.t_opt * 2.0 * r.n - 1.0) <= 1e-11 for r in rows)
+
+
+def _rotating_rule(t):
+    """A CPTP custom map with a noise rotation theta_noise != 0 and eta_perp < 0."""
+    g = math.exp(-t)
+    return ChannelParams(0.4 + 0.3 * t, -g, g, g - 1.0)
+
+
+GAP_MODELS = [
+    *((make, 60) for make in (adc, dpc, pdc)),
+    (lambda gamma: custom(_rotating_rule, gamma), 12),
+]
+
+
+class TestSaturationGap:
+    """`sweep` forms the saturation gaps of each batch in one array pass from
+    the optimizer's log F; every row agrees with the one-row public call."""
+
+    @pytest.mark.parametrize("make,n_max", GAP_MODELS)
+    @pytest.mark.parametrize("c1", [0.35, 0.6, 0.9])
+    def test_batch_gap_matches_saturation_check(self, make, n_max, c1):
+        model = make(1.3)
+        c2 = math.sqrt(1.0 - abs(c1) ** 2)
+        rows = sweep(model, 1, n_max, strategies=GHZ, c1=c1)
+        assert len(rows) == 2 * n_max
+        for row in rows:
+            spec = ProbeSpec(c1, c2, row.n, STRATEGIES[row.strategy].default_ancillas)
+            _, _, gap = saturation_check(spec, model, row.t_opt, 0.0)
+            assert abs(row.saturation_gap - gap) <= 2e-15, (row.n, row.strategy)
+            assert abs(row.saturation_gap) <= 1e-14, (row.n, row.strategy)
+
+    def test_sweep_makes_no_per_row_check(self, monkeypatch):
+        # an exact work count: only the uncorrelated single-probe gap is a one-row call
+        calls = collections.Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(optimize, "saturation_check")
+        for name in ("log_qfi_phase", "coherence_block", "GhzObservable"):
+            counted(measurement, name)
+        assert len(sweep(adc(1.3), 1, 30)) == 90
+        assert calls["saturation_check"] <= 1
+        assert calls["log_qfi_phase"] <= 1
+        assert calls["coherence_block"] == calls["GhzObservable"] == 0

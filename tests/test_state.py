@@ -296,6 +296,27 @@ class TestConsistencyChecker:
         )
         assert assert_consistency(broken, dense) > 1e-4
 
+    def _state_and_dense(self):
+        spec = ProbeSpec.balanced(3)
+        params = params_at(adc(1.0), 0.5)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params, 0.0, 0.5)
+        return ds, evolve_dense(spec, params, 0.0, 0.5)
+
+    def test_nan_residual_is_not_agreement(self):
+        ds, dense = self._state_and_dense()
+        broken = ds.__class__(
+            ds.block, np.full_like(ds.residual, np.nan), ds.phase_total, ds.n_probes
+        )
+        assert not assert_consistency(broken, dense) <= 1e-12
+
+    def test_nan_block_entry_is_not_agreement(self):
+        # a NaN after the first of the folded entries used to be dropped by max()
+        ds, dense = self._state_and_dense()
+        block = ds.block.copy()
+        block[1, 1] = np.nan
+        broken = ds.__class__(block, ds.residual, ds.phase_total, ds.n_probes)
+        assert not assert_consistency(broken, dense) <= 1e-12
+
     @pytest.mark.parametrize("n_anc", [0, 2])
     def test_reset_map(self, n_anc):
         # A++ = A-+ = 0: every probe lands in |1>, so (A/2)^0 = 1 must survive A = 0
