@@ -11,11 +11,14 @@ omega*t, ep shrinks the equatorial plane and (el, kappa) move the poles.
 Three named dissipation models are provided (amplitude damping, isotropic
 depolarization, pure dephasing) together with a Choi-based complete-positivity
 test and an independent fixed-step Lindblad integrator used for cross-checks.
+`_log_channel` is the one place that says how a model at time t, named or
+custom, enters the log-space closed forms and the coherence block.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +43,7 @@ __all__ = [
 ]
 
 CP_TOL = 1e-12
+_TINY = sys.float_info.min  # smallest normal double; below it a result has underflowed
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -209,6 +213,7 @@ class _FloatMath:
     """
 
     exp, expm1, log1p, maximum, cos, sin = math.exp, math.expm1, math.log1p, max, math.cos, math.sin
+    copysign = math.copysign
 
     @staticmethod
     def log(value: float) -> float:
@@ -225,58 +230,59 @@ class _FloatMath:
 
 
 def _log_params(params: ChannelParams, xp):
-    """log|eta_perp| and log(A/2) (-inf for A <= 0) per pole from float or array fields."""
+    """The log-space record (log_eta, log_half, sign, theta) from float or
+    array fields: log|eta_perp|, log(A/2) (-inf for A <= 0) per pole, the
+    sign of eta_perp and theta_noise."""
     a = a_coefficients(params)
     log_half = tuple(xp.log(xp.maximum(v, 0.0)) - _LOG2 for v in (a.a_pp, a.a_pm, a.a_mp, a.a_mm))
-    return xp.log(abs(params.eta_perp)), log_half
-
-
-def _custom_params(model: NoiseModel, t) -> tuple[ChannelParams, np.ndarray]:
-    """A custom model's parameters at each of the times t, every field an
-    array shaped like t, and a mask of the times where they are not CPTP
-    (a NaN Choi eigenvalue counts as not CPTP)."""
-    points = [params_at(model, float(s)) for s in np.ravel(t)]
-    params = ChannelParams(*(
-        np.array([getattr(p, name) for p in points]).reshape(np.shape(t))
-        for name in ("theta_noise", "eta_perp", "eta_par", "kappa")
-    ))
-    return params, ~(_choi_min(a_coefficients(params), params.eta_perp) >= -CP_TOL)
+    eta = params.eta_perp
+    return xp.log(abs(eta)), log_half, xp.copysign(1.0, eta), params.theta_noise
 
 
 def _log_channel(model: NoiseModel, t, xp, slope: bool):
-    """log|eta_perp| and log(A/2) for the poles (pp, pm, mp, mm) at the times t.
+    """How the channel at the times t enters the log-space formulas.
 
-    `xp` is numpy for an array t and `_FloatMath` for a float of a named
-    model. Returns (log_eta, log_half, dlog_eta, dlog_half): log_half is a
-    4-tuple whose entries are shaped like t or constant, and the last two
-    are the t-derivatives (None for custom models, whose slope is not
-    analytic). Named models are written out in exact logarithms
-    (g = exp(-gamma t)), so that N * log(...) keeps full precision at large
-    N; a vanishing coefficient gives -inf. They are CPTP for every gamma,
-    t >= 0 (their smallest Choi eigenvalue is 0, or (1 - g)/2 for dpc).
-    Custom models take an array t of any shape and go through `params_at`
-    point by point, each point checked for complete positivity.
+    Returns (record, dlog_eta, dlog_half). The record is (log_eta,
+    log_half, sign, theta): log|eta_perp|, log(A/2) for the poles (pp, pm,
+    mp, mm) as a 4-tuple, the sign of eta_perp and theta_noise, each shaped
+    like t or constant. The last two are the t-derivatives of log_eta and
+    log_half (None for custom models, whose slope is not analytic).
+    `xp` is numpy for an array t and `_FloatMath` for a float t.
+
+    Named models give sign 1.0 and theta 0.0 and are written out in exact
+    logarithms (g = exp(-gamma t)), so that N * log(...) keeps full
+    precision at large N; a vanishing coefficient gives -inf. They are
+    CPTP for every gamma, t >= 0 (their smallest Choi eigenvalue is 0, or
+    (1 - g)/2 for dpc). A custom model goes through `params_at` point by
+    point, and a ValueError is raised unless every point is finite and
+    CPTP (a NaN Choi eigenvalue counts as not CPTP).
     """
     gamma = model.gamma
     if model.kind == "custom":
-        params, bad = _custom_params(model, t)
+        points = [params_at(model, float(s)) for s in np.ravel(t)]
+        params = points[0] if xp is _FloatMath else ChannelParams(*(
+            np.array([getattr(p, name) for p in points]).reshape(np.shape(t))
+            for name in ("theta_noise", "eta_perp", "eta_par", "kappa")
+        ))
+        with np.errstate(invalid="ignore"):
+            bad = ~(_choi_min(a_coefficients(params), params.eta_perp) >= -CP_TOL)
         if bad.any():
             where = float(np.ravel(t)[np.argmax(bad)])
             raise ValueError(f"model parameters at t={where} are not CPTP")
-        return (*_log_params(params, np), None, None)
+        return _log_params(params, xp), None, None
     x = gamma * t
     if model.kind == "pdc":  # A++ = A+- = 2, A-+ = A-- = 0
-        return -x, (0.0, 0.0, -math.inf, -math.inf), -gamma, (0.0, 0.0, 0.0, 0.0)
+        return (-x, (0.0, 0.0, -math.inf, -math.inf), 1.0, 0.0), -gamma, (0.0, 0.0, 0.0, 0.0)
     em1 = xp.expm1(-x)  # g - 1
     # d/dt log(1 - g) = gamma g / (1 - g)
     d_low = -gamma * (1.0 + em1) / em1 if slope else None
     if model.kind == "adc":  # A++ = 2g, A+- = 2, A-+ = 0, A-- = 2(1 - g)
         log_half = (-x, 0.0, -math.inf, xp.log(-em1))
-        return -0.5 * x, log_half, -0.5 * gamma, (-gamma, 0.0, 0.0, d_low)
+        return (-0.5 * x, log_half, 1.0, 0.0), -0.5 * gamma, (-gamma, 0.0, 0.0, d_low)
     # dpc: A++ = A+- = 1 + g, A-+ = A-- = 1 - g
     high, low = xp.log1p(0.5 * em1), xp.log(-em1) - _LOG2
     d_high = -gamma * (1.0 + em1) / (2.0 + em1) if slope else None
-    return -x, (high, high, low, low), -gamma, (d_high, d_high, d_low, d_low)
+    return (-x, (high, high, low, low), 1.0, 0.0), -gamma, (d_high, d_high, d_low, d_low)
 
 
 def is_cptp(params: ChannelParams) -> bool:
@@ -293,6 +299,11 @@ def is_cptp(params: ChannelParams) -> bool:
     return choi_min_eigenvalue(params) >= -CP_TOL
 
 
+def _require_cptp(params: ChannelParams) -> None:
+    if not is_cptp(params):
+        raise ValueError("channel parameters are not CPTP")
+
+
 def affine_apply(params: ChannelParams, omega: float, t: float, r: np.ndarray) -> np.ndarray:
     """Map a Bloch vector through the channel with frequency encoding.
 
@@ -302,8 +313,7 @@ def affine_apply(params: ChannelParams, omega: float, t: float, r: np.ndarray) -
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
-    if not is_cptp(params):
-        raise ValueError("channel parameters are not CPTP")
+    _require_cptp(params)
     if np.linalg.norm(r) > 1.0 + 1e-9:
         raise ValueError(f"Bloch vector norm {np.linalg.norm(r):.6f} exceeds 1")
     return (superoperator(params, omega, t) @ np.array([1.0, *r]))[1:]

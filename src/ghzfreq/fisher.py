@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import NoiseModel, _FloatMath, _log_channel, params_at
+from .channel import _TINY, NoiseModel, _FloatMath, _log_channel, params_at
 from .state import (
     STRATEGIES,
     ProbeSpec,
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 SLD_EIGENVALUE_CUTOFF = 1e-12
-_TINY = sys.float_info.min  # smallest normal double; below it a result has underflowed
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ def _log_f_phase(terms, w, log_w, n, model: NoiseModel, t, xp, slope: bool):
     (rows, points) t, one row per probe.
     """
     power = n if terms else 1
-    log_eta, log_half, d_eta, d_half = _log_channel(model, t, xp, slope)
+    (log_eta, log_half, _, _), d_eta, d_half = _log_channel(model, t, xp, slope)
     d_f = None
     if slope and d_eta is not None:
         d_f = 2.0 * power * d_eta + 0.0 * t  # shaped like t
@@ -90,9 +88,7 @@ def _log_f_phase(terms, w, log_w, n, model: NoiseModel, t, xp, slope: bool):
     return log_f, d_f
 
 
-def log_qfi_phase(
-    strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel, t, slope: bool = False
-):
+def log_qfi_phase(strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel, t):
     """log F_phase of one strategy's closed form, at one time or over an array of times.
 
     For the GHZ strategies (those with block terms in `state.STRATEGIES`)
@@ -105,29 +101,24 @@ def log_qfi_phase(
     log(4 |c1 c2|^2 N) + 2 log|eta_perp|. Nothing is raised to the N-th
     power in linear space, so the value neither underflows nor loses
     precision at large N*gamma*t. A vanishing numerator or block trace gives
-    -inf. The spec's ancilla count is not checked here.
+    -inf. The spec's ancilla count is not checked here; a custom model that
+    is not finite or not CPTP at t raises ValueError.
 
     Returns a float (computed with `math` alone) for a float t of a named
-    model, else an array shaped like t. With `slope` set, returns the pair
-    (log F, d/dt log F), taken at gamma*t > 0; the derivative is analytic
-    for the named models and None for custom ones.
+    model, else an array shaped like t.
     """
     scalar = isinstance(t, (int, float)) and model.kind != "custom"
     t_arr = float(t) if scalar else np.asarray(t, dtype=float)
     low = t_arr if scalar else float(t_arr.min())
     if low < 0.0:
         raise ValueError(f"interrogation time must be >= 0, got {low}")
-    if slope and model.gamma * low == 0.0:
-        raise ValueError("the slope of log F is taken at gamma*t > 0 only")
     terms = STRATEGIES[strategy].block_terms
     w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
     probe = (w, (_FloatMath.log(w[0]), _FloatMath.log(w[1])), spec.n_probes)
     if scalar:
-        log_f, d_f = _log_f_phase(terms, *probe, model, t_arr, _FloatMath, slope)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_f, d_f = _log_f_phase(terms, *probe, model, t_arr, np, slope)
-    return (log_f, d_f) if slope else log_f
+        return _log_f_phase(terms, *probe, model, t_arr, _FloatMath, False)[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _log_f_phase(terms, *probe, model, t_arr, np, False)[0]
 
 
 def qfi_closed(

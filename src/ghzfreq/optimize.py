@@ -31,21 +31,20 @@ does not grow with the probe range, and packages the per-N results
 (optimal time, peak value, ratio against the best uncorrelated scheme, and
 the readout saturation gap at the optimum) into rows ready for tabulation.
 The gaps of a batch are formed in one array pass as well
-(`measurement._saturation_gaps`), from the log F_phase that the optimizer's
-last evaluation gives at t_opt; `measurement.saturation_check` is the
-one-row call of that pass.
+(`measurement._saturation_gaps`), from the batch's probe table and the
+log F_phase that the optimizer's last evaluation gives at t_opt;
+`measurement.saturation_check` is the one-row call of that pass.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import NoiseModel, _FloatMath
+from .channel import _TINY, NoiseModel, _FloatMath
 from .fisher import _log_f_phase, qfi_closed
 from .measurement import _saturation_gaps, saturation_check
 from .state import STRATEGIES, ProbeSpec, StrategyKind, _probe_table, _row_name, check_ancillas
@@ -74,7 +73,6 @@ _REFINE_STEPS = np.arange(1.0, REFINE_POINTS + 1)
 # fewer numpy calls per row: the 60 rows of `sweep --n 1:30` ran about 8%
 # faster as one batch, with 0.5 MB more peak memory.
 BATCH_ROWS = 32
-_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -208,19 +206,23 @@ def _slope_roots(terms, table, model, a, b, rows) -> np.ndarray:
 
 
 def _maximize_rows(
-    rows: Sequence[tuple[StrategyKind, ProbeSpec]], model: NoiseModel
+    rows: Sequence[tuple[StrategyKind, ProbeSpec]],
+    probe_table: tuple[tuple, np.ndarray],
+    model: NoiseModel,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t_opt, f_over_t_max, log F_phase at t_opt) of each (strategy, spec)
     row as (rows,) arrays, all rows in one batch.
 
-    The rows are either all correlated (GHZ) or all uncorrelated. Their
-    strategies' block terms are joined, in `STRATEGIES` order, and a row
-    gives a term its strategy lacks the log weight -inf, so one array call
-    evaluates every row. The scan is one (rows, SCAN_POINTS) call; the slope
-    search then follows each row's own bracket (`_slope_roots`). Every check
+    The rows are either all correlated (GHZ) or all uncorrelated.
+    probe_table is `state._probe_table(rows)`: their strategies' block
+    terms joined, in `STRATEGIES` order, where a row gives a term its
+    strategy lacks the log weight -inf, so one array call evaluates every
+    row. The scan is one (rows, SCAN_POINTS) call; the slope search then
+    follows each row's own bracket (`_slope_roots`). Every check
     of `maximize_f_over_t` is made per row, and a failure names the row's
     strategy and N. The last evaluation, at t_opt, gives both f_over_t_max
-    and log F_phase, which `sweep` passes on to the saturation gap.
+    and log F_phase, which `sweep` passes on to the saturation gap with the
+    same probe table.
     """
     if model.gamma <= 0:
         raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
@@ -229,7 +231,7 @@ def _maximize_rows(
     correlated = {STRATEGIES[kind].correlated for kind, _ in rows}
     if len(correlated) != 1:
         raise ValueError("a batch holds either correlated or uncorrelated rows, not both")
-    terms, table = _probe_table(rows)
+    terms, table = probe_table
     lo = np.full(len(rows), SCAN_WINDOW[0] / model.gamma)
     if correlated.pop():
         lo /= table[-1]
@@ -285,7 +287,8 @@ def maximize_f_over_t(
     the slope of log(F/t) does not change sign between the scan points
     either side of the peak.
     """
-    t_opt, best, _ = _maximize_rows([(strategy, spec)], model)
+    rows = [(strategy, spec)]
+    t_opt, best, _ = _maximize_rows(rows, _probe_table(rows), model)
     return float(t_opt[0]), float(best[0])
 
 
@@ -342,8 +345,9 @@ def sweep(
                  for n in probes for s in correlated]
         optima = iter(())
         if batch:
-            t_opt, best, log_f = _maximize_rows(batch, model)
-            _, gaps = _saturation_gaps(batch, model, t_opt, log_f, 0.0)
+            probe_table = _probe_table(batch)
+            t_opt, best, log_f = _maximize_rows(batch, probe_table, model)
+            _, gaps = _saturation_gaps(batch, probe_table, model, t_opt, log_f, 0.0)
             optima = zip(t_opt.tolist(), best.tolist(), gaps.tolist())
         for n in probes:
             best_unc = n * best_single

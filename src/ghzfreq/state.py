@@ -25,8 +25,7 @@ from .channel import (
     _FloatMath,
     _log_channel,
     _log_params,
-    is_cptp,
-    params_at,
+    _require_cptp,
     superoperator,
 )
 
@@ -229,11 +228,6 @@ def ghz_state(spec: ProbeSpec) -> DenseState:
     return DenseState(np.outer(psi, psi.conj()), n)
 
 
-def _require_cptp(params: ChannelParams) -> None:
-    if not is_cptp(params):
-        raise ValueError("channel parameters are not CPTP")
-
-
 def _block_log_terms(terms, log_w, n, log_half) -> Iterator:
     """log(w (A/2)^N) of each block term (i, pole, side), one at a time,
     log_w[i] being its log weight and n the probe count.
@@ -283,16 +277,18 @@ def _row_name(row: tuple[StrategyKind, ProbeSpec], model: NoiseModel) -> str:
     return f"strategy={kind.value} model={model.kind} n={spec.n_probes}"
 
 
-def _block(terms, log_w, n, c12, sign, theta, log_eta, log_half, omega, t, xp):
+def _block(terms, log_w, n, c12, record, omega, t, xp):
     """The coherence block's entries (r00, r11, r01) and phase_total, from log space.
 
     Floats for one probe (xp = `_FloatMath`), or (rows,) arrays for a batch
-    of probes (xp = numpy). r00 and r11 sum exp(log w + N log(A/2)) over the
-    block terms on their side (`_block_log_terms`; a term of log weight -inf
-    adds 0), and r01 = c12 sign^N exp(N log|eta_perp|) exp(-i phase_total),
-    with c12 = c1 conj(c2), sign that of eta_perp and phase_total =
-    N (theta_noise + omega t).
+    of probes (xp = numpy). `record` is the channel's log-space record
+    (log_eta, log_half, sign, theta) of `channel._log_channel`. r00 and r11
+    sum exp(log w + N log(A/2)) over the block terms on their side
+    (`_block_log_terms`; a term of log weight -inf adds 0), and r01 = c12
+    sign^N exp(N log|eta_perp|) exp(-i phase_total), with c12 = c1 conj(c2)
+    and phase_total = N (theta_noise + omega t).
     """
+    log_eta, log_half, sign, theta = record
     diag = [0.0, 0.0]
     for (_, _, side), value in zip(terms, _block_log_terms(terms, log_w, n, log_half)):
         diag[side] = diag[side] + xp.exp(value)
@@ -301,11 +297,10 @@ def _block(terms, log_w, n, c12, sign, theta, log_eta, log_half, omega, t, xp):
     return diag[0], diag[1], c12 * eta_n * (xp.cos(phase) - 1j * xp.sin(phase)), phase
 
 
-def _block_matrix(terms, spec, params, log_eta, log_half, omega, t) -> tuple[np.ndarray, float]:
+def _block_matrix(terms, spec, record, omega, t) -> tuple[np.ndarray, float]:
     """The 2x2 coherence block of one probe (`_block`) and its phase_total."""
     r00, r11, off, phase = _block(
-        terms, _log_weights(spec), spec.n_probes, spec.c1 * spec.c2.conjugate(),
-        math.copysign(1.0, params.eta_perp), params.theta_noise, log_eta, log_half,
+        terms, _log_weights(spec), spec.n_probes, spec.c1 * spec.c2.conjugate(), record,
         omega, t, _FloatMath,
     )
     return np.array([[r00, off], [off.conjugate(), r11]], dtype=complex), phase
@@ -318,20 +313,19 @@ def coherence_block(
 
     The block carries the phase and costs O(1) in N. Its off-diagonal is
     c1*conj(c2)*eta_perp^N*exp(-i*phase_total), phase_total =
-    N*(theta_noise + omega*t); its diagonal holds the block terms w (A/2)^N
-    of the spec's strategy (`ghz_strategy`). Every entry is built from
-    N*log(A/2) and N*log|eta_perp| (keeping eta_perp's sign), the model's
-    exact logarithms that `fisher.log_qfi_phase` sums, so the block and the
-    closed-form information agree at any N.
+    N*(theta_noise + omega*t), a float; its diagonal holds the block terms
+    w (A/2)^N of the spec's strategy (`ghz_strategy`). Every entry is built
+    from the model's log-space record (`channel._log_channel`: N*log(A/2),
+    N*log|eta_perp|, the sign of eta_perp and theta_noise), the terms that
+    `fisher.log_qfi_phase` sums, so the block and the closed-form
+    information agree at any N. A custom model that is not finite or not
+    CPTP at t raises ValueError.
     """
-    params = params_at(model, t)
-    if model.kind == "custom":
-        _require_cptp(params)
-        log_eta, log_half = _log_params(params, _FloatMath)
-    else:
-        log_eta, log_half, _, _ = _log_channel(model, t, _FloatMath, False)
+    if t < 0:
+        raise ValueError(f"interrogation time must be >= 0, got {t}")
+    record, _, _ = _log_channel(model, t, _FloatMath, False)
     terms = STRATEGIES[ghz_strategy(spec.n_ancillas)].block_terms
-    return _block_matrix(terms, spec, params, log_eta, log_half, omega, t)
+    return _block_matrix(terms, spec, record, omega, t)
 
 
 def _residual_families(kind: StrategyKind, n: int):
@@ -361,10 +355,9 @@ def evolve_directsum(
         raise ValueError(f"strategy {kind.value!r} has no shared coherence block")
     check_ancillas(kind, spec.n_ancillas)
     _require_cptp(params)
-    log_eta, log_half = _log_params(params, _FloatMath)
-    block, phase = _block_matrix(
-        STRATEGIES[kind].block_terms, spec, params, log_eta, log_half, omega, t
-    )
+    record = _log_params(params, _FloatMath)
+    block, phase = _block_matrix(STRATEGIES[kind].block_terms, spec, record, omega, t)
+    log_half = record[1]
     n = spec.n_probes
     log_w = _log_weights(spec)
     log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # log k!

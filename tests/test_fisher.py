@@ -5,8 +5,9 @@ import pytest
 
 from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc
 from ghzfreq.fisher import _sld_qfi, qfi_closed, qfi_sld_oracle
-from ghzfreq.optimize import StrategyKind, maximize_f_over_t
-from ghzfreq.state import ProbeSpec, evolve_dense
+from ghzfreq.measurement import GhzObservable, error_propagation_sensitivity, saturation_check
+from ghzfreq.optimize import StrategyKind, maximize_f_over_t, sweep
+from ghzfreq.state import ProbeSpec, coherence_block, evolve_dense
 
 MODELS = [adc, dpc, pdc]
 
@@ -193,3 +194,17 @@ class TestCustomModelsOutsideTheDomain:
     def test_maximizer_raises(self, name):
         with pytest.raises(ValueError, match="not finite|not CPTP"):
             maximize_f_over_t(StrategyKind.GHZ_FREE, ProbeSpec.balanced(2), BAD_CUSTOM[name])
+
+    @pytest.mark.parametrize("name", sorted(BAD_CUSTOM))
+    def test_block_readout_and_sweep_raise(self, name):
+        # each reaches the check through the model's log-space record
+        model, spec = BAD_CUSTOM[name], ProbeSpec.balanced(2)
+        calls = [
+            lambda: coherence_block(spec, model, 0.3, 0.5),
+            lambda: saturation_check(spec, model, 0.5, 0.3),
+            lambda: error_propagation_sensitivity(spec, model, 0.5, 0.3, GhzObservable(2)),
+            lambda: sweep(model, 1, 3),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="not finite|not CPTP"):
+                call()

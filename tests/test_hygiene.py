@@ -1,0 +1,77 @@
+"""Static checks on the package source with the stdlib `ast` module: no import
+goes unused and no module-level private name is left without a reader, so
+a consolidation cannot leave an orphan behind."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ghzfreq"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _all_names(tree: ast.Module) -> set[str]:
+    """The strings of the module's `__all__`, empty if it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """Every name an import statement of the module binds, `__future__` aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _loaded(tree: ast.Module) -> set[str]:
+    """Every name the module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The module-level names starting with one underscore that the module defines."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_the_package_is_parsed():
+    assert {"__init__", "channel", "state", "fisher", "measurement", "optimize"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_import_is_used_or_exported(module):
+    tree = MODULES[module]
+    unused = _imported(tree) - _loaded(tree) - _all_names(tree)
+    assert not unused, f"{module}.py imports {sorted(unused)} without using them"
+
+
+def test_every_private_name_has_a_reader():
+    read_anywhere = set().union(*map(_loaded, MODULES.values()))
+    orphans = sorted(
+        f"{module}.{name}"
+        for module, tree in MODULES.items()
+        for name in _private_definitions(tree) - read_anywhere
+    )
+    assert not orphans, f"module-level private names that nothing reads: {orphans}"

@@ -351,7 +351,13 @@ class TestSaturationGap:
         counted(optimize, "saturation_check")
         for name in ("log_qfi_phase", "coherence_block", "GhzObservable"):
             counted(measurement, name)
+        # both the optimizer and the gap pass of a batch read one probe table
+        counted(optimize, "_probe_table")
+        counted(measurement, "_probe_table")
         assert len(sweep(adc(1.3), 1, 30)) == 90
         assert calls["saturation_check"] <= 1
         assert calls["log_qfi_phase"] <= 1
         assert calls["coherence_block"] == calls["GhzObservable"] == 0
+        # one per batch of 32 rows (two here), plus the one-row uncorrelated
+        # optimum and saturation check
+        assert calls["_probe_table"] <= 4

@@ -1,14 +1,17 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from ghzfreq.channel import ChannelParams, adc, dpc, params_at, pdc, superoperator
+from ghzfreq import channel, state
+from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc, superoperator
 from ghzfreq.state import (
     MAX_DENSE_QUBITS,
     ProbeSpec,
     StrategyKind,
     assert_consistency,
+    coherence_block,
     evolve_dense,
     evolve_directsum,
     ghz_state,
@@ -335,3 +338,47 @@ class TestConsistencyChecker:
         dense = evolve_dense(ProbeSpec.balanced(2), params, 0.0, 0.5)
         with pytest.raises(ValueError):
             assert_consistency(ds, dense)
+
+
+def _rotating_rule(t):
+    """A CPTP custom map with a noise rotation theta_noise != 0 and eta_perp < 0."""
+    g = math.exp(-t)
+    return ChannelParams(0.4 + 0.3 * t, -g, g, g - 1.0)
+
+
+class TestCoherenceBlock:
+    """`coherence_block` reads the model's log-space record, for named and custom maps alike."""
+
+    @pytest.mark.parametrize("model", [adc(1.3), custom(_rotating_rule, 1.3)], ids=["adc", "custom"])
+    def test_phase_total_is_a_float(self, model):
+        spec, omega, t = ProbeSpec(0.6, 0.8, 3), 0.7, 0.45
+        block, phase = coherence_block(spec, model, omega, t)
+        assert type(phase) is float
+        theta = 0.4 + 0.3 * t if model.kind == "custom" else 0.0
+        assert phase == 3 * (theta + omega * t)
+        params = params_at(model, t)
+        ds = evolve_directsum(StrategyKind.GHZ_FREE, spec, params, omega, t)
+        assert type(ds.phase_total) is float and ds.phase_total == phase
+        eta_n = params.eta_perp**3  # negative for the custom map
+        assert block[0, 1] == pytest.approx(0.48 * eta_n * np.exp(-1j * phase), rel=1e-14)
+
+    def test_named_model_reads_no_params_at(self, monkeypatch):
+        # an exact work count: a named model's record is written out in logarithms
+        calls = collections.Counter()
+        original = channel.params_at
+
+        def counted(*args, **kwargs):
+            calls["params_at"] += 1
+            return original(*args, **kwargs)
+
+        for module in (channel, state):
+            if hasattr(module, "params_at"):
+                monkeypatch.setattr(module, "params_at", counted)
+        coherence_block(ProbeSpec.balanced(4), dpc(1.0), 0.3, 0.2)
+        assert calls["params_at"] == 0
+        coherence_block(ProbeSpec.balanced(4), custom(_rotating_rule), 0.3, 0.2)
+        assert calls["params_at"] == 1
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            coherence_block(ProbeSpec.balanced(2), adc(1.0), 0.0, -0.5)
