@@ -186,34 +186,40 @@ def choi_min_eigenvalue(params: ChannelParams) -> float:
 
     The Choi matrix is a 2x2 coherence block on the {|00>, |11>} corner plus
     two decoupled diagonal entries, so its spectrum is available without a
-    numerical eigensolver.
+    numerical eigensolver. It is NaN where it is undefined, as when a pole
+    coefficient overflows to inf and the corner reads inf - inf.
     """
-    return float(_choi_min(a_coefficients(params), params.eta_perp))
+    fields = (float(params.eta_perp), float(params.eta_par), float(params.kappa))
+    return _choi_min(ChannelParams(0.0, *fields), _FloatMath)
 
 
-def _choi_min(a: ACoefficients, eta_perp):
-    """Smallest Choi eigenvalue from the pole coefficients; elementwise on arrays."""
+def _choi_min(params: ChannelParams, xp):
+    """Smallest Choi eigenvalue; elementwise on array fields (xp numpy), or
+    of float fields (xp `_FloatMath`), whose arithmetic gives inf - inf = NaN
+    without a warning."""
+    a = a_coefficients(params)
     s = 0.25 * (a.a_pp + a.a_pm)
     d = 0.25 * (a.a_pp - a.a_pm)
-    corner_min = s - np.hypot(d, eta_perp)
-    return np.minimum(np.minimum(0.5 * a.a_mp, 0.5 * a.a_mm), corner_min)
+    corner_min = s - xp.hypot(d, params.eta_perp)
+    return xp.minimum(xp.minimum(0.5 * a.a_mp, 0.5 * a.a_mm), corner_min)
 
 
 _LOG2 = math.log(2.0)
 
 
 class _FloatMath:
-    """The numpy functions the log-space terms and the coherence block use,
-    for one Python float.
+    """The numpy functions the log-space terms, the coherence block and the
+    Choi minimum use, for one Python float.
 
     A numpy call costs about a microsecond whatever its size, which would
     make a single-point evaluation several times slower than the array
-    evaluation of a whole scan step. `log` returns -inf at 0 and `fmax`
-    ignores NaN, as their numpy counterparts do under np.errstate.
+    evaluation of a whole scan step. `log` returns -inf at 0, `fmax`
+    ignores NaN and `minimum` propagates it, as their numpy counterparts do
+    under np.errstate.
     """
 
     exp, expm1, log1p, maximum, cos, sin = math.exp, math.expm1, math.log1p, max, math.cos, math.sin
-    copysign = math.copysign
+    copysign, hypot = math.copysign, math.hypot
 
     @staticmethod
     def log(value: float) -> float:
@@ -227,6 +233,11 @@ class _FloatMath:
     @staticmethod
     def fmax(a: float, b: float) -> float:
         return b if math.isnan(a) else max(a, b)
+
+    @staticmethod
+    def minimum(a: float, b: float) -> float:
+        """min(a, b), NaN if either is NaN, as numpy's."""
+        return a if a <= b or math.isnan(a) else b
 
 
 def _log_params(params: ChannelParams, xp):
@@ -264,8 +275,7 @@ def _log_channel(model: NoiseModel, t, xp, slope: bool):
             np.array([getattr(p, name) for p in points]).reshape(np.shape(t))
             for name in ("theta_noise", "eta_perp", "eta_par", "kappa")
         ))
-        with np.errstate(invalid="ignore"):
-            bad = ~(_choi_min(a_coefficients(params), params.eta_perp) >= -CP_TOL)
+        bad = np.logical_not(_choi_min(params, xp) >= -CP_TOL)
         if bad.any():
             where = float(np.ravel(t)[np.argmax(bad)])
             raise ValueError(f"model parameters at t={where} are not CPTP")
@@ -294,9 +304,11 @@ def is_cptp(params: ChannelParams) -> bool:
         a_mp >= 0,  a_mm >= 0,  a_pp * a_pm >= 4 * eta_perp**2,
 
     evaluated as a minimum-eigenvalue threshold so the verdict agrees with a
-    numerical Choi eigensolver to within CP_TOL.
+    numerical Choi eigensolver to within CP_TOL. The spectrum does not
+    depend on theta_noise, but the Choi matrix holds exp(i theta_noise), so
+    a non-finite theta_noise is not CPTP either; nor is a NaN spectrum.
     """
-    return choi_min_eigenvalue(params) >= -CP_TOL
+    return math.isfinite(params.theta_noise) and choi_min_eigenvalue(params) >= -CP_TOL
 
 
 def _require_cptp(params: ChannelParams) -> None:

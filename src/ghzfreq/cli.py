@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 from typing import Callable
@@ -34,13 +36,17 @@ import numpy as np
 
 from .channel import NoiseModel, a_coefficients, adc, choi_matrix, dpc, is_cptp, params_at, pdc
 from .fisher import qfi_closed, qfi_sld_oracle
-from .optimize import StrategyKind, sweep, table1
+from .optimize import StrategyKind, SweepRow, sweep, table1
 from .state import STRATEGIES, ProbeSpec, block_probe, check_ancillas
 from .verify import run_verification
 
 __all__ = ["run", "main"]
 
 _MODEL_FACTORIES = {"adc": adc, "dpc": dpc, "pdc": pdc}
+_SWEEP_FLOAT_COLUMNS = ("gamma", "t_opt", "f_over_t_max", "ratio_r", "saturation_gap")
+_sweep_floats = operator.attrgetter(*_SWEEP_FLOAT_COLUMNS)
+_SWEEP_HEADER = ",".join(field.name for field in dataclasses.fields(SweepRow)) + "\n"
+_SWEEP_LINE = "%d,%s,%s" + ",%.17g" * len(_SWEEP_FLOAT_COLUMNS) + "\n"
 # the command-line spelling of a strategy is its value with dashes
 _STRATEGY_BY_FLAG = {kind.value.replace("_", "-"): kind for kind in StrategyKind}
 
@@ -222,9 +228,29 @@ def _cmd_table1(ns: argparse.Namespace) -> tuple[str, int]:
     return _render(records, ns.format), 0
 
 
+def _sweep_csv(rows: list[SweepRow]) -> str:
+    """The CSV of `_render` for sweep rows, one `%` format per line.
+
+    No field of a sweep row needs quoting, and `%.17g` is `_fmt_cell` of a
+    float, so the bytes are those of `csv.writer`.
+    """
+    cells = [_sweep_floats(row) for row in rows]
+    finite = np.isfinite(cells)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NumericalFailure(
+            f"non-finite value in column {_SWEEP_FLOAT_COLUMNS[j]!r}: {cells[i][j]}"
+        )
+    lines = [_SWEEP_LINE % (row.n, row.strategy.value, row.model, *floats)
+             for row, floats in zip(rows, cells)]
+    return _SWEEP_HEADER + "".join(lines)
+
+
 def _cmd_sweep(ns: argparse.Namespace) -> tuple[str, int]:
     rows = sweep(_noise_model(ns), *ns.n, strategies=ns.strategy, c1=ns.c1)
-    return _render([row.as_dict() for row in rows], ns.format), 0
+    if ns.format == "json":
+        return _render([row.as_dict() for row in rows], "json"), 0
+    return _sweep_csv(rows), 0
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:

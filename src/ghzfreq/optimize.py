@@ -13,11 +13,18 @@ log weight -inf. Two stages:
     which also certifies that each row's sampled profile rises to a single
     interior peak;
   * a bracketing search on the sign of d/dt log(F/t) between the scan
-    points either side of each row's peak. Each step evaluates the slope at
-    REFINE_POINTS interior points of every bracket still open in one call
-    and keeps, per row, the sub-interval where it changes sign. The slope is
-    analytic for the named models and a central difference of log(F/t) for
-    custom ones.
+    points either side of each row's peak. Each call evaluates the slope at
+    two points of every bracket still open and keeps, per row, the
+    sub-interval where it changes sign. The first call's points lie either
+    side of the vertex of the parabola through the scan's log(F/t) around
+    the peak; each later call's lie either side of the secant root of the
+    row's bracket, at a distance that shrinks with the square of its width.
+    On the named models, up to N = 10**9 at least, three calls (8 slope
+    values per row) narrow every bracket below REFINE_REL_WIDTH. A window that would leave a bracket
+    wider than bisection allows, with one call to spare, is widened toward
+    its midpoint, so no slope takes more calls than bisection plus one. The
+    slope is analytic for the named models and a central difference of
+    log(F/t) for custom ones.
 
 A row is frozen once its bracket is narrow enough and is evaluated no more,
 so its result is the same to the bit whichever rows share its batch;
@@ -64,10 +71,9 @@ SCAN_POINTS = 200
 # in units of 1/gamma; for the GHZ strategies the lower edge is also divided
 # by N, since their optimum sits near 1/(N gamma)
 SCAN_WINDOW = (1e-4, 1e2)
-REFINE_POINTS = 64
+GUESS_REL_WIDTH = 6e-3  # half-width, relative, of the first slope window
 REFINE_REL_WIDTH = 1e-8  # bracket width, relative, at which the slope is interpolated
 _SCAN_STEPS = np.arange(float(SCAN_POINTS))
-_REFINE_STEPS = np.arange(1.0, REFINE_POINTS + 1)
 # rows that `sweep` optimizes in one batch. About ten (BATCH_ROWS, SCAN_POINTS)
 # arrays of 51 kB are alive at once during the scan. A larger batch makes
 # fewer numpy calls per row: the 60 rows of `sweep --n 1:30` ran about 8%
@@ -157,24 +163,34 @@ def _log_slope(
     return slope
 
 
-def _interior(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """REFINE_POINTS evenly spaced points strictly inside each row's [a, b]."""
-    return a[:, None] + _REFINE_STEPS * ((b - a) / (REFINE_POINTS + 1))[:, None]
-
-
-def _slope_roots(terms, table, model, a, b, rows) -> np.ndarray:
+def _slope_roots(terms, table, model, a, b, guess, rows) -> np.ndarray:
     """Locate the sign change of each row's decreasing slope inside [a, b].
 
-    Each step evaluates the slope of every row still searching at
-    REFINE_POINTS evenly spaced interior points of its bracket in one call
-    and keeps the sub-interval ending at the first point where it is no
-    longer positive. A row whose bracket is narrower than REFINE_REL_WIDTH
-    is frozen: its root is interpolated linearly between the bracket's ends
+    Each call evaluates the slope at two points of every bracket still open
+    and keeps, per row, the sub-interval where it changes sign. The first
+    call also evaluates the bracket's ends, and its two points lie
+    GUESS_REL_WIDTH either side of the row's first guess. Each later call
+    evaluates two points either side of the secant (regula falsi) root of
+    the bracket [a, b], at a distance w**2 / (4 b) that shrinks with the
+    bracket's width w. The secant interpolates t times the slope, which is
+    linear in t for pdc and nearly so for the other models.
+
+    A row's k-th call must leave its bracket at most w0 * 2**(1 - k) wide,
+    w0 being the starting width, so a window is widened toward the
+    bracket's midpoint where it would leave more (as in ITP, Oliveira &
+    Takahashi, ACM TOMS 47(1), 2020). A row thus takes at most
+    ceil(log2(w0 / (REFINE_REL_WIDTH * b))) + 1 calls, one more than
+    bisection. A row whose bracket is narrower than REFINE_REL_WIDTH is
+    frozen: its root is interpolated linearly between the bracket's ends
     and it is evaluated no more, so what it returns does not depend on the
     other rows of the batch.
     """
     slope = _log_slope(terms, table, model)
-    points = np.concatenate([a[:, None], _interior(a, b), b[:, None]], axis=1)
+    budget = b - a  # the widest bracket each row's next call may leave
+    # fmin and fmax pass over a NaN guess, which puts the window at a + half
+    half = np.fmin(GUESS_REL_WIDTH * guess, 0.25 * budget)
+    centre = np.fmin(np.fmax(guess, a + half), b - half)
+    points = np.stack([a, centre - half, centre + half, b], axis=1)
     values = slope(points)
     changes = (values[:, 0] > 0.0) & (values[:, -1] < 0.0)
     if not changes.all():
@@ -192,15 +208,24 @@ def _slope_roots(terms, table, model, a, b, rows) -> np.ndarray:
         right = np.argmax(values <= 0.0, axis=1) + np.arange(0, values.size, values.shape[1])
         a, b = points.take(right - 1), points.take(right)
         s_a, s_b = values.take(right - 1), values.take(right)
-        done = b - a <= REFINE_REL_WIDTH * b
+        w = b - a
+        done = w <= REFINE_REL_WIDTH * b
         if done.any():
-            roots[active[done]] = (a + (b - a) * s_a / (s_a - s_b))[done]
+            roots[active[done]] = (a + w * s_a / (s_a - s_b))[done]
             if done.all():
                 return roots
             keep = ~done
-            active, a, b, s_a, s_b = active[keep], a[keep], b[keep], s_a[keep], s_b[keep]
+            active, a, b, w, s_a, s_b, budget = (
+                v[keep] for v in (active, a, b, w, s_a, s_b, budget)
+            )
             slope = _log_slope(terms, table[:, active], model)
-        inner = _interior(a, b)
+        budget = 0.5 * budget
+        y_a, y_b = a * s_a, b * s_b
+        half = 0.25 * w * w / b  # below w / 4, since w < b
+        centre = np.fmin(np.fmax(a + w * y_a / (y_a - y_b), a + half), b - half)
+        inner = np.stack(
+            [np.fmin(centre - half, a + budget), np.fmax(centre + half, b - budget)], axis=1
+        )
         points = np.concatenate([a[:, None], inner, b[:, None]], axis=1)
         values = np.concatenate([s_a[:, None], slope(inner), s_b[:, None]], axis=1)
 
@@ -265,7 +290,13 @@ def _maximize_rows(
                 f"sampled profile is not unimodal over the scan window: {_row_name(rows[r], model)}"
             )
         row = np.arange(len(rows))
-        t_opt = _slope_roots(terms, table, model, grid[row, peak - 1], grid[row, peak + 1], rows)
+        # the vertex of the parabola through log(F/t) at the three scan
+        # points around the peak, in log t, where the grid is even
+        y0, y1, y2 = np.log(values[row[:, None], peak[:, None] + np.arange(-1, 2)]).T
+        guess = grid[row, peak] * np.exp(step * (y0 - y2) / (2.0 * (y0 - 2.0 * y1 + y2)))
+        t_opt = _slope_roots(
+            terms, table, model, grid[row, peak - 1], grid[row, peak + 1], guess, rows
+        )
         best, log_f = f(t_opt[:, None])
     return t_opt, best[:, 0], log_f[:, 0]
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 import ghzfreq
+from ghzfreq import cli
 from ghzfreq.cli import run
+from ghzfreq.optimize import sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -181,6 +184,67 @@ class TestSweep:
         for row in parse_csv(out):
             assert 0.0 < float(row["t_opt"]) < 1e-150
             assert abs(float(row["saturation_gap"])) <= 2e-15
+
+
+def _reference_csv(records):
+    """`records` rendered cell by cell with `csv.writer` and `cli._fmt_cell`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(records[0].keys())
+    for record in records:
+        writer.writerow(cli._fmt_cell(v) for v in record.values())
+    return buf.getvalue()
+
+
+SWEEP_RENDER_CASES = [
+    (model, gamma, c1, n, strategies)
+    for model in ("adc", "dpc", "pdc")
+    for gamma, c1, n, strategies in (
+        ("1e-300", 0.6, "3", None),
+        ("3.7e-42", 0.35, "1:4", "ghz-free"),
+        ("0.13", 0.9, "1:12", None),
+        ("1.3", 1.0 / math.sqrt(2.0), "5:9", "uncorrelated,ghz-ancilla"),
+        ("7", 0.2, "30:33", "ghz-free,ghz-ancilla"),
+        ("2.5e77", 0.75, "1:3", "uncorrelated"),
+        ("1e300", 0.55, "2", None),
+    )
+]
+
+
+class TestSweepRender:
+    """`sweep` writes each CSV row with one format string; the bytes are those
+    of `csv.writer` over `_fmt_cell`, and JSON is `json.dumps` of the records."""
+
+    @pytest.mark.parametrize("model,gamma,c1,n,strategies", SWEEP_RENDER_CASES)
+    def test_csv_and_json_bytes(self, model, gamma, c1, n, strategies, capsys):
+        argv = ["sweep", "--model", model, "--gamma", gamma, "--n", n, "--c1", repr(c1)]
+        if strategies is not None:
+            argv += ["--strategy", strategies]
+        lo, hi = map(int, n.split(":")) if ":" in n else (int(n), int(n))
+        chosen = None if strategies is None else cli._strategy_list(strategies)
+        rows = sweep(cli._MODEL_FACTORIES[model](float(gamma)), lo, hi, chosen, c1)
+        records = [row.as_dict() for row in rows]
+        code, out, err = run_capture(argv, capsys)
+        assert code == 0 and err == ""
+        assert out == _reference_csv(records)
+        code, out, err = run_capture([*argv, "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        assert out == json.dumps(records, indent=2) + "\n"
+
+    @pytest.mark.parametrize("field", ["t_opt", "f_over_t_max", "ratio_r", "saturation_gap"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cell_exits_3(self, field, bad, fmt, monkeypatch, capsys):
+        def poisoned(*args, **kwargs):
+            rows = sweep(*args, **kwargs)
+            return [*rows[:-1], dataclasses.replace(rows[-1], **{field: bad})]
+
+        monkeypatch.setattr(cli, "sweep", poisoned)
+        code, out, err = run_capture(
+            ["sweep", "--model", "adc", "--gamma", "1", "--n", "1:3", "--format", fmt], capsys
+        )
+        assert code == 3 and out == ""
+        assert f"non-finite value in column {field!r}" in err
 
 
 class TestLargeNSweep:

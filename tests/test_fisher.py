@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc
+from ghzfreq.channel import (
+    ChannelParams,
+    adc,
+    affine_apply,
+    custom,
+    dpc,
+    is_cptp,
+    params_at,
+    pdc,
+)
 from ghzfreq.fisher import _sld_qfi, qfi_closed, qfi_sld_oracle
 from ghzfreq.measurement import GhzObservable, error_propagation_sensitivity, saturation_check
 from ghzfreq.optimize import StrategyKind, maximize_f_over_t, sweep
-from ghzfreq.state import ProbeSpec, coherence_block, evolve_dense
+from ghzfreq.state import ProbeSpec, coherence_block, evolve_dense, evolve_directsum
 
 MODELS = [adc, dpc, pdc]
 
@@ -207,4 +216,20 @@ class TestCustomModelsOutsideTheDomain:
         ]
         for call in calls:
             with pytest.raises(ValueError, match="not finite|not CPTP"):
+                call()
+
+    @pytest.mark.parametrize("name", sorted(BAD_CUSTOM))
+    def test_fields_are_rejected_without_a_warning(self, name):
+        # the rule's fields as plain ChannelParams: is_cptp says False (Tier-1
+        # turns any RuntimeWarning into an error) and each evolution raises
+        params = BAD_CUSTOM[name].rule(0.5)
+        assert is_cptp(params) is False
+        spec = ProbeSpec.balanced(2)
+        calls = [
+            lambda: affine_apply(params, 0.3, 0.5, np.zeros(3)),
+            lambda: evolve_dense(spec, params, 0.3, 0.5),
+            lambda: evolve_directsum(StrategyKind.GHZ_FREE, spec, params, 0.3, 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="not CPTP"):
                 call()

@@ -1,6 +1,6 @@
 """Static checks on the package source with the stdlib `ast` module: no import
-goes unused and no module-level private name is left without a reader, so
-a consolidation cannot leave an orphan behind."""
+goes unused, and no module-level private name or UPPERCASE constant is left
+without a reader, so a consolidation cannot leave an orphan behind."""
 
 import ast
 from pathlib import Path
@@ -43,8 +43,8 @@ def _loaded(tree: ast.Module) -> set[str]:
     return names
 
 
-def _private_definitions(tree: ast.Module) -> set[str]:
-    """The module-level names starting with one underscore that the module defines."""
+def _definitions(tree: ast.Module) -> set[str]:
+    """The names the module defines at module level."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -53,7 +53,12 @@ def _private_definitions(tree: ast.Module) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The module-level names starting with one underscore that the module defines."""
+    return {n for n in _definitions(tree) if n.startswith("_") and not n.startswith("__")}
 
 
 def test_the_package_is_parsed():
@@ -75,3 +80,14 @@ def test_every_private_name_has_a_reader():
         for name in _private_definitions(tree) - read_anywhere
     )
     assert not orphans, f"module-level private names that nothing reads: {orphans}"
+
+
+def test_every_constant_is_exported_or_read():
+    read_anywhere = set().union(*map(_loaded, MODULES.values()))
+    orphans = sorted(
+        f"{module}.{name}"
+        for module, tree in MODULES.items()
+        for name in _definitions(tree) - _all_names(tree) - read_anywhere
+        if name.isupper()
+    )
+    assert not orphans, f"module-level constants that are neither exported nor read: {orphans}"

@@ -306,6 +306,82 @@ class TestBatch:
         assert all(abs(r.t_opt * 2.0 * r.n - 1.0) <= 1e-11 for r in rows)
 
 
+# slopes that defeat a plain secant search on [1, 1.3]: a near-step, a
+# step with a tiny positive shelf, and cubics with a triple root near an end
+ADVERSARIAL_SLOPES = {
+    "tanh step": lambda t: -np.tanh((t - 1.0113) / 1e-10),
+    "tiny shelf": lambda t: np.where(t < 1.2917, 1e-200, -1.0),
+    "cubic near a": lambda t: (1.00003 - t) ** 3,
+    "cubic near b": lambda t: (1.29991 - t) ** 3,
+}
+
+
+def _recorded_slope(monkeypatch, shape):
+    """Patch `optimize._log_slope` to `shape`; returns the list of (t, slope) of each call."""
+    calls = []
+
+    def fake(terms, table, model):
+        def slope(t):
+            calls.append((t.copy(), shape(t)))
+            return calls[-1][1]
+
+        return slope
+
+    monkeypatch.setattr(optimize, "_log_slope", fake)
+    return calls
+
+
+class TestSlopeSearch:
+    """The slope search takes 3 calls on the named models and, on any slope,
+    at most one call more than bisection."""
+
+    @pytest.mark.parametrize("guess", [1.0, 1.05, 1.15, 1.3, math.nan])
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_SLOPES))
+    def test_worst_case_is_bisection(self, monkeypatch, name, guess):
+        calls = _recorded_slope(monkeypatch, ADVERSARIAL_SLOPES[name])
+        a, b = 1.0, 1.3
+        (root,) = optimize._slope_roots(
+            None, np.zeros((1, 1)), None, np.array([a]), np.array([b]), np.array([guess]), [None]
+        )
+        t = np.concatenate([c[0].ravel() for c in calls])
+        s = np.concatenate([c[1].ravel() for c in calls])
+        lo, hi = t[s > 0.0].max(), t[s <= 0.0].min()
+        assert lo <= root <= hi
+        assert hi - lo <= optimize.REFINE_REL_WIDTH * hi
+        bisection = math.ceil(math.log2((b - a) / (optimize.REFINE_REL_WIDTH * hi)))
+        assert len(calls) <= bisection + 1
+
+    def test_named_models_take_three_calls(self, monkeypatch):
+        # an exact work count: per search, 3 slope calls and 8 slope points per row
+        searches = []
+        log_slope, slope_roots = optimize._log_slope, optimize._slope_roots
+
+        def counted_slope(terms, table, model):
+            slope = log_slope(terms, table, model)
+
+            def counted(t):
+                searches[-1][0] += 1
+                searches[-1][1] += t.size
+                return slope(t)
+
+            return counted
+
+        def counted_roots(terms, table, model, a, b, guess, rows):
+            searches.append([0, 0, len(rows)])
+            return slope_roots(terms, table, model, a, b, guess, rows)
+
+        monkeypatch.setattr(optimize, "_log_slope", counted_slope)
+        monkeypatch.setattr(optimize, "_slope_roots", counted_roots)
+        for make in (adc, dpc, pdc):
+            for gamma in (0.13, 1.3, 7.0):
+                for c1 in (0.35, 0.9):
+                    sweep(make(gamma), 1, 40, c1=c1)
+                    sweep(make(gamma), 10**5, 10**5, strategies=GHZ, c1=c1)
+        # per setting: the uncorrelated optimum and 3 batches, then it and 1 batch
+        assert len(searches) == 3 * 3 * 2 * (4 + 2)
+        assert all((calls, points) == (3, 8 * rows) for calls, points, rows in searches)
+
+
 def _rotating_rule(t):
     """A CPTP custom map with a noise rotation theta_noise != 0 and eta_perp < 0."""
     g = math.exp(-t)
