@@ -3,10 +3,11 @@
 Five subcommands: `qfi` evaluates one working point, `table1` tabulates the
 closed-form F/t for all strategies over a probe range, `sweep` emits the
 optimal-time summary rows, `verify` runs the cross-route check suite, and
-`channel` inspects the noise map itself. Output is CSV (17 significant
-digits) or JSON, written to stdout or `--output`, and is byte-identical
-for identical inputs. Exit codes: 0 success, 2 usage error, 3 numerical
-failure, 4 verification failure.
+`channel` inspects the noise map itself. Their records all go through one
+writer, `_render`: CSV (ints, floats to 17 significant digits, true/false)
+or JSON, written to stdout or `--output` and byte-identical for identical
+inputs. A non-finite float cell is a numerical failure. Exit codes: 0
+success, 2 usage error, 3 numerical failure, 4 verification failure.
 
 The parser checks each flag as it reads it: the flag's `type` rejects a
 value outside its domain, so a usage error prints argparse's `usage:` line
@@ -21,13 +22,9 @@ Instead of flags, a run can be described by a flat JSON file passed as
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
-import io
 import json
 import math
-import operator
 import sys
 from pathlib import Path
 from typing import Callable
@@ -36,17 +33,13 @@ import numpy as np
 
 from .channel import NoiseModel, a_coefficients, adc, choi_matrix, dpc, is_cptp, params_at, pdc
 from .fisher import qfi_closed, qfi_sld_oracle
-from .optimize import StrategyKind, SweepRow, sweep, table1
+from .optimize import StrategyKind, sweep, table1
 from .state import STRATEGIES, ProbeSpec, block_probe, check_ancillas
 from .verify import run_verification
 
 __all__ = ["run", "main"]
 
 _MODEL_FACTORIES = {"adc": adc, "dpc": dpc, "pdc": pdc}
-_SWEEP_FLOAT_COLUMNS = ("gamma", "t_opt", "f_over_t_max", "ratio_r", "saturation_gap")
-_sweep_floats = operator.attrgetter(*_SWEEP_FLOAT_COLUMNS)
-_SWEEP_HEADER = ",".join(field.name for field in dataclasses.fields(SweepRow)) + "\n"
-_SWEEP_LINE = "%d,%s,%s" + ",%.17g" * len(_SWEEP_FLOAT_COLUMNS) + "\n"
 # the command-line spelling of a strategy is its value with dashes
 _STRATEGY_BY_FLAG = {kind.value.replace("_", "-"): kind for kind in StrategyKind}
 
@@ -150,33 +143,37 @@ def _argv_from_spec_file(argv: list[str]) -> list[str]:
     return argv
 
 
-def _fmt_cell(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _require_finite(records: list[dict]) -> None:
-    for record in records:
-        for key, value in record.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise NumericalFailure(f"non-finite value in column {key!r}: {value}")
+_CELL_FORMATS = ((bool, "%s"), (int, "%d"), (float, "%.17g"))  # bool first: a bool is an int
 
 
 def _render(records: list[dict], fmt: str) -> str:
-    _require_finite(records)
+    """`records`, which share their keys and cell types, as CSV or JSON text.
+
+    NumericalFailure names the first float cell that is not finite. A CSV
+    line is one `%` format, built from the first record's cell types. No
+    cell needs quoting (its strings are model and strategy names), so the
+    bytes are those of `csv.writer`.
+    """
+    first = records[0]
+    floats = [key for key, value in first.items() if isinstance(value, float)]
+    for record in records:
+        for key in floats:
+            if not math.isfinite(record[key]):
+                raise NumericalFailure(f"non-finite value in column {key!r}: {record[key]}")
     if fmt == "json":
         return json.dumps(records, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(records[0].keys())
+    line = ",".join(
+        next((f for kind, f in _CELL_FORMATS if isinstance(value, kind)), "%s")
+        for value in first.values()
+    ) + "\n"
+    bools = [i for i, value in enumerate(first.values()) if isinstance(value, bool)]
+    lines = [",".join(first) + "\n"]
     for record in records:
-        writer.writerow(_fmt_cell(v) for v in record.values())
-    return buf.getvalue()
+        cells = list(record.values())
+        for i in bools:
+            cells[i] = "true" if cells[i] else "false"
+        lines.append(line % tuple(cells))
+    return "".join(lines)
 
 
 def _noise_model(ns: argparse.Namespace) -> NoiseModel:
@@ -228,39 +225,17 @@ def _cmd_table1(ns: argparse.Namespace) -> tuple[str, int]:
     return _render(records, ns.format), 0
 
 
-def _sweep_csv(rows: list[SweepRow]) -> str:
-    """The CSV of `_render` for sweep rows, one `%` format per line.
-
-    No field of a sweep row needs quoting, and `%.17g` is `_fmt_cell` of a
-    float, so the bytes are those of `csv.writer`.
-    """
-    cells = [_sweep_floats(row) for row in rows]
-    finite = np.isfinite(cells)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise NumericalFailure(
-            f"non-finite value in column {_SWEEP_FLOAT_COLUMNS[j]!r}: {cells[i][j]}"
-        )
-    lines = [_SWEEP_LINE % (row.n, row.strategy.value, row.model, *floats)
-             for row, floats in zip(rows, cells)]
-    return _SWEEP_HEADER + "".join(lines)
-
-
 def _cmd_sweep(ns: argparse.Namespace) -> tuple[str, int]:
     rows = sweep(_noise_model(ns), *ns.n, strategies=ns.strategy, c1=ns.c1)
-    if ns.format == "json":
-        return _render([row.as_dict() for row in rows], "json"), 0
-    return _sweep_csv(rows), 0
+    return _render([row.as_dict() for row in rows], ns.format), 0
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
     results = run_verification(nmax=ns.nmax, seed=ns.seed)
     failed = [r for r in results if not r.passed]
     if ns.format == "json":
-        text = _render(
-            [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
-            "json",
-        )
+        records = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        text = _render(records, "json")
     else:
         lines = [
             f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}" for r in results

@@ -104,10 +104,10 @@ def log_qfi_phase(strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel, t)
     -inf. The spec's ancilla count is not checked here; a custom model that
     is not finite or not CPTP at t raises ValueError.
 
-    Returns a float (computed with `math` alone) for a float t of a named
-    model, else an array shaped like t.
+    Returns a float (computed with `math` alone) for a float t, else an
+    array shaped like t.
     """
-    scalar = isinstance(t, (int, float)) and model.kind != "custom"
+    scalar = isinstance(t, (int, float))
     t_arr = float(t) if scalar else np.asarray(t, dtype=float)
     low = t_arr if scalar else float(t_arr.min())
     if low < 0.0:

@@ -114,12 +114,8 @@ class Table1Row:
 
 def _probe(table: np.ndarray):
     """The (w, log_w, n) arguments of `fisher._log_f_phase` for the rows of
-    `table`: (rows, 1) columns, or floats for a single row, which numpy
-    broadcasts against its (1, points) times more cheaply and to the same bits."""
-    if table.shape[1] == 1:
-        columns = table[:, 0].tolist()
-    else:
-        columns = [row[:, None] for row in table]
+    `table`, as (rows, 1) columns against a (rows, points) array of times."""
+    columns = [row[:, None] for row in table]
     return tuple(columns[:2]), tuple(columns[2:-1]), columns[-1]
 
 
@@ -257,24 +253,42 @@ def _maximize_rows(
     if len(correlated) != 1:
         raise ValueError("a batch holds either correlated or uncorrelated rows, not both")
     terms, table = probe_table
+    hi = SCAN_WINDOW[1] / model.gamma
     lo = np.full(len(rows), SCAN_WINDOW[0] / model.gamma)
     if correlated.pop():
         lo /= table[-1]
+    if not math.isfinite(hi):
+        raise ValueError(
+            f"the scan window's upper edge {SCAN_WINDOW[1]!r}/gamma overflows double "
+            f"precision at gamma={model.gamma!r}: {_row_name(rows[0], model)}"
+        )
+    if not lo.all():
+        r = int(np.argmin(lo))
+        raise ValueError(
+            f"the scan window's lower edge underflows to 0 at gamma={model.gamma!r}: "
+            f"{_row_name(rows[r], model)}"
+        )
     log_lo = np.log(lo)
-    step = (math.log(SCAN_WINDOW[1] / model.gamma) - log_lo) / (SCAN_POINTS - 1)
+    step = (math.log(hi) - log_lo) / (SCAN_POINTS - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         grid = np.exp(log_lo[:, None] + _SCAN_STEPS * step[:, None])
         f = _objective(terms, table, model)
         values, _ = f(grid)
+        finite = ~np.any(values == math.inf, axis=1)
         peak = np.argmax(values, axis=1)
         coherent = np.any(values > 0.0, axis=1)
         inside = (peak > 0) & (peak < SCAN_POINTS - 1)
         diffs = np.diff(values, axis=1)
         rising = _SCAN_STEPS[1:] <= peak[:, None]
         unimodal = np.all(np.where(rising, diffs > 0.0, diffs <= 0.0), axis=1)
-        passed = coherent & inside & unimodal
+        passed = finite & coherent & inside & unimodal
         if not passed.all():
             r = int(np.argmin(passed))
+            if not finite[r]:
+                at = float(grid[r, np.argmax(values[r] == math.inf)])
+                raise ValueError(
+                    f"F/t overflows double precision at t={at!r}: {_row_name(rows[r], model)}"
+                )
             if not coherent[r]:
                 raise ValueError(
                     "F/t is 0 at every scanned time: the probe has no phase coherence "
@@ -313,10 +327,12 @@ def maximize_f_over_t(
     correlated (GHZ) strategies; the sampled profile must rise strictly to a
     single interior peak and never rise again past it, otherwise a
     ValueError is raised rather than silently refining one of several
-    candidate peaks. A ValueError is also raised when F/t is 0 at every
-    scanned time (a probe without phase coherence, |c1 c2| = 0), and when
-    the slope of log(F/t) does not change sign between the scan points
-    either side of the peak.
+    candidate peaks. A ValueError is also raised when the window's edges or
+    a scanned F/t leave double precision (gamma below about 5.6e-307,
+    N*gamma above about 4e319 or N/gamma above about 1e308), when F/t is 0
+    at every scanned time (a probe without phase coherence, |c1 c2| = 0),
+    and when the slope of log(F/t) does not change sign between the scan
+    points either side of the peak.
     """
     rows = [(strategy, spec)]
     t_opt, best, _ = _maximize_rows(rows, _probe_table(rows), model)

@@ -185,14 +185,46 @@ class TestSweep:
             assert 0.0 < float(row["t_opt"]) < 1e-150
             assert abs(float(row["saturation_gap"])) <= 2e-15
 
+    @pytest.mark.parametrize("argv, word", [
+        (["--gamma", "5e-307", "--n", "1:3", "--c1", "0.6"], "overflows"),
+        (["--gamma", "1e-320", "--n", "1:3", "--c1", "0.6"], "overflows"),
+        (["--gamma", "1e-300", "--n", "1000000000", "--strategy", "ghz-free"], "overflows"),
+        (["--gamma", "1e308", "--n", "1000000000000", "--strategy", "ghz-free"], "underflows"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_double_range_exceeded_exits_3(self, argv, word, capsys):
+        # 100/gamma, F/t ~ N/gamma or 1e-4/(N gamma) leaves the doubles; the
+        # error says so, not that the probe lacks coherence or the profile a peak
+        code, out, err = run_capture(["sweep", "--model", "adc", *argv], capsys)
+        assert code == 3 and out == ""
+        assert word in err and "strategy=" in err
+        assert "phase coherence" not in err and "unimodal" not in err
+
+    def test_smallest_rate_with_a_finite_window(self, capsys):
+        code, out, err = run_capture(
+            ["sweep", "--model", "adc", "--gamma", "6e-307", "--n", "1:3", "--c1", "0.6"], capsys
+        )
+        assert code == 0 and err == ""
+        assert len(parse_csv(out)) == 9
+
+
+def _reference_cell(value):
+    """A CSV cell as the writer's rules give it, spelled out one type at a time."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
 
 def _reference_csv(records):
-    """`records` rendered cell by cell with `csv.writer` and `cli._fmt_cell`."""
+    """`records` rendered cell by cell with `csv.writer` and `_reference_cell`."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(records[0].keys())
     for record in records:
-        writer.writerow(cli._fmt_cell(v) for v in record.values())
+        writer.writerow(_reference_cell(v) for v in record.values())
     return buf.getvalue()
 
 
@@ -213,7 +245,7 @@ SWEEP_RENDER_CASES = [
 
 class TestSweepRender:
     """`sweep` writes each CSV row with one format string; the bytes are those
-    of `csv.writer` over `_fmt_cell`, and JSON is `json.dumps` of the records."""
+    of `csv.writer` over `_reference_cell`, and JSON is `json.dumps` of the records."""
 
     @pytest.mark.parametrize("model,gamma,c1,n,strategies", SWEEP_RENDER_CASES)
     def test_csv_and_json_bytes(self, model, gamma, c1, n, strategies, capsys):
@@ -245,6 +277,86 @@ class TestSweepRender:
         )
         assert code == 3 and out == ""
         assert f"non-finite value in column {field!r}" in err
+
+
+RENDER_CASES = [
+    ["qfi", "--model", "adc", "--gamma", "1.3", "--n", "5", "--t", "0.4"],
+    ["qfi", "--model", "dpc", "--gamma", "0.7", "--n", "3", "--t", "0.2",
+     "--strategy", "ghz-ancilla", "--n-ancillas", "3"],
+    ["qfi", "--model", "dpc", "--gamma", "0.7", "--n", "3", "--t", "0.2",
+     "--strategy", "ghz-ancilla", "--n-ancillas", "3", "--oracle"],
+    ["qfi", "--model", "pdc", "--gamma", "7", "--n", "2", "--t", "0.05",
+     "--strategy", "uncorrelated", "--c1", "0.35", "--c2-phase", "0.9", "--omega", "-2.5",
+     "--oracle"],
+    ["table1", "--model", "dpc", "--gamma", "1", "--n", "1:6", "--t", "0.3"],
+    ["table1", "--model", "adc", "--gamma", "0.13", "--n", "990:993", "--t", "0.2"],
+    ["channel", "--model", "adc", "--gamma", "1", "--t", "0.3"],
+    ["channel", "--model", "dpc", "--gamma", "7", "--t", "0"],
+]
+
+
+class TestRender:
+    """Every command's records go through one writer: CSV bytes are those of
+    `csv.writer` over `_reference_cell`, JSON is `json.dumps` of the records,
+    and a non-finite float cell exits 3 naming its column."""
+
+    @pytest.mark.parametrize("argv", RENDER_CASES, ids=" ".join)
+    def test_csv_and_json_bytes(self, argv, capsys):
+        code, out, err = run_capture([*argv, "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        records = json.loads(out)
+        assert out == json.dumps(records, indent=2) + "\n"
+        code, out, err = run_capture(argv, capsys)
+        assert code == 0 and err == ""
+        assert out == _reference_csv(records)
+
+    def test_verify_json_bytes(self, capsys):
+        code, out, err = run_capture(["verify", "--nmax", "2", "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        records = json.loads(out)
+        assert {type(r["passed"]) for r in records} == {bool}
+        assert out == json.dumps(records, indent=2) + "\n"
+
+    @pytest.mark.parametrize("field", ["f_ghz_over_t", "f_ancilla_over_t",
+                                       "f_uncorrelated_over_t", "f_ghz_over_t_literal"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_table1_cell_exits_3(self, field, bad, fmt, monkeypatch, capsys):
+        build = cli.table1
+
+        def poisoned(model, n, t):
+            row = build(model, n, t)
+            return dataclasses.replace(row, **{field: bad}) if n == 3 else row
+
+        monkeypatch.setattr(cli, "table1", poisoned)
+        code, out, err = run_capture(
+            ["table1", "--model", "adc", "--gamma", "1", "--n", "1:4", "--t", "0.2",
+             "--format", fmt], capsys
+        )
+        assert code == 3 and out == ""
+        assert f"non-finite value in column {field!r}: {bad}" in err
+
+    @pytest.mark.parametrize("field", ["a_pp", "a_pm", "a_mp", "a_mm"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_channel_cell_exits_3(self, field, bad, fmt, monkeypatch, capsys):
+        coefficients = cli.a_coefficients
+        monkeypatch.setattr(cli, "a_coefficients",
+                            lambda params: dataclasses.replace(coefficients(params),
+                                                               **{field: bad}))
+        code, out, err = run_capture(
+            ["channel", "--model", "adc", "--gamma", "1", "--t", "0.3", "--format", fmt], capsys
+        )
+        assert code == 3 and out == ""
+        assert f"non-finite value in column {field!r}: {bad}" in err
+
+    def test_numpy_float_cells(self):
+        record = {"n": 2, "x": np.float64(0.1), "ok": True, "model": "adc"}
+        assert cli._render([record], "csv") == "n,x,ok,model\n2,0.10000000000000001,true,adc\n"
+        assert cli._render([record], "csv") == _reference_csv([record])
+        for fmt in ("csv", "json"):
+            with pytest.raises(cli.NumericalFailure, match="column 'x': inf"):
+                cli._render([record, {**record, "x": np.float64(np.inf)}], fmt)
 
 
 class TestLargeNSweep:

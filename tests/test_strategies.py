@@ -168,6 +168,27 @@ def test_log_qfi_is_finite_or_minus_inf(kind, make, n, gamma_t, c1):
     assert on_grid == pytest.approx(log_f, rel=1e-12, abs=1e-12)
 
 
+
+def wrapped(make):
+    """A named model's map as a custom rule, read point by point like any custom map."""
+    return lambda gamma: custom(lambda t: params_at(make(gamma), t), gamma)
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind))
+@pytest.mark.parametrize(
+    "make", [flipped, wrapped(adc), wrapped(dpc)], ids=["flipped", "adc", "dpc"]
+)
+@pytest.mark.parametrize("n", [1, 5, 1000])
+def test_custom_log_qfi_at_a_float_time_is_a_float(kind, make, n):
+    # a float t takes the scalar route for a custom model too, as for a named one
+    model, spec = make(1.3), probe(kind, n)
+    for t in (1e-6, 0.05, 0.7, 11.0):
+        log_f = log_qfi_phase(kind, spec, model, t)
+        assert type(log_f) is float
+        on_grid = log_qfi_phase(kind, spec, model, np.array([t]))[0]
+        assert log_f == pytest.approx(on_grid, rel=1e-14, abs=0.0)
+
+
 @PROPERTY
 @given(
     kind=st.sampled_from(list(StrategyKind)),
