@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "ChannelParams",
@@ -44,13 +44,6 @@ __all__ = [
 
 CP_TOL = 1e-12
 _TINY = sys.float_info.min  # smallest normal double; below it a result has underflowed
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-# lowering operator consistent with kappa <= 0 for amplitude damping:
-# population flows from |0> (north pole) to |1> (south pole)
-_SMINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -193,15 +186,26 @@ def choi_min_eigenvalue(params: ChannelParams) -> float:
     return _choi_min(ChannelParams(0.0, *fields), _FloatMath)
 
 
-def _choi_min(params: ChannelParams, xp):
-    """Smallest Choi eigenvalue; elementwise on array fields (xp numpy), or
-    of float fields (xp `_FloatMath`), whose arithmetic gives inf - inf = NaN
-    without a warning."""
+def _choi_spectrum(params: ChannelParams, xp):
+    """The four Choi eigenvalues (a_mp/2, a_mm/2, s - r, s + r), unsorted.
+
+    The two decoupled diagonal entries, then the eigenvalues of the 2x2
+    coherence block on the {|00>, |11>} corner, whose mean is
+    s = (a_pp + a_pm)/4 and whose half-gap is r = hypot((a_pp - a_pm)/4,
+    eta_perp); theta_noise only rotates the corner's phase. Elementwise on
+    array fields (xp numpy), or of float fields (xp `_FloatMath`), whose
+    arithmetic gives inf - inf = NaN without a warning.
+    """
     a = a_coefficients(params)
     s = 0.25 * (a.a_pp + a.a_pm)
-    d = 0.25 * (a.a_pp - a.a_pm)
-    corner_min = s - xp.hypot(d, params.eta_perp)
-    return xp.minimum(xp.minimum(0.5 * a.a_mp, 0.5 * a.a_mm), corner_min)
+    r = xp.hypot(0.25 * (a.a_pp - a.a_pm), params.eta_perp)
+    return 0.5 * a.a_mp, 0.5 * a.a_mm, s - r, s + r
+
+
+def _choi_min(params: ChannelParams, xp):
+    """Smallest Choi eigenvalue of `_choi_spectrum`, NaN if any is NaN."""
+    mp, mm, corner_min, _ = _choi_spectrum(params, xp)
+    return xp.minimum(xp.minimum(mp, mm), corner_min)
 
 
 _LOG2 = math.log(2.0)
@@ -360,14 +364,30 @@ def _lindblad_rhs(rho: np.ndarray, h: np.ndarray, jumps: list[np.ndarray]) -> np
     return out
 
 
+def _pauli_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sx, sy, sz, sminus) as complex 2x2 arrays.
+
+    sminus is the lowering operator consistent with kappa <= 0 for
+    amplitude damping: population flows from |0> (north pole) to |1>
+    (south pole).
+    """
+    return tuple(np.array(m, dtype=complex) for m in (
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, -1.0j], [1.0j, 0.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+        [[0.0, 0.0], [1.0, 0.0]],
+    ))
+
+
 def _jump_operators(model: NoiseModel) -> list[np.ndarray]:
     g = model.gamma
+    sx, sy, sz, sminus = _pauli_operators()
     if model.kind == "adc":
-        return [math.sqrt(g) * _SMINUS]
+        return [math.sqrt(g) * sminus]
     if model.kind == "dpc":
-        return [math.sqrt(0.25 * g) * p for p in (_SX, _SY, _SZ)]
+        return [math.sqrt(0.25 * g) * p for p in (sx, sy, sz)]
     if model.kind == "pdc":
-        return [math.sqrt(0.5 * g) * _SZ]
+        return [math.sqrt(0.5 * g) * sz]
     raise ValueError(f"model kind {model.kind!r} has no Lindblad form")
 
 
@@ -401,7 +421,7 @@ def integrate_master_equation(
     if abs(np.trace(rho0) - 1.0) > 1e-10:
         raise ValueError(f"rho0 trace {np.trace(rho0)} is not 1")
     jumps = _jump_operators(model)
-    h = 0.5 * omega * _SZ
+    h = 0.5 * omega * _pauli_operators()[2]
     dt = t / steps
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)
     x = dt * np.stack([_lindblad_rhs(e, h, jumps).ravel() for e in units], axis=1)

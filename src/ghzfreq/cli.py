@@ -8,6 +8,8 @@ writer, `_render`: CSV (ints, floats to 17 significant digits, true/false)
 or JSON, written to stdout or `--output` and byte-identical for identical
 inputs. A non-finite float cell is a numerical failure. Exit codes: 0
 success, 2 usage error, 3 numerical failure, 4 verification failure.
+`qfi` without `--oracle`, `table1` and `channel` evaluate closed forms on
+floats, so a process that runs only them never loads numpy.
 
 The parser checks each flag as it reads it: the flag's `type` rejects a
 value outside its domain, so a usage error prints argparse's `usage:` line
@@ -29,9 +31,17 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from .channel import NoiseModel, a_coefficients, adc, choi_matrix, dpc, is_cptp, params_at, pdc
+from .channel import (
+    NoiseModel,
+    _choi_spectrum,
+    _FloatMath,
+    a_coefficients,
+    adc,
+    dpc,
+    is_cptp,
+    params_at,
+    pdc,
+)
 from .fisher import qfi_closed, qfi_sld_oracle
 from .optimize import StrategyKind, sweep, table1
 from .state import STRATEGIES, ProbeSpec, block_probe, check_ancillas
@@ -248,7 +258,7 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
 def _cmd_channel(ns: argparse.Namespace) -> tuple[str, int]:
     params = params_at(_noise_model(ns), ns.t)
     a = a_coefficients(params)
-    eigs = np.linalg.eigvalsh(choi_matrix(params))
+    eigs = sorted(_choi_spectrum(params, _FloatMath))
     record = {
         "model": ns.model,
         "gamma": ns.gamma,
@@ -261,10 +271,10 @@ def _cmd_channel(ns: argparse.Namespace) -> tuple[str, int]:
         "a_pm": a.a_pm,
         "a_mp": a.a_mp,
         "a_mm": a.a_mm,
-        "choi_eig_0": float(eigs[0]),
-        "choi_eig_1": float(eigs[1]),
-        "choi_eig_2": float(eigs[2]),
-        "choi_eig_3": float(eigs[3]),
+        "choi_eig_0": eigs[0],
+        "choi_eig_1": eigs[1],
+        "choi_eig_2": eigs[2],
+        "choi_eig_3": eigs[3],
         "cptp": is_cptp(params),
     }
     return _render([record], ns.format), 0

@@ -19,8 +19,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._numpy import np
 from .channel import _TINY, NoiseModel, _FloatMath, _log_channel, params_at
 from .state import (
     STRATEGIES,

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .channel import NoiseModel, _log_channel
 from .fisher import log_qfi_phase
 from .state import (

@@ -49,8 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .channel import _TINY, NoiseModel, _FloatMath
 from .fisher import _log_f_phase, qfi_closed
 from .measurement import _saturation_gaps, saturation_check
@@ -73,7 +72,6 @@ SCAN_POINTS = 200
 SCAN_WINDOW = (1e-4, 1e2)
 GUESS_REL_WIDTH = 6e-3  # half-width, relative, of the first slope window
 REFINE_REL_WIDTH = 1e-8  # bracket width, relative, at which the slope is interpolated
-_SCAN_STEPS = np.arange(float(SCAN_POINTS))
 # rows that `sweep` optimizes in one batch. About ten (BATCH_ROWS, SCAN_POINTS)
 # arrays of 51 kB are alive at once during the scan. A larger batch makes
 # fewer numpy calls per row: the 60 rows of `sweep --n 1:30` ran about 8%
@@ -191,6 +189,14 @@ def _slope_roots(terms, table, model, a, b, guess, rows) -> np.ndarray:
     changes = (values[:, 0] > 0.0) & (values[:, -1] < 0.0)
     if not changes.all():
         r = int(np.argmin(changes))
+        if a[r] < _TINY and np.isnan(values[r, [0, -1]]).any():
+            # near t ~ 1/(N gamma) < _TINY, 1/t and N gamma reach the largest double
+            raise ValueError(
+                "the slope of log(F/t) overflows double precision at the subnormal times "
+                f"[{float(a[r])!r}, {float(b[r])!r}] around the optimum, below the "
+                f"smallest normal double {_TINY!r} (slopes {float(values[r, 0])!r}, "
+                f"{float(values[r, -1])!r}): {_row_name(rows[r], model)}"
+            )
         raise ValueError(
             "the slope of log(F/t) does not change sign inside the scan bracket "
             f"[{float(a[r])!r}, {float(b[r])!r}] "
@@ -271,7 +277,8 @@ def _maximize_rows(
     log_lo = np.log(lo)
     step = (math.log(hi) - log_lo) / (SCAN_POINTS - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        grid = np.exp(log_lo[:, None] + _SCAN_STEPS * step[:, None])
+        steps = np.arange(float(SCAN_POINTS))
+        grid = np.exp(log_lo[:, None] + steps * step[:, None])
         f = _objective(terms, table, model)
         values, _ = f(grid)
         finite = ~np.any(values == math.inf, axis=1)
@@ -279,7 +286,7 @@ def _maximize_rows(
         coherent = np.any(values > 0.0, axis=1)
         inside = (peak > 0) & (peak < SCAN_POINTS - 1)
         diffs = np.diff(values, axis=1)
-        rising = _SCAN_STEPS[1:] <= peak[:, None]
+        rising = steps[1:] <= peak[:, None]
         unimodal = np.all(np.where(rising, diffs > 0.0, diffs <= 0.0), axis=1)
         passed = finite & coherent & inside & unimodal
         if not passed.all():
@@ -332,7 +339,8 @@ def maximize_f_over_t(
     N*gamma above about 4e319 or N/gamma above about 1e308), when F/t is 0
     at every scanned time (a probe without phase coherence, |c1 c2| = 0),
     and when the slope of log(F/t) does not change sign between the scan
-    points either side of the peak.
+    points either side of the peak, or overflows there because the optimum
+    lies below the smallest normal double (N*gamma above about 1e308).
     """
     rows = [(strategy, spec)]
     t_opt, best, _ = _maximize_rows(rows, _probe_table(rows), model)

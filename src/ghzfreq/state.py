@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .channel import (
     ChannelParams,
     NoiseModel,
@@ -391,23 +390,21 @@ def evolve_directsum(
     return DirectSumState(block, residual, phase, n, spec.n_ancillas)
 
 
-# Pauli basis (I, X, Y, Z) of the extended Bloch column: rho = (1/2) sum_a v_a P_a
-_PAULIS = np.array(
-    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
-    dtype=complex,
-)
-
-
 def _liouville_tensor(s: np.ndarray) -> np.ndarray:
     """K[i, j, k, l] with rho'_ij = sum_kl K_ijkl rho_kl for an extended-Bloch map s.
 
+    With the Pauli basis P = (I, X, Y, Z) of the extended Bloch column,
     v_b = tr(P_b rho) = sum_kl (P_b)_lk rho_kl, v' = s v and
     rho' = (1/2) sum_a v'_a P_a. Every entry is a sum of +-s_ab and +-i*s_ab
     terms. A phase-covariant s has s_xx = s_yy and s_xy = -s_yx exactly and
     no entry coupling (r0, rz) with (rx, ry), so the entries of K that should
     vanish are exactly 0.
     """
-    return 0.5 * np.einsum("aij,ab,blk->ijkl", _PAULIS, s, _PAULIS)
+    paulis = np.array(
+        [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+        dtype=complex,
+    )
+    return 0.5 * np.einsum("aij,ab,blk->ijkl", paulis, s, paulis)
 
 
 def evolve_dense(

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .channel import (
     ChannelParams,
     a_coefficients,

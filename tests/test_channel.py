@@ -19,7 +19,7 @@ from ghzfreq.channel import (
     pdc,
     superoperator,
 )
-from ghzfreq.channel import _SZ, _FloatMath, _jump_operators, _lindblad_rhs
+from ghzfreq.channel import _FloatMath, _jump_operators, _lindblad_rhs, _pauli_operators
 
 
 def bloch_of(rho):
@@ -35,7 +35,7 @@ def bloch_of(rho):
 def rk4_loop(model, omega, t, rho0, steps):
     """Plain step-by-step classical RK4 on the master equation: the reference."""
     jumps = _jump_operators(model)
-    h = 0.5 * omega * _SZ
+    h = 0.5 * omega * _pauli_operators()[2]
     dt = t / steps
     rho = np.asarray(rho0, dtype=complex).copy()
     for _ in range(steps):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ghzfreq
-from ghzfreq import cli
+from ghzfreq import choi_matrix, cli, params_at
 from ghzfreq.cli import run
 from ghzfreq.optimize import sweep
 
@@ -176,9 +176,13 @@ class TestSweep:
         ["--model", "adc", "--gamma", "1e154", "--n", "1:2"],
         ["--model", "adc", "--gamma", "1e300", "--n", "1:2"],
         ["--model", "dpc", "--gamma", "1e300", "--n", "1000000"],
+        ["--model", "adc", "--gamma", "1e307", "--n", "2"],
+        ["--model", "adc", "--gamma", "1e305", "--n", "1000"],
     ], ids=" ".join)
     def test_huge_rate(self, argv, capsys):
-        # t_opt ~ 1e-300, so F = t^2 F_phase underflows although F/t and the gap do not
+        # t_opt ~ 1e-300, so F = t^2 F_phase underflows although F/t and the gap do not;
+        # the last two scan from a subnormal 1e-4/(N gamma), and the last has a
+        # subnormal t_opt, which is no error where the slope stays finite
         code, out, err = run_capture(["sweep", *argv], capsys)
         assert code == 0 and err == ""
         for row in parse_csv(out):
@@ -198,6 +202,20 @@ class TestSweep:
         assert code == 3 and out == ""
         assert word in err and "strategy=" in err
         assert "phase coherence" not in err and "unimodal" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "adc", "--gamma", "1.7e308", "--n", "1:2"],
+        ["--model", "adc", "--gamma", "1e308", "--n", "1:2"],
+        ["--model", "dpc", "--gamma", "5e307", "--n", "1:3", "--strategy", "ghz-free"],
+    ], ids=" ".join)
+    def test_subnormal_optimum_exits_3_naming_it(self, argv, capsys):
+        # t_opt ~ 1/(N gamma) is subnormal, where 1/t and N gamma in the
+        # slope overflow to a NaN slope; the error says so, not that the
+        # slope keeps its sign
+        code, out, err = run_capture(["sweep", *argv], capsys)
+        assert code == 3 and out == ""
+        assert "overflows" in err and "subnormal" in err and "strategy=" in err
+        assert "does not change sign" not in err
 
     def test_smallest_rate_with_a_finite_window(self, capsys):
         code, out, err = run_capture(
@@ -473,6 +491,28 @@ class TestChannel:
         assert row["cptp"] == "true"
         assert float(row["choi_eig_0"]) >= -1e-12
 
+    def test_choi_cells_match_a_numerical_eigensolver(self, capsys):
+        # the cells are the closed-form spectrum (`channel._choi_spectrum`),
+        # sorted; over a seeded corpus they agree with eigvalsh of the Choi
+        # matrix to 1e-15 absolute, which is about 4.5 ulps of 1
+        rng = np.random.default_rng(13)
+        count = 5000
+        models = rng.choice(["adc", "dpc", "pdc"], size=count)
+        gammas = 10.0 ** rng.uniform(-3.0, 3.0, size=count)
+        times = 10.0 ** rng.uniform(-8.0, 2.0, size=count) / gammas
+        times[::500] = 0.0
+        cells, matrices = [], []
+        for model, gamma, t in zip(models.tolist(), gammas.tolist(), times.tolist()):
+            code, out, err = run_capture(
+                ["channel", "--model", model, "--gamma", repr(gamma), "--t", repr(t)], capsys
+            )
+            assert code == 0 and err == ""
+            row = parse_csv(out)[0]
+            cells.append([float(row[f"choi_eig_{i}"]) for i in range(4)])
+            matrices.append(choi_matrix(params_at(getattr(ghzfreq, model)(gamma), t)))
+        numeric = np.linalg.eigvalsh(np.stack(matrices))
+        assert np.max(np.abs(np.array(cells) - numeric)) <= 1e-15
+
 
 class TestVerify:
     def test_nan_direct_sum_fails_the_consistency_check(self, monkeypatch):
@@ -674,3 +714,70 @@ class TestEntryPoint:
             env=module_env(),
         )
         assert proc.returncode == 2
+
+
+# Runs each argv of the JSON list in argv[1] through `cli.run` in this one
+# process and prints, as JSON, whether numpy's core was loaded after the
+# import and after each command, with the command's exit code and stdout.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import ghzfreq.cli
+report = {"import": "numpy._core" in sys.modules, "runs": []}
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = ghzfreq.cli.run(argv)
+    report["runs"].append([code, out.getvalue(), "numpy._core" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def _numpy_probe(argvs):
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=module_env(), check=True)
+    return json.loads(proc.stdout)
+
+
+class TestStartup:
+    """The closed-form commands run without loading numpy; the array
+    commands load it on their first array operation."""
+
+    SCALAR = [
+        ["qfi", "--model", "adc", "--gamma", "1", "--n", "3", "--t", "0.2",
+         "--strategy", strategy, "--format", fmt]
+        for strategy in ("ghz-free", "ghz-ancilla", "uncorrelated") for fmt in ("csv", "json")
+    ] + [
+        ["table1", "--model", "dpc", "--gamma", "1", "--n", "1:3", "--t", "0.2"],
+        ["channel", "--model", "pdc", "--gamma", "1", "--t", "0.2"],
+    ]
+
+    def test_closed_form_commands_leave_numpy_unloaded(self):
+        report = _numpy_probe(self.SCALAR)
+        assert report["import"] is False
+        assert [code for code, _, _ in report["runs"]] == [0] * len(self.SCALAR)
+        assert [loaded for _, _, loaded in report["runs"]] == [False] * len(self.SCALAR)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--model", "adc", "--gamma", "1", "--n", "1:3"],
+        ["verify", "--nmax", "1"],
+        ["qfi", "--model", "dpc", "--gamma", "1", "--n", "2", "--t", "0.3", "--oracle"],
+    ], ids=lambda argv: argv[0] + (" --oracle" if "--oracle" in argv else ""))
+    def test_array_commands_load_numpy_and_print_the_same_bytes(self, argv, capsys):
+        report = _numpy_probe([argv])
+        assert report["import"] is False
+        ((code, out, loaded),) = report["runs"]
+        assert loaded is True
+        assert (code, out) == run_capture(argv, capsys)[:2]
+
+    def test_numpy_imported_after_the_package_works(self):
+        code = ("import sys, types, ghzfreq, numpy; from ghzfreq import channel;"
+                "assert numpy.arange(3).tolist() == [0, 1, 2];"
+                "assert type(numpy) is types.ModuleType;"
+                "assert channel.np is numpy is sys.modules['numpy']")
+        subprocess.run([sys.executable, "-c", code], env=module_env(), check=True)
+
+    def test_numpy_imported_first_stays_the_module(self):
+        code = ("import sys, types, numpy; import ghzfreq; from ghzfreq import channel;"
+                "assert sys.modules['numpy'] is numpy and type(numpy) is types.ModuleType;"
+                "assert channel.np is numpy")
+        subprocess.run([sys.executable, "-c", code], env=module_env(), check=True)

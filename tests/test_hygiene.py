@@ -91,3 +91,71 @@ def test_every_constant_is_exported_or_read():
         if name.isupper()
     )
     assert not orphans, f"module-level constants that are neither exported nor read: {orphans}"
+
+
+# The one module that loads numpy; every other module takes `np` from it.
+NUMPY_HANDLE = "_numpy"
+
+
+def _defers_annotations(tree: ast.Module) -> bool:
+    return any(
+        isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        and any(alias.name == "annotations" for alias in node.names)
+        for node in tree.body
+    )
+
+
+def _evaluated_at_import(statements):
+    """The nodes that run while the module is imported: module-level
+    statements and class bodies, with the decorators, default arguments and
+    base classes of their definitions, but not function bodies and, under
+    `from __future__ import annotations`, not annotations."""
+    for node in statements:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from node.decorator_list
+            yield from node.args.defaults
+            yield from (d for d in node.args.kw_defaults if d is not None)
+        elif isinstance(node, ast.ClassDef):
+            yield from node.decorator_list
+            yield from node.bases
+            yield from node.keywords
+            yield from _evaluated_at_import(node.body)
+        elif isinstance(node, ast.AnnAssign):
+            yield from (n for n in (node.target, node.value) if n is not None)
+        else:
+            yield node
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {NUMPY_HANDLE}))
+def test_numpy_comes_only_through_the_handle(module):
+    tree = MODULES[module]
+    direct = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+        or isinstance(node, ast.Constant) and node.value == "numpy"
+    ]
+    assert not direct, f"{module}.py reaches numpy other than through {NUMPY_HANDLE}, lines {direct}"
+    if "np" in _loaded(tree):
+        assert any(
+            isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == NUMPY_HANDLE
+            and [alias.name for alias in node.names] == ["np"]
+            for node in tree.body
+        ), f"{module}.py reads np without `from .{NUMPY_HANDLE} import np`"
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_numpy_attribute_is_read_at_import(module):
+    # reading np while the module is imported loads numpy, about 0.1 s,
+    # even for the commands that never make an array
+    tree = MODULES[module]
+    if "np" not in _loaded(tree):
+        return
+    assert _defers_annotations(tree), f"{module}.py evaluates its annotations at import"
+    lines = sorted({
+        node.lineno
+        for top in _evaluated_at_import(tree.body)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "np" and isinstance(node.ctx, ast.Load)
+    })
+    assert not lines, f"{module}.py reads np at import time, lines {lines}"
