@@ -17,6 +17,8 @@ custom, enters the log-space closed forms and the coherence block.
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -212,18 +214,31 @@ _LOG2 = math.log(2.0)
 
 
 class _FloatMath:
-    """The numpy functions the log-space terms, the coherence block and the
-    Choi minimum use, for one Python float.
+    """The numpy functions the log-space terms, the coherence block, the
+    readout pass and the Choi minimum use, for one Python float.
 
     A numpy call costs about a microsecond whatever its size, which would
     make a single-point evaluation several times slower than the array
     evaluation of a whole scan step. `log` returns -inf at 0, `fmax`
-    ignores NaN and `minimum` propagates it, as their numpy counterparts do
-    under np.errstate.
+    ignores NaN, `minimum` propagates it and `divide` gives inf or NaN at a
+    zero divisor, as their numpy counterparts do under np.errstate, which
+    is a no-op here.
     """
 
     exp, expm1, log1p, maximum, cos, sin = math.exp, math.expm1, math.log1p, max, math.cos, math.sin
-    copysign, hypot = math.copysign, math.hypot
+    copysign, hypot, angle = math.copysign, math.hypot, cmath.phase
+
+    @staticmethod
+    def errstate(**_) -> contextlib.nullcontext:
+        return contextlib.nullcontext()
+
+    @staticmethod
+    def flatnonzero(value: bool) -> list[int]:
+        return [0] if value else []
+
+    @staticmethod
+    def divide(a: float, b: float) -> float:
+        return a / b if b else a * math.copysign(math.inf, b)
 
     @staticmethod
     def log(value: float) -> float:
@@ -274,15 +289,16 @@ def _log_channel(model: NoiseModel, t, xp, slope: bool):
     """
     gamma = model.gamma
     if model.kind == "custom":
-        points = [params_at(model, float(s)) for s in np.ravel(t)]
+        times = [float(t)] if xp is _FloatMath else np.ravel(t).tolist()
+        points = [params_at(model, s) for s in times]
         params = points[0] if xp is _FloatMath else ChannelParams(*(
             np.array([getattr(p, name) for p in points]).reshape(np.shape(t))
             for name in ("theta_noise", "eta_perp", "eta_par", "kappa")
         ))
-        bad = np.logical_not(_choi_min(params, xp) >= -CP_TOL)
-        if bad.any():
-            where = float(np.ravel(t)[np.argmax(bad)])
-            raise ValueError(f"model parameters at t={where} are not CPTP")
+        # fmax turns a NaN eigenvalue into -inf, so that it fails the test too
+        bad = xp.flatnonzero(xp.fmax(_choi_min(params, xp), -math.inf) < -CP_TOL)
+        if len(bad):
+            raise ValueError(f"model parameters at t={times[bad[0]]} are not CPTP")
         return _log_params(params, xp), None, None
     x = gamma * t
     if model.kind == "pdc":  # A++ = A+- = 2, A-+ = A-- = 0

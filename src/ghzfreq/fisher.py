@@ -26,6 +26,7 @@ from .state import (
     ProbeSpec,
     StrategyKind,
     _block_log_terms,
+    _probe,
     check_ancillas,
     evolve_dense,
 )
@@ -48,15 +49,12 @@ class QfiResult:
     route: str
 
 
-def _log_f_phase(terms, w, log_w, n, model: NoiseModel, t, xp, slope: bool):
-    """(log F_phase, d/dt log F_phase or None) at t over the block `terms`.
-
-    w = (|c1|^2, |c2|^2), the log weights log_w that the terms index
-    (`state._block_log_terms`) and n the probe count are floats for one
-    probe at a float or an array t, or (rows, 1) columns against a
-    (rows, points) t, one row per probe.
-    """
-    power = n if terms else 1
+def _log_f_phase(probe, model: NoiseModel, t, xp, slope: bool):
+    """(log F_phase, d/dt log F_phase or None) at t of the probe record
+    `probe` (`state._Probe`): floats for one probe at a float or an array t,
+    or (rows, 1) columns against a (rows, points) t, one row per probe."""
+    n = probe.n
+    power = n if probe.terms else 1
     (log_eta, log_half, _, _), d_eta, d_half = _log_channel(model, t, xp, slope)
     d_f = None
     if slope and d_eta is not None:
@@ -64,23 +62,18 @@ def _log_f_phase(terms, w, log_w, n, model: NoiseModel, t, xp, slope: bool):
     # the block trace is summed before log F is formed, and its terms are
     # dropped as they are summed unless the slope reads them again: fewer
     # (rows, points) arrays are alive at once
-    if terms:
-        # a pole whose log(A/2) is the float -inf (adc's A-+, pdc's A-+ and
-        # A--) adds nothing: logaddexp(x, -inf) is x, and its slope term is 0
-        terms = [term for term in terms if not (
-            isinstance(log_half[term[1]], float) and log_half[term[1]] == -math.inf
-        )]
-        parts = _block_log_terms(terms, log_w, n, log_half)
+    if probe.terms:
+        live, parts = _block_log_terms(probe, log_half)
         if d_f is not None:
             parts = list(parts)
         log_r0 = functools.reduce(xp.logaddexp, parts)
-    log_f = xp.log(4.0 * w[0] * w[1] * n * power) + 2.0 * power * log_eta
-    if terms:
+    log_f = xp.log(4.0 * probe.w[0] * probe.w[1] * n * power) + 2.0 * power * log_eta
+    if probe.terms:
         # a zero block trace comes with a zero numerator, so (-inf) - (-inf)
         # = nan stands for F = 0
         log_f = xp.fmax(log_f - log_r0, -math.inf)
         if d_f is not None:
-            for part, (_, pole, _) in zip(parts, terms):
+            for (pole, _, _), part in zip(live, parts):
                 # a pole whose log is constant in t (pdc; adc's A+- and A-+) adds nothing
                 if not isinstance(d_half[pole], float) or d_half[pole] != 0.0:
                     d_f = d_f - n * xp.exp(part - log_r0) * d_half[pole]
@@ -95,29 +88,28 @@ def log_qfi_phase(strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel, t)
         log F = log(4 |c1 c2|^2 N^2) + 2N log|eta_perp|
                 - logsumexp_i(log w_i + N log(A_i/2)),
 
-    summed over the strategy's block terms, which `state.coherence_block`
-    exponentiates into the block diagonal; the uncorrelated form is
+    summed over the block terms of the probe's record (`state._probe`),
+    which `state.coherence_block` exponentiates into the block diagonal; the
+    uncorrelated form is
     log(4 |c1 c2|^2 N) + 2 log|eta_perp|. Nothing is raised to the N-th
     power in linear space, so the value neither underflows nor loses
     precision at large N*gamma*t. A vanishing numerator or block trace gives
     -inf. The spec's ancilla count is not checked here; a custom model that
     is not finite or not CPTP at t raises ValueError.
 
-    Returns a float (computed with `math` alone) for a float t, else an
-    array shaped like t.
+    Returns a float (computed with `math` alone, for a custom model too)
+    for a float t, else an array shaped like t.
     """
     scalar = isinstance(t, (int, float))
     t_arr = float(t) if scalar else np.asarray(t, dtype=float)
     low = t_arr if scalar else float(t_arr.min())
     if low < 0.0:
         raise ValueError(f"interrogation time must be >= 0, got {low}")
-    terms = STRATEGIES[strategy].block_terms
-    w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
-    probe = (w, (_FloatMath.log(w[0]), _FloatMath.log(w[1])), spec.n_probes)
+    probe = _probe(strategy, spec)
     if scalar:
-        return _log_f_phase(terms, *probe, model, t_arr, _FloatMath, False)[0]
+        return _log_f_phase(probe, model, t_arr, _FloatMath, False)[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _log_f_phase(terms, *probe, model, t_arr, np, False)[0]
+        return _log_f_phase(probe, model, t_arr, np, False)[0]
 
 
 def qfi_closed(

@@ -4,10 +4,11 @@ The figure of merit throughout is F_omega(t)/t, the frequency information
 per unit of total measurement time. It is maximized over t for a batch of
 rows at once, a row being one (strategy, probe) pair under one noise model.
 Every step evaluates the log-space closed form (`fisher._log_f_phase`) for
-all rows in one array call, N and the amplitudes as (rows, 1) columns
-against a (rows, points) array of times. The GHZ strategies share a batch:
-their block terms are joined and a row gives a term its strategy lacks the
-log weight -inf. Two stages:
+all rows in one array call, reading the batch's probe record
+(`state._probe_columns`), whose fields are (rows, 1) columns against a (rows,
+points) array of times. The GHZ strategies share a batch: their block
+terms are joined and a row gives a term its strategy lacks the log weight
+-inf. Two stages:
 
   * a geometric scan of the whole window, one (rows, SCAN_POINTS) call,
     which also certifies that each row's sampled profile rises to a single
@@ -38,9 +39,9 @@ does not grow with the probe range, and packages the per-N results
 (optimal time, peak value, ratio against the best uncorrelated scheme, and
 the readout saturation gap at the optimum) into rows ready for tabulation.
 The gaps of a batch are formed in one array pass as well
-(`measurement._saturation_gaps`), from the batch's probe table and the
+(`measurement._saturation_gaps`), from the batch's probe record and the
 log F_phase that the optimizer's last evaluation gives at t_opt;
-`measurement.saturation_check` is the one-row call of that pass.
+`measurement.saturation_check` runs the same pass on one probe's floats.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from ._numpy import np
 from .channel import _TINY, NoiseModel, _FloatMath
 from .fisher import _log_f_phase, qfi_closed
 from .measurement import _saturation_gaps, saturation_check
-from .state import STRATEGIES, ProbeSpec, StrategyKind, _probe_table, _row_name, check_ancillas
+from .state import STRATEGIES, ProbeSpec, StrategyKind, _probe_columns, _row_name, check_ancillas
 
 __all__ = [
     "StrategyKind",
@@ -110,37 +111,25 @@ class Table1Row:
         return dict(vars(self))
 
 
-def _probe(table: np.ndarray):
-    """The (w, log_w, n) arguments of `fisher._log_f_phase` for the rows of
-    `table`, as (rows, 1) columns against a (rows, points) array of times."""
-    columns = [row[:, None] for row in table]
-    return tuple(columns[:2]), tuple(columns[2:-1]), columns[-1]
-
-
-def _objective(
-    terms, table: np.ndarray, model: NoiseModel
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(F_omega/t, log F_phase) of each row of `table` over a (rows, points)
-    array of times, F_omega/t being t * exp(log F_phase)."""
-    probe = _probe(table)
+def _objective(probe, model: NoiseModel) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(F_omega/t, log F_phase) of each row of the batch record `probe` over a
+    (rows, points) array of times, F_omega/t being t * exp(log F_phase)."""
 
     def f_over_t(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        log_f = _log_f_phase(terms, *probe, model, t, np, False)[0]
+        log_f = _log_f_phase(probe, model, t, np, False)[0]
         return t * np.exp(log_f), log_f
 
     return f_over_t
 
 
-def _log_slope(
-    terms, table: np.ndarray, model: NoiseModel
-) -> Callable[[np.ndarray], np.ndarray]:
-    """d/dt log(F/t) of each row of `table` over a (rows, points) array of times.
+def _log_slope(probe, model: NoiseModel) -> Callable[[np.ndarray], np.ndarray]:
+    """d/dt log(F/t) of each row of the batch record `probe` over (rows, points) times.
 
     Analytic for the named models; for custom ones a central difference of
     log(F/t) with a relative step of 1e-6, both sides in one objective call.
     """
     if model.kind == "custom":
-        f = _objective(terms, table, model)
+        f = _objective(probe, model)
 
         def slope(t: np.ndarray) -> np.ndarray:
             h = 1e-6 * t
@@ -149,15 +138,13 @@ def _log_slope(
 
         return slope
 
-    probe = _probe(table)
-
     def slope(t: np.ndarray) -> np.ndarray:
-        return _log_f_phase(terms, *probe, model, t, np, True)[1] + 1.0 / t
+        return _log_f_phase(probe, model, t, np, True)[1] + 1.0 / t
 
     return slope
 
 
-def _slope_roots(terms, table, model, a, b, guess, rows) -> np.ndarray:
+def _slope_roots(probe, model, a, b, guess, rows) -> np.ndarray:
     """Locate the sign change of each row's decreasing slope inside [a, b].
 
     Each call evaluates the slope at two points of every bracket still open
@@ -179,7 +166,7 @@ def _slope_roots(terms, table, model, a, b, guess, rows) -> np.ndarray:
     and it is evaluated no more, so what it returns does not depend on the
     other rows of the batch.
     """
-    slope = _log_slope(terms, table, model)
+    slope = _log_slope(probe, model)
     budget = b - a  # the widest bracket each row's next call may leave
     # fmin and fmax pass over a NaN guess, which puts the window at a + half
     half = np.fmin(GUESS_REL_WIDTH * guess, 0.25 * budget)
@@ -220,7 +207,7 @@ def _slope_roots(terms, table, model, a, b, guess, rows) -> np.ndarray:
             active, a, b, w, s_a, s_b, budget = (
                 v[keep] for v in (active, a, b, w, s_a, s_b, budget)
             )
-            slope = _log_slope(terms, table[:, active], model)
+            slope = _log_slope(_probe_columns([rows[i] for i in active]), model)
         budget = 0.5 * budget
         y_a, y_b = a * s_a, b * s_b
         half = 0.25 * w * w / b  # below w / 4, since w < b
@@ -233,15 +220,13 @@ def _slope_roots(terms, table, model, a, b, guess, rows) -> np.ndarray:
 
 
 def _maximize_rows(
-    rows: Sequence[tuple[StrategyKind, ProbeSpec]],
-    probe_table: tuple[tuple, np.ndarray],
-    model: NoiseModel,
+    rows: Sequence[tuple[StrategyKind, ProbeSpec]], probe, model: NoiseModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t_opt, f_over_t_max, log F_phase at t_opt) of each (strategy, spec)
     row as (rows,) arrays, all rows in one batch.
 
-    The rows are either all correlated (GHZ) or all uncorrelated.
-    probe_table is `state._probe_table(rows)`: their strategies' block
+    The rows are either all correlated (GHZ) or all uncorrelated. probe is
+    their record `state._probe_columns(rows)`: their strategies' block
     terms joined, in `STRATEGIES` order, where a row gives a term its
     strategy lacks the log weight -inf, so one array call evaluates every
     row. The scan is one (rows, SCAN_POINTS) call; the slope search then
@@ -249,7 +234,7 @@ def _maximize_rows(
     of `maximize_f_over_t` is made per row, and a failure names the row's
     strategy and N. The last evaluation, at t_opt, gives both f_over_t_max
     and log F_phase, which `sweep` passes on to the saturation gap with the
-    same probe table.
+    same record.
     """
     if model.gamma <= 0:
         raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
@@ -258,11 +243,10 @@ def _maximize_rows(
     correlated = {STRATEGIES[kind].correlated for kind, _ in rows}
     if len(correlated) != 1:
         raise ValueError("a batch holds either correlated or uncorrelated rows, not both")
-    terms, table = probe_table
     hi = SCAN_WINDOW[1] / model.gamma
     lo = np.full(len(rows), SCAN_WINDOW[0] / model.gamma)
     if correlated.pop():
-        lo /= table[-1]
+        lo /= probe.n[:, 0]
     if not math.isfinite(hi):
         raise ValueError(
             f"the scan window's upper edge {SCAN_WINDOW[1]!r}/gamma overflows double "
@@ -279,7 +263,7 @@ def _maximize_rows(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         steps = np.arange(float(SCAN_POINTS))
         grid = np.exp(log_lo[:, None] + steps * step[:, None])
-        f = _objective(terms, table, model)
+        f = _objective(probe, model)
         values, _ = f(grid)
         finite = ~np.any(values == math.inf, axis=1)
         peak = np.argmax(values, axis=1)
@@ -316,7 +300,7 @@ def _maximize_rows(
         y0, y1, y2 = np.log(values[row[:, None], peak[:, None] + np.arange(-1, 2)]).T
         guess = grid[row, peak] * np.exp(step * (y0 - y2) / (2.0 * (y0 - 2.0 * y1 + y2)))
         t_opt = _slope_roots(
-            terms, table, model, grid[row, peak - 1], grid[row, peak + 1], guess, rows
+            probe, model, grid[row, peak - 1], grid[row, peak + 1], guess, rows
         )
         best, log_f = f(t_opt[:, None])
     return t_opt, best[:, 0], log_f[:, 0]
@@ -343,7 +327,7 @@ def maximize_f_over_t(
     lies below the smallest normal double (N*gamma above about 1e308).
     """
     rows = [(strategy, spec)]
-    t_opt, best, _ = _maximize_rows(rows, _probe_table(rows), model)
+    t_opt, best, _ = _maximize_rows(rows, _probe_columns(rows), model)
     return float(t_opt[0]), float(best[0])
 
 
@@ -400,10 +384,10 @@ def sweep(
                  for n in probes for s in correlated]
         optima = iter(())
         if batch:
-            probe_table = _probe_table(batch)
-            t_opt, best, log_f = _maximize_rows(batch, probe_table, model)
-            _, gaps = _saturation_gaps(batch, probe_table, model, t_opt, log_f, 0.0)
-            optima = zip(t_opt.tolist(), best.tolist(), gaps.tolist())
+            probe = _probe_columns(batch)
+            t_opt, best, log_f = _maximize_rows(batch, probe, model)
+            _, gaps = _saturation_gaps(batch, probe, model, t_opt[:, None], log_f[:, None], 0.0, np)
+            optima = zip(t_opt.tolist(), best.tolist(), gaps[:, 0].tolist())
         for n in probes:
             best_unc = n * best_single
             for strategy in chosen:

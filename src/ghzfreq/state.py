@@ -3,11 +3,13 @@
 The probe c1|0...0> + c2|1...1> evolves into a direct sum: a 2x2 coherence
 block on the span of |0...0> and |1...1>, plus a phase-free residual that is
 diagonal in the computational basis and degenerate within Hamming classes.
-`STRATEGIES` is the one place that says what each strategy is. Read from it
-are the coherence block alone (`coherence_block`, O(1) in N) and the whole
-direct sum of either GHZ strategy (`evolve_directsum(kind, ...)`). A full
-density-matrix evolution (the oracle route, which does not read the table)
-and a comparator between the two are also provided.
+`STRATEGIES` is the one place that says what each strategy is. From it,
+`_probe` builds the one record of a probe that the closed form, the
+optimizer and the readout read (`_probe_columns` stacks a batch's). Read
+from that are the coherence block alone (`coherence_block`, O(1) in N) and
+the whole direct sum of either GHZ strategy (`evolve_directsum(kind, ...)`).
+A full density-matrix evolution (the oracle route, which does not read the
+table) and a comparator between the two are also provided.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ._numpy import np
 from .channel import (
@@ -227,47 +229,62 @@ def ghz_state(spec: ProbeSpec) -> DenseState:
     return DenseState(np.outer(psi, psi.conj()), n)
 
 
-def _block_log_terms(terms, log_w, n, log_half) -> Iterator:
-    """log(w (A/2)^N) of each block term (i, pole, side), one at a time,
-    log_w[i] being its log weight and n the probe count.
+class _Probe(NamedTuple):
+    """What the coherence block and the closed form read of a probe: floats for
+    one probe (`_probe`), or (rows, 1) columns for a batch (`_probe_columns`),
+    which broadcast against a (rows, points) array of times."""
 
-    For one probe i is the term's branch and log_w = (log|c1|^2, log|c2|^2).
-    Floats or arrays that broadcast: a batch of probes holds log_w and n as
-    (rows, 1) columns against log_half over a (rows, points) array of times.
-    The closed form sums these into the block trace and the coherence block
-    puts each on its side of the diagonal, so both read the same numbers.
+    terms: tuple[tuple[int, int, int], ...]  # block terms (weight, pole, side), see `Strategy`
+    w: tuple  # (|c1|^2, |c2|^2)
+    log_w: tuple  # log w of each term, indexed as terms; -inf for a term w = 0 or absent
+    n: int | np.ndarray  # the probe count N
+    c12: complex | np.ndarray  # c1 conj(c2)
+
+
+def _probe(kind: StrategyKind, spec: ProbeSpec, terms=None) -> _Probe:
+    """The record of `spec` under strategy `kind`, in floats.
+
+    terms are the block terms it holds, by default those of `kind`; a batch
+    passes the terms of all its rows' strategies, and a term that `kind`
+    lacks gets the log weight -inf, which drops it from the block trace.
     """
-    return (log_w[i] + n * log_half[pole] for i, pole, _ in terms)
+    own = STRATEGIES[kind].block_terms
+    terms = own if terms is None else terms
+    w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
+    log_w = (_FloatMath.log(w[0]), _FloatMath.log(w[1]))
+    # `terms is own` spares the membership test for a probe's own terms
+    log_w = tuple([log_w[t[0]] if terms is own or t in own else -math.inf for t in terms])
+    return _Probe(terms, w, log_w, spec.n_probes, spec.c1 * spec.c2.conjugate())
 
 
-def _log_weights(spec: ProbeSpec) -> tuple[float, float]:
-    """(log|c1|^2, log|c2|^2), -inf for a vanishing amplitude."""
-    return _FloatMath.log(abs(spec.c1) ** 2), _FloatMath.log(abs(spec.c2) ** 2)
-
-
-def _probe_table(rows: Sequence[tuple[StrategyKind, ProbeSpec]]) -> tuple[tuple, np.ndarray]:
-    """The block terms of a batch of (strategy, spec) rows, and one column per row.
-
-    The rows' strategies' block terms are joined in `STRATEGIES` order and
-    returned as (i, pole, side), i counting them. Each row's column holds
-    |c1|^2, |c2|^2, the log weight of each joined term and N. A term the
-    row's strategy lacks gets the log weight -inf, which drops it from the
-    logsumexp of the block trace and adds 0 to the block diagonal.
-    """
+def _probe_columns(rows: Sequence[tuple[StrategyKind, ProbeSpec]]) -> _Probe:
+    """The record of a batch of (strategy, spec) rows: each row's `_probe`
+    over their strategies' block terms, joined in `STRATEGIES` order, as
+    one (rows, 1) column per field."""
     kinds = {kind for kind, _ in rows}
-    joined = tuple(dict.fromkeys(
+    terms = tuple(dict.fromkeys(
         term for kind in STRATEGIES if kind in kinds for term in STRATEGIES[kind].block_terms
     ))
-    # per strategy, which of (log|c1|^2, log|c2|^2, -inf) each joined term reads
-    picks = {kind: [t[0] if t in STRATEGIES[kind].block_terms else 2 for t in joined]
-             for kind in kinds}
-    table = []
-    for kind, spec in rows:
-        w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
-        log_w = (_FloatMath.log(w[0]), _FloatMath.log(w[1]), -math.inf)
-        table.append([*w, *[log_w[i] for i in picks[kind]], spec.n_probes])
-    terms = tuple((i, pole, side) for i, (_, pole, side) in enumerate(joined))
-    return terms, np.array(table, dtype=float).T.copy()
+    probes = [_probe(kind, spec, terms) for kind, spec in rows]
+    table = np.array([(*p.w, *p.log_w, p.n) for p in probes], dtype=float).T.copy()[:, :, None]
+    c12 = np.array([p.c12 for p in probes], dtype=complex)[:, None]
+    return _Probe(terms, tuple(table[:2]), tuple(table[2:-1]), table[-1], c12)
+
+
+def _block_log_terms(probe: _Probe, log_half) -> tuple[list, Iterator]:
+    """The block terms (pole, side, log w) of `probe` that can be nonzero, and
+    log(w (A/2)^N) of each, one at a time, from the channel's log(A/2) per
+    pole (`channel._log_channel`).
+
+    A term whose pole's log(A/2) is the float -inf (adc's A-+, pdc's A-+ and
+    A--) adds nothing and is left out. The closed form sums these into the
+    block trace and the coherence block puts each on its side of the
+    diagonal, so both read the same numbers.
+    """
+    n = probe.n
+    live = [(pole, side, log_w) for (_, pole, side), log_w in zip(probe.terms, probe.log_w)
+            if not (isinstance(log_half[pole], float) and log_half[pole] == -math.inf)]
+    return live, (log_w + n * log_half[pole] for pole, _, log_w in live)
 
 
 def _row_name(row: tuple[StrategyKind, ProbeSpec], model: NoiseModel) -> str:
@@ -276,32 +293,29 @@ def _row_name(row: tuple[StrategyKind, ProbeSpec], model: NoiseModel) -> str:
     return f"strategy={kind.value} model={model.kind} n={spec.n_probes}"
 
 
-def _block(terms, log_w, n, c12, record, omega, t, xp):
+def _block(probe: _Probe, record, omega, t, xp):
     """The coherence block's entries (r00, r11, r01) and phase_total, from log space.
 
-    Floats for one probe (xp = `_FloatMath`), or (rows,) arrays for a batch
-    of probes (xp = numpy). `record` is the channel's log-space record
+    Floats for one probe (xp = `_FloatMath`), or arrays for a batch of
+    probes (xp = numpy). `record` is the channel's log-space record
     (log_eta, log_half, sign, theta) of `channel._log_channel`. r00 and r11
     sum exp(log w + N log(A/2)) over the block terms on their side
-    (`_block_log_terms`; a term of log weight -inf adds 0), and r01 = c12
-    sign^N exp(N log|eta_perp|) exp(-i phase_total), with c12 = c1 conj(c2)
-    and phase_total = N (theta_noise + omega t).
+    (`_block_log_terms`), and r01 = c12 sign^N exp(N log|eta_perp|)
+    exp(-i phase_total), with phase_total = N (theta_noise + omega t).
     """
     log_eta, log_half, sign, theta = record
+    n = probe.n
     diag = [0.0, 0.0]
-    for (_, _, side), value in zip(terms, _block_log_terms(terms, log_w, n, log_half)):
+    for (_, side, _), value in zip(*_block_log_terms(probe, log_half)):
         diag[side] = diag[side] + xp.exp(value)
     phase = n * (theta + omega * t)
     eta_n = sign**n * xp.exp(n * log_eta)
-    return diag[0], diag[1], c12 * eta_n * (xp.cos(phase) - 1j * xp.sin(phase)), phase
+    return diag[0], diag[1], probe.c12 * eta_n * (xp.cos(phase) - 1j * xp.sin(phase)), phase
 
 
-def _block_matrix(terms, spec, record, omega, t) -> tuple[np.ndarray, float]:
+def _block_matrix(probe: _Probe, record, omega, t) -> tuple[np.ndarray, float]:
     """The 2x2 coherence block of one probe (`_block`) and its phase_total."""
-    r00, r11, off, phase = _block(
-        terms, _log_weights(spec), spec.n_probes, spec.c1 * spec.c2.conjugate(), record,
-        omega, t, _FloatMath,
-    )
+    r00, r11, off, phase = _block(probe, record, omega, t, _FloatMath)
     return np.array([[r00, off], [off.conjugate(), r11]], dtype=complex), phase
 
 
@@ -323,8 +337,7 @@ def coherence_block(
     if t < 0:
         raise ValueError(f"interrogation time must be >= 0, got {t}")
     record, _, _ = _log_channel(model, t, _FloatMath, False)
-    terms = STRATEGIES[ghz_strategy(spec.n_ancillas)].block_terms
-    return _block_matrix(terms, spec, record, omega, t)
+    return _block_matrix(_probe(ghz_strategy(spec.n_ancillas), spec), record, omega, t)
 
 
 def _residual_families(kind: StrategyKind, n: int):
@@ -374,10 +387,11 @@ def evolve_directsum(
     check_ancillas(kind, spec.n_ancillas)
     _require_cptp(params)
     record = _log_params(params, _FloatMath)
-    block, phase = _block_matrix(STRATEGIES[kind].block_terms, spec, record, omega, t)
+    probe = _probe(kind, spec)
+    block, phase = _block_matrix(probe, record, omega, t)
     log_half = record[1]
     n = spec.n_probes
-    log_w = _log_weights(spec)
+    log_w = [_FloatMath.log(w) for w in probe.w]  # per branch, as the residual families read it
     log_fact = _log_factorials(n)
     residual = np.concatenate([
         np.logaddexp.reduce([

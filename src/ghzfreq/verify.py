@@ -36,8 +36,7 @@ from .channel import (
 from .fisher import qfi_closed, qfi_sld_oracle
 from .measurement import (
     GhzObservable,
-    UnusableWorkingPointError,
-    _phase_variance,
+    _readout,
     error_propagation_sensitivity,
     expectation_moments,
     saturation_check,
@@ -260,10 +259,11 @@ def _check_saturation(rng: np.random.Generator) -> CheckResult:
 
     `saturation_check` evaluates only the quadrature phase; here the
     error-propagation sensitivity is also scanned over SCAN_PHASES measurement
-    phases in [0, 2*pi) on one coherence block per working point, and the
-    margin is the smallest relative excess of a grid phase's variance over
-    the quadrature variance (about 0 when a grid phase lands on quadrature,
-    negative if one did better).
+    phases in [0, 2*pi), in one readout pass (`measurement._readout`) over
+    one coherence block per working point, leaving out the phases where the
+    mean has no phase response. The margin is the smallest relative excess
+    of a grid phase's variance over the quadrature variance (about 0 when a
+    grid phase lands on quadrature, negative if one did better).
     """
     worst = 0.0
     margin = math.inf
@@ -279,13 +279,12 @@ def _check_saturation(rng: np.random.Generator) -> CheckResult:
             n_total = spec.n_total
             quad = error_propagation_sensitivity(spec, model, t, omega, GhzObservable(n_total, delta))
             block, _ = coherence_block(spec, model, omega, t)
-            for i in range(SCAN_PHASES):
-                obs = GhzObservable(n_total, 2.0 * math.pi * i / SCAN_PHASES)
-                try:
-                    value = _phase_variance(block, spec.n_probes, obs) / t
-                except UnusableWorkingPointError:
-                    continue
-                margin = min(margin, value / quad - 1.0)
+            phases = 2.0 * math.pi * np.arange(SCAN_PHASES) / SCAN_PHASES
+            with np.errstate(divide="ignore", invalid="ignore"):
+                _, variance, flat = _readout(
+                    block[0, 0].real + block[1, 1].real, block[0, 1], spec.n_probes, phases, np
+                )
+            margin = float(np.min(variance[~flat] / t / quad - 1.0, initial=margin))
     return CheckResult(
         "readout_saturation",
         all_ok and margin >= -1e-12,

@@ -732,6 +732,26 @@ print(json.dumps(report))
 """
 
 
+# One-probe library calls that read their probe record and coherence block
+# on floats: the readout at a named model, and a custom map's closed form and
+# readout. `CALLS` maps a label to each call.
+_FLOAT_CALLS = """
+from ghzfreq import (ChannelParams, GhzObservable, ProbeSpec, StrategyKind, adc, custom, dpc,
+                     error_propagation_sensitivity, qfi_closed, saturation_check)
+rotating = custom(lambda t: ChannelParams(0.4 + 0.3 * t, -0.9, 0.9, 0.0))
+CALLS = {
+    "saturation_check adc": lambda: saturation_check(ProbeSpec.balanced(3), adc(1.0), 0.2, 0.3),
+    "saturation_check dpc ancilla":
+        lambda: saturation_check(ProbeSpec.balanced(2, 1), dpc(0.7), 0.4, -1.1),
+    "error_propagation_sensitivity adc": lambda: error_propagation_sensitivity(
+        ProbeSpec.balanced(3), adc(1.0), 0.2, 0.3, GhzObservable(3, 0.4)),
+    "qfi_closed custom":
+        lambda: qfi_closed(StrategyKind.GHZ_FREE, ProbeSpec.balanced(3), rotating, 0.2),
+    "saturation_check custom": lambda: saturation_check(ProbeSpec.balanced(3), rotating, 0.2, 0.3),
+}
+"""
+
+
 def _numpy_probe(argvs):
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
                           capture_output=True, text=True, env=module_env(), check=True)
@@ -768,6 +788,20 @@ class TestStartup:
         ((code, out, loaded),) = report["runs"]
         assert loaded is True
         assert (code, out) == run_capture(argv, capsys)[:2]
+
+    def test_float_calls_leave_numpy_unloaded(self):
+        # each call, in a fresh process: its value and whether numpy's core is loaded after it
+        code = _FLOAT_CALLS + (
+            "import json, sys\n"
+            "print(json.dumps([[repr(call()), 'numpy._core' in sys.modules]"
+            " for call in CALLS.values()]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=module_env(), check=True)
+        scope = {}
+        exec(_FLOAT_CALLS, scope)
+        want = [[repr(call()), False] for call in scope["CALLS"].values()]
+        assert json.loads(proc.stdout) == want
 
     def test_numpy_imported_after_the_package_works(self):
         code = ("import sys, types, ghzfreq, numpy; from ghzfreq import channel;"

@@ -9,6 +9,7 @@ from ghzfreq.fisher import qfi_closed
 from ghzfreq.measurement import (
     GhzObservable,
     UnusableWorkingPointError,
+    _readout,
     error_propagation_sensitivity,
     expectation_moments,
     saturation_check,
@@ -16,6 +17,7 @@ from ghzfreq.measurement import (
 from ghzfreq.state import (
     ProbeSpec,
     StrategyKind,
+    coherence_block,
     evolve_dense,
     evolve_directsum,
 )
@@ -137,6 +139,30 @@ class TestErrorPropagation:
         aligned = GhzObservable(2, ds.phase_total)  # mean extremum, no response
         with pytest.raises(UnusableWorkingPointError):
             error_propagation_sensitivity(spec, model, t, 0.0, aligned)
+
+    @pytest.mark.parametrize("make", [adc, dpc, pdc])
+    @pytest.mark.parametrize("n,n_anc", [(3, 0), (2, 1)])
+    def test_array_readout_is_the_float_readout_phase_by_phase(self, make, n, n_anc):
+        # the one readout formula over an array of phases, as `verify` scans it,
+        # against `error_propagation_sensitivity` one phase at a time on floats;
+        # the two phases of the mean's extrema have no phase response
+        spec, model, t, omega = ProbeSpec.balanced(n, n_anc), make(1.0), 0.6, 0.9
+        block, _ = coherence_block(spec, model, omega, t)
+        extrema = [-cmath.phase(block[0, 1]), math.pi - cmath.phase(block[0, 1])]
+        phases = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 721), extrema])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, variance, flat = _readout(
+                block[0, 0].real + block[1, 1].real, block[0, 1], n, phases, np
+            )
+        assert flat.tolist() == [False] * 721 + [True, True]
+        for delta, value, is_flat in zip(phases.tolist(), (variance / t).tolist(), flat):
+            obs = GhzObservable(spec.n_total, delta)
+            if is_flat:
+                with pytest.raises(UnusableWorkingPointError):
+                    error_propagation_sensitivity(spec, model, t, omega, obs)
+            else:
+                want = error_propagation_sensitivity(spec, model, t, omega, obs)
+                assert value == pytest.approx(want, rel=1e-12)
 
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError):

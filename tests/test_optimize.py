@@ -320,7 +320,7 @@ def _recorded_slope(monkeypatch, shape):
     """Patch `optimize._log_slope` to `shape`; returns the list of (t, slope) of each call."""
     calls = []
 
-    def fake(terms, table, model):
+    def fake(probe, model):
         def slope(t):
             calls.append((t.copy(), shape(t)))
             return calls[-1][1]
@@ -341,7 +341,7 @@ class TestSlopeSearch:
         calls = _recorded_slope(monkeypatch, ADVERSARIAL_SLOPES[name])
         a, b = 1.0, 1.3
         (root,) = optimize._slope_roots(
-            None, np.zeros((1, 1)), None, np.array([a]), np.array([b]), np.array([guess]), [None]
+            None, None, np.array([a]), np.array([b]), np.array([guess]), [None]
         )
         t = np.concatenate([c[0].ravel() for c in calls])
         s = np.concatenate([c[1].ravel() for c in calls])
@@ -356,8 +356,8 @@ class TestSlopeSearch:
         searches = []
         log_slope, slope_roots = optimize._log_slope, optimize._slope_roots
 
-        def counted_slope(terms, table, model):
-            slope = log_slope(terms, table, model)
+        def counted_slope(probe, model):
+            slope = log_slope(probe, model)
 
             def counted(t):
                 searches[-1][0] += 1
@@ -366,9 +366,9 @@ class TestSlopeSearch:
 
             return counted
 
-        def counted_roots(terms, table, model, a, b, guess, rows):
+        def counted_roots(probe, model, a, b, guess, rows):
             searches.append([0, 0, len(rows)])
-            return slope_roots(terms, table, model, a, b, guess, rows)
+            return slope_roots(probe, model, a, b, guess, rows)
 
         monkeypatch.setattr(optimize, "_log_slope", counted_slope)
         monkeypatch.setattr(optimize, "_slope_roots", counted_roots)
@@ -425,15 +425,16 @@ class TestSaturationGap:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(optimize, "saturation_check")
-        for name in ("log_qfi_phase", "coherence_block", "GhzObservable"):
+        for name in ("_log_f_phase", "_block", "GhzObservable"):
             counted(measurement, name)
-        # both the optimizer and the gap pass of a batch read one probe table
-        counted(optimize, "_probe_table")
-        counted(measurement, "_probe_table")
+        # both the optimizer and the gap pass of a batch read one probe record
+        counted(optimize, "_probe_columns")
+        counted(measurement, "_probe")
         assert len(sweep(adc(1.3), 1, 30)) == 90
         assert calls["saturation_check"] <= 1
-        assert calls["log_qfi_phase"] <= 1
-        assert calls["coherence_block"] == calls["GhzObservable"] == 0
+        assert calls["_log_f_phase"] <= 1
+        assert calls["GhzObservable"] == 0
         # one per batch of 32 rows (two here), plus the one-row uncorrelated
         # optimum and saturation check
-        assert calls["_probe_table"] <= 4
+        assert calls["_probe_columns"] + calls["_probe"] <= 4
+        assert calls["_block"] <= 3
