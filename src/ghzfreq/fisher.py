@@ -66,7 +66,9 @@ def _log_f_phase(probe, model: NoiseModel, t, xp, slope: bool):
         live, parts = _block_log_terms(probe, log_half)
         if d_f is not None:
             parts = list(parts)
-        log_r0 = functools.reduce(xp.logaddexp, parts)
+        # a strategy whose every term drops out has r0 = 0, so log r0 = -inf
+        # and F = 0 (an initial -inf would cost one more array logaddexp)
+        log_r0 = functools.reduce(xp.logaddexp, parts) if live else -math.inf
     log_f = xp.log(4.0 * probe.w[0] * probe.w[1] * n * power) + 2.0 * power * log_eta
     if probe.terms:
         # a zero block trace comes with a zero numerator, so (-inf) - (-inf)
@@ -105,7 +107,7 @@ def log_qfi_phase(strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel, t)
     low = t_arr if scalar else float(t_arr.min())
     if low < 0.0:
         raise ValueError(f"interrogation time must be >= 0, got {low}")
-    probe = _probe(strategy, spec)
+    probe = _probe(STRATEGIES[strategy], spec)
     if scalar:
         return _log_f_phase(probe, model, t_arr, _FloatMath, False)[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

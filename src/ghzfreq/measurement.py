@@ -29,6 +29,7 @@ from ._numpy import np
 from .channel import NoiseModel, _FloatMath, _log_channel
 from .fisher import _log_f_phase
 from .state import (
+    STRATEGIES,
     DirectSumState,
     ProbeSpec,
     StrategyKind,
@@ -128,7 +129,7 @@ def error_propagation_sensitivity(
             f"observable spans {obs.n_total} qubits but the state has {spec.n_total}"
         )
     record, _, _ = _log_channel(model, t, _FloatMath, False)
-    probe = _probe(ghz_strategy(spec.n_ancillas), spec)
+    probe = _probe(STRATEGIES[ghz_strategy(spec.n_ancillas)], spec)
     r00, r11, off, _ = _block(probe, record, omega, t, _FloatMath)
     _, variance, flat = _readout(r00 + r11, off, spec.n_probes, obs.delta, _FloatMath)
     if flat:
@@ -208,7 +209,7 @@ def saturation_check(
     t = float(t)
     if t < 0.0:
         raise ValueError(f"interrogation time must be >= 0, got {t}")
-    probe = _probe(*rows[0])
+    probe = _probe(STRATEGIES[rows[0][0]], spec)
     log_f = _log_f_phase(probe, model, t, _FloatMath, False)[0]
     quad, gap = _saturation_gaps(rows, probe, model, t, log_f, omega, _FloatMath)
     return abs(gap) <= SATURATION_REL_TOL, float(quad), float(gap)

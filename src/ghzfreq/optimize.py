@@ -8,7 +8,16 @@ all rows in one array call, reading the batch's probe record
 (`state._probe_columns`), whose fields are (rows, 1) columns against a (rows,
 points) array of times. The GHZ strategies share a batch: their block
 terms are joined and a row gives a term its strategy lacks the log weight
--inf. Two stages:
+-inf.
+
+Where the answer is analytic it is taken as it is. The derivative record of
+`channel._log_channel`, read once per batch, says when d/dt log(F/t) is
+1/t + r with r constant (`_constant_slope`): then t_opt = -1/r. That is
+every uncorrelated row of a named model (t_opt = 1/gamma for adc,
+1/(2 gamma) for dpc and pdc) and every pdc GHZ row (1/(2 N gamma), as in
+Huelga et al., PRL 79, 3865 (1997)). The peak value comes from one
+objective call at t_opt, which is checked as the scan would be. Every other
+batch (adc and dpc GHZ rows, custom models) is searched in two stages:
 
   * a geometric scan of the whole window, one (rows, SCAN_POINTS) call,
     which also certifies that each row's sampled profile rises to a single
@@ -20,12 +29,12 @@ terms are joined and a row gives a term its strategy lacks the log weight
     side of the vertex of the parabola through the scan's log(F/t) around
     the peak; each later call's lie either side of the secant root of the
     row's bracket, at a distance that shrinks with the square of its width.
-    On the named models, up to N = 10**9 at least, three calls (8 slope
-    values per row) narrow every bracket below REFINE_REL_WIDTH. A window that would leave a bracket
-    wider than bisection allows, with one call to spare, is widened toward
-    its midpoint, so no slope takes more calls than bisection plus one. The
-    slope is analytic for the named models and a central difference of
-    log(F/t) for custom ones.
+    On adc and dpc, up to N = 10**9 at least, three calls (8 slope values
+    per row) narrow every bracket below REFINE_REL_WIDTH. A window that
+    would leave a bracket wider than bisection allows, with one call to
+    spare, is widened toward its midpoint, so no slope takes more calls
+    than bisection plus one. The slope is analytic for the named models and
+    a central difference of log(F/t) for custom ones.
 
 A row is frozen once its bracket is narrow enough and is evaluated no more,
 so its result is the same to the bit whichever rows share its batch;
@@ -51,10 +60,18 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._numpy import np
-from .channel import _TINY, NoiseModel, _FloatMath
+from .channel import _TINY, NoiseModel, _FloatMath, _log_channel
 from .fisher import _log_f_phase, qfi_closed
 from .measurement import _saturation_gaps, saturation_check
-from .state import STRATEGIES, ProbeSpec, StrategyKind, _probe_columns, _row_name, check_ancillas
+from .state import (
+    STRATEGIES,
+    ProbeSpec,
+    StrategyKind,
+    _block_log_terms,
+    _probe_columns,
+    _row_name,
+    check_ancillas,
+)
 
 __all__ = [
     "StrategyKind",
@@ -219,6 +236,68 @@ def _slope_roots(probe, model, a, b, guess, rows) -> np.ndarray:
         values = np.concatenate([s_a[:, None], slope(inner), s_b[:, None]], axis=1)
 
 
+def _constant_slope(probe, model: NoiseModel):
+    """The rate r of each row of the batch record `probe` where d/dt
+    log(F/t) = 1/t + r exactly, as a (rows,) array, or None if the slope
+    has another form.
+
+    That is so when the derivative record of `channel._log_channel` has a
+    constant d/dt log|eta_perp| and a d/dt log(A/2) of exactly 0.0 for every
+    live block term (`state._block_log_terms`): then r = 2 P d/dt
+    log|eta_perp|, with P = N for a GHZ row and 1 otherwise, as
+    `fisher._log_f_phase` writes the slope, and the optimum is t = -1/r.
+    That holds for every uncorrelated row of a named model and for every
+    pdc GHZ row (Huelga et al., PRL 79, 3865 (1997)). The record is
+    read at no times at all, so a custom rule is not called; its slope is
+    not analytic (None).
+    """
+    (_, log_half, _, _), d_eta, d_half = _log_channel(model, np.empty(0), np, True)
+    if d_eta is None or np.ndim(d_eta):
+        return None
+    live, _ = _block_log_terms(probe, log_half)
+    if not all(isinstance(d_half[pole], float) and d_half[pole] == 0.0 for pole, _, _ in live):
+        return None
+    power = probe.n[:, 0] if probe.terms else np.ones(len(probe.n))
+    return 2.0 * power * d_eta
+
+
+def _check_profile(values, times, rows, model: NoiseModel, peak=None) -> None:
+    """Raise ValueError naming the first row of the (rows, points) F/t
+    `values` at `times` that overflows double precision or is 0 at every
+    point (a probe without phase coherence); for a scan, whose `peak` index
+    per row is given, also a row that peaks at the window's edge or is not
+    unimodal."""
+    finite = ~np.any(values == math.inf, axis=1)
+    coherent = np.any(values > 0.0, axis=1)
+    passed = finite & coherent
+    if peak is not None:
+        inside = (peak > 0) & (peak < values.shape[1] - 1)
+        diffs = np.diff(values, axis=1)
+        rising = np.arange(1, values.shape[1]) <= peak[:, None]
+        unimodal = np.all(np.where(rising, diffs > 0.0, diffs <= 0.0), axis=1)
+        passed &= inside & unimodal
+    if passed.all():
+        return
+    r = int(np.argmin(passed))
+    if not finite[r]:
+        at = float(times[r, np.argmax(values[r] == math.inf)])
+        raise ValueError(f"F/t overflows double precision at t={at!r}: {_row_name(rows[r], model)}")
+    if not coherent[r]:
+        raise ValueError(
+            "F/t is 0 at every scanned time: the probe has no phase coherence "
+            "(|c1 c2|^2 is 0 in floating point), so there is no optimal time: "
+            f"{_row_name(rows[r], model)}"
+        )
+    if not inside[r]:
+        raise ValueError(
+            f"profile peaks at the scan boundary (index {peak[r]}); "
+            f"the optimum lies outside SCAN_WINDOW: {_row_name(rows[r], model)}"
+        )
+    raise ValueError(
+        f"sampled profile is not unimodal over the scan window: {_row_name(rows[r], model)}"
+    )
+
+
 def _maximize_rows(
     rows: Sequence[tuple[StrategyKind, ProbeSpec]], probe, model: NoiseModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,23 +308,20 @@ def _maximize_rows(
     their record `state._probe_columns(rows)`: their strategies' block
     terms joined, in `STRATEGIES` order, where a row gives a term its
     strategy lacks the log weight -inf, so one array call evaluates every
-    row. The scan is one (rows, SCAN_POINTS) call; the slope search then
-    follows each row's own bracket (`_slope_roots`). Every check
-    of `maximize_f_over_t` is made per row, and a failure names the row's
+    row. Where the slope of log(F/t) is 1/t + r with a constant r
+    (`_constant_slope`), t_opt = -1/r is taken as it is. Otherwise the scan
+    is one (rows, SCAN_POINTS) call, and the slope search then follows each
+    row's own bracket (`_slope_roots`). The window's edges are checked
+    either way, and every check is made per row: a failure names the row's
     strategy and N. The last evaluation, at t_opt, gives both f_over_t_max
     and log F_phase, which `sweep` passes on to the saturation gap with the
     same record.
     """
     if model.gamma <= 0:
         raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
-    for kind, spec in rows:
-        check_ancillas(kind, spec.n_ancillas)
-    correlated = {STRATEGIES[kind].correlated for kind, _ in rows}
-    if len(correlated) != 1:
-        raise ValueError("a batch holds either correlated or uncorrelated rows, not both")
     hi = SCAN_WINDOW[1] / model.gamma
     lo = np.full(len(rows), SCAN_WINDOW[0] / model.gamma)
-    if correlated.pop():
+    if probe.terms:
         lo /= probe.n[:, 0]
     if not math.isfinite(hi):
         raise ValueError(
@@ -258,52 +334,47 @@ def _maximize_rows(
             f"the scan window's lower edge underflows to 0 at gamma={model.gamma!r}: "
             f"{_row_name(rows[r], model)}"
         )
+    f = _objective(probe, model)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rate = _constant_slope(probe, model)
+        if rate is None:
+            t_opt = _searched_optima(f, rows, probe, model, lo, hi)
+            best, log_f = f(t_opt[:, None])
+        else:
+            # -1/rate lies far inside the window. A rate that overflows gives
+            # 0, and the window's lower edge stands in for it while the
+            # profile is checked, so a probe without coherence is named first
+            t_opt = np.fmax(-1.0 / rate, lo)
+            best, log_f = f(t_opt[:, None])
+            _check_profile(best, t_opt[:, None], rows, model)
+            finite = np.isfinite(rate)
+            if not finite.all():
+                r = int(np.argmin(finite))
+                # 1/t + rate is inf - inf at the optimum -1/rate, below _TINY
+                raise ValueError(
+                    f"the slope of log(F/t), 1/t + ({float(rate[r])!r}), overflows double "
+                    "precision: the optimum lies at subnormal times, below the smallest "
+                    f"normal double {_TINY!r}: {_row_name(rows[r], model)}"
+                )
+    return t_opt, best[:, 0], log_f[:, 0]
+
+
+def _searched_optima(f, rows, probe, model: NoiseModel, lo, hi: float) -> np.ndarray:
+    """t_opt of each row by the geometric scan of its window [lo, hi] with
+    the objective f, checked by `_check_profile`, and the slope search
+    between the scan points either side of the peak (`_slope_roots`)."""
     log_lo = np.log(lo)
     step = (math.log(hi) - log_lo) / (SCAN_POINTS - 1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        steps = np.arange(float(SCAN_POINTS))
-        grid = np.exp(log_lo[:, None] + steps * step[:, None])
-        f = _objective(probe, model)
-        values, _ = f(grid)
-        finite = ~np.any(values == math.inf, axis=1)
-        peak = np.argmax(values, axis=1)
-        coherent = np.any(values > 0.0, axis=1)
-        inside = (peak > 0) & (peak < SCAN_POINTS - 1)
-        diffs = np.diff(values, axis=1)
-        rising = steps[1:] <= peak[:, None]
-        unimodal = np.all(np.where(rising, diffs > 0.0, diffs <= 0.0), axis=1)
-        passed = finite & coherent & inside & unimodal
-        if not passed.all():
-            r = int(np.argmin(passed))
-            if not finite[r]:
-                at = float(grid[r, np.argmax(values[r] == math.inf)])
-                raise ValueError(
-                    f"F/t overflows double precision at t={at!r}: {_row_name(rows[r], model)}"
-                )
-            if not coherent[r]:
-                raise ValueError(
-                    "F/t is 0 at every scanned time: the probe has no phase coherence "
-                    "(|c1 c2|^2 is 0 in floating point), so there is no optimal time: "
-                    f"{_row_name(rows[r], model)}"
-                )
-            if not inside[r]:
-                raise ValueError(
-                    f"profile peaks at the scan boundary (index {peak[r]}); "
-                    f"the optimum lies outside SCAN_WINDOW: {_row_name(rows[r], model)}"
-                )
-            raise ValueError(
-                f"sampled profile is not unimodal over the scan window: {_row_name(rows[r], model)}"
-            )
-        row = np.arange(len(rows))
-        # the vertex of the parabola through log(F/t) at the three scan
-        # points around the peak, in log t, where the grid is even
-        y0, y1, y2 = np.log(values[row[:, None], peak[:, None] + np.arange(-1, 2)]).T
-        guess = grid[row, peak] * np.exp(step * (y0 - y2) / (2.0 * (y0 - 2.0 * y1 + y2)))
-        t_opt = _slope_roots(
-            probe, model, grid[row, peak - 1], grid[row, peak + 1], guess, rows
-        )
-        best, log_f = f(t_opt[:, None])
-    return t_opt, best[:, 0], log_f[:, 0]
+    grid = np.exp(log_lo[:, None] + np.arange(float(SCAN_POINTS)) * step[:, None])
+    values, _ = f(grid)
+    peak = np.argmax(values, axis=1)
+    _check_profile(values, grid, rows, model, peak)
+    row = np.arange(len(rows))
+    # the vertex of the parabola through log(F/t) at the three scan
+    # points around the peak, in log t, where the grid is even
+    y0, y1, y2 = np.log(values[row[:, None], peak[:, None] + np.arange(-1, 2)]).T
+    guess = grid[row, peak] * np.exp(step * (y0 - y2) / (2.0 * (y0 - 2.0 * y1 + y2)))
+    return _slope_roots(probe, model, grid[row, peak - 1], grid[row, peak + 1], guess, rows)
 
 
 def maximize_f_over_t(
@@ -313,19 +384,23 @@ def maximize_f_over_t(
 
     Returns (t_opt, f_over_t_max); this is the one-row batch of the
     maximizer that `sweep` runs over many rows. The spec's ancilla count
-    must fit the strategy. The scan takes SCAN_POINTS times across
-    SCAN_WINDOW in units of 1/gamma, its lower edge divided by N for the
-    correlated (GHZ) strategies; the sampled profile must rise strictly to a
-    single interior peak and never rise again past it, otherwise a
-    ValueError is raised rather than silently refining one of several
-    candidate peaks. A ValueError is also raised when the window's edges or
-    a scanned F/t leave double precision (gamma below about 5.6e-307,
-    N*gamma above about 4e319 or N/gamma above about 1e308), when F/t is 0
-    at every scanned time (a probe without phase coherence, |c1 c2| = 0),
-    and when the slope of log(F/t) does not change sign between the scan
-    points either side of the peak, or overflows there because the optimum
-    lies below the smallest normal double (N*gamma above about 1e308).
+    must fit the strategy. Where d/dt log(F/t) = 1/t + r with a constant r
+    (an uncorrelated row of a named model, a pdc GHZ row), t_opt = -1/r.
+    Otherwise the scan takes SCAN_POINTS times across SCAN_WINDOW in units
+    of 1/gamma, its lower edge divided by N for the correlated (GHZ)
+    strategies; the sampled profile must rise strictly to a single interior
+    peak and never rise again past it, otherwise a ValueError is raised
+    rather than silently refining one of several candidate peaks. Either
+    way a ValueError is also raised when the window's edges or F/t leave
+    double precision (gamma below about 5.6e-307, N*gamma above about
+    4e319 or N/gamma above about 1e308), when F/t is 0 at every time (a
+    probe without phase coherence, |c1 c2| = 0), and when the slope of
+    log(F/t) overflows because the optimum lies below the smallest normal
+    double (N*gamma above about 1e308); a searched row also fails when its
+    slope does not change sign between the scan points either side of the
+    peak.
     """
+    check_ancillas(strategy, spec.n_ancillas)
     rows = [(strategy, spec)]
     t_opt, best, _ = _maximize_rows(rows, _probe_columns(rows), model)
     return float(t_opt[0]), float(best[0])
@@ -356,8 +431,10 @@ def sweep(
     Each probe carries its strategy's default ancilla count (the information
     does not depend on how many). The uncorrelated optimum is computed once,
     for one probe: its time does not depend on N and its F/t is N times the
-    single-probe value. The GHZ rows are optimized in batches of at most
-    BATCH_ROWS consecutive rows (`_maximize_rows`); a row's result does not
+    single-probe value; for a named model it is the closed form, t = 1/gamma
+    (adc) or 1/(2 gamma). The GHZ rows are optimized in batches of at most
+    BATCH_ROWS consecutive rows (`_maximize_rows`), pdc's in closed form and
+    the others by the scan and slope search; a row's result does not
     depend on the batch it falls in. The saturation gap is evaluated at the
     optimal time with the corner readout, for a whole batch at once;
     uncorrelated rows quote the single-probe gap (one `saturation_check`
@@ -365,9 +442,8 @@ def sweep(
     """
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad probe range {n_min}..{n_max}")
-    chosen = list(StrategyKind) if strategies is None else [
-        s for s in StrategyKind if s in set(strategies)
-    ]
+    wanted = set(StrategyKind if strategies is None else strategies)
+    chosen = [s for s in StrategyKind if s in wanted]
     if not chosen:
         raise ValueError("no strategies selected")
     c2 = math.sqrt(1.0 - abs(c1) ** 2)
@@ -375,13 +451,13 @@ def sweep(
     t_unc, best_single = maximize_f_over_t(StrategyKind.UNCORRELATED, single, model)
     if StrategyKind.UNCORRELATED in chosen:
         _, _, gap_unc = saturation_check(single, model, t_unc, omega=0.0)
-    correlated = [s for s in chosen if STRATEGIES[s].correlated]
+    # (strategy, default ancilla count) of each GHZ row, looked up once per sweep
+    correlated = [(s, STRATEGIES[s].default_ancillas) for s in chosen if STRATEGIES[s].correlated]
     per_chunk = max(1, BATCH_ROWS // max(1, len(correlated)))
     rows = []
     for first in range(n_min, n_max + 1, per_chunk):
         probes = range(first, min(first + per_chunk, n_max + 1))
-        batch = [(s, ProbeSpec(c1, c2, n, STRATEGIES[s].default_ancillas))
-                 for n in probes for s in correlated]
+        batch = [(s, ProbeSpec(c1, c2, n, ancillas)) for n in probes for s, ancillas in correlated]
         optima = iter(())
         if batch:
             probe = _probe_columns(batch)

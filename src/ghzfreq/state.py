@@ -241,14 +241,15 @@ class _Probe(NamedTuple):
     c12: complex | np.ndarray  # c1 conj(c2)
 
 
-def _probe(kind: StrategyKind, spec: ProbeSpec, terms=None) -> _Probe:
-    """The record of `spec` under strategy `kind`, in floats.
+def _probe(strategy: Strategy, spec: ProbeSpec, terms=None) -> _Probe:
+    """The record of `spec` under `strategy` (an entry of `STRATEGIES`), in floats.
 
-    terms are the block terms it holds, by default those of `kind`; a batch
-    passes the terms of all its rows' strategies, and a term that `kind`
-    lacks gets the log weight -inf, which drops it from the block trace.
+    terms are the block terms it holds, by default the strategy's own; a
+    batch passes the terms of all its rows' strategies, and a term that
+    `strategy` lacks gets the log weight -inf, which drops it from the block
+    trace.
     """
-    own = STRATEGIES[kind].block_terms
+    own = strategy.block_terms
     terms = own if terms is None else terms
     w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
     log_w = (_FloatMath.log(w[0]), _FloatMath.log(w[1]))
@@ -260,12 +261,20 @@ def _probe(kind: StrategyKind, spec: ProbeSpec, terms=None) -> _Probe:
 def _probe_columns(rows: Sequence[tuple[StrategyKind, ProbeSpec]]) -> _Probe:
     """The record of a batch of (strategy, spec) rows: each row's `_probe`
     over their strategies' block terms, joined in `STRATEGIES` order, as
-    one (rows, 1) column per field."""
-    kinds = {kind for kind, _ in rows}
-    terms = tuple(dict.fromkeys(
-        term for kind in STRATEGIES if kind in kinds for term in STRATEGIES[kind].block_terms
-    ))
-    probes = [_probe(kind, spec, terms) for kind, spec in rows]
+    one (rows, 1) column per field.
+
+    Each strategy of the batch is looked up in `STRATEGIES` once; a row
+    finds its entry by position, since hashing a `StrategyKind` runs
+    Python code (`Enum.__hash__`). A batch holds either correlated or
+    uncorrelated rows: an uncorrelated row has no block term to join.
+    """
+    kinds = [kind for kind, _ in rows]
+    present = [kind for kind in STRATEGIES if kind in kinds]
+    entries = [STRATEGIES[kind] for kind in present]
+    if len({entry.correlated for entry in entries}) > 1:
+        raise ValueError("a batch holds either correlated or uncorrelated rows, not both")
+    terms = tuple(dict.fromkeys(term for entry in entries for term in entry.block_terms))
+    probes = [_probe(entries[present.index(kind)], spec, terms) for kind, spec in rows]
     table = np.array([(*p.w, *p.log_w, p.n) for p in probes], dtype=float).T.copy()[:, :, None]
     c12 = np.array([p.c12 for p in probes], dtype=complex)[:, None]
     return _Probe(terms, tuple(table[:2]), tuple(table[2:-1]), table[-1], c12)
@@ -309,6 +318,13 @@ def _block(probe: _Probe, record, omega, t, xp):
     for (_, side, _), value in zip(*_block_log_terms(probe, log_half)):
         diag[side] = diag[side] + xp.exp(value)
     phase = n * (theta + omega * t)
+    if isinstance(phase, float) and not math.isfinite(phase):
+        # math.cos would raise a bare "math domain error"; an array phase
+        # gives NaN entries instead
+        raise ValueError(
+            f"the block phase N*(theta_noise + omega*t) = {phase!r} overflows double "
+            f"precision at N={n}, theta_noise={theta!r}, omega={omega!r}, t={t!r}"
+        )
     eta_n = sign**n * xp.exp(n * log_eta)
     return diag[0], diag[1], probe.c12 * eta_n * (xp.cos(phase) - 1j * xp.sin(phase)), phase
 
@@ -337,7 +353,8 @@ def coherence_block(
     if t < 0:
         raise ValueError(f"interrogation time must be >= 0, got {t}")
     record, _, _ = _log_channel(model, t, _FloatMath, False)
-    return _block_matrix(_probe(ghz_strategy(spec.n_ancillas), spec), record, omega, t)
+    probe = _probe(STRATEGIES[ghz_strategy(spec.n_ancillas)], spec)
+    return _block_matrix(probe, record, omega, t)
 
 
 def _residual_families(kind: StrategyKind, n: int):
@@ -387,7 +404,7 @@ def evolve_directsum(
     check_ancillas(kind, spec.n_ancillas)
     _require_cptp(params)
     record = _log_params(params, _FloatMath)
-    probe = _probe(kind, spec)
+    probe = _probe(STRATEGIES[kind], spec)
     block, phase = _block_matrix(probe, record, omega, t)
     log_half = record[1]
     n = spec.n_probes

@@ -217,6 +217,28 @@ class TestSweep:
         assert "overflows" in err and "subnormal" in err and "strategy=" in err
         assert "does not change sign" not in err
 
+    def test_closed_form_optimum_below_the_smallest_normal_double_exits_3(self, capsys):
+        # pdc GHZ takes t_opt = 1/(2 N gamma) in closed form; 2 N gamma overflows
+        code, out, err = run_capture(
+            ["sweep", "--model", "pdc", "--gamma", "1e305", "--n", "1000",
+             "--strategy", "ghz-free"], capsys)
+        assert code == 3 and out == ""
+        assert "overflows" in err and "subnormal" in err and "strategy=ghz_free" in err
+        assert "does not change sign" not in err
+
+    @pytest.mark.parametrize("c1", ["0.0", "1.0"])
+    def test_no_coherence_is_named_before_a_subnormal_optimum(self, c1, capsys):
+        code, _, err = run_capture(
+            ["sweep", "--model", "pdc", "--gamma", "1e308", "--n", "3", "--c1", c1], capsys)
+        assert code == 3 and "no phase coherence" in err
+
+    def test_closed_form_f_over_t_overflow_exits_3(self, capsys):
+        code, out, err = run_capture(
+            ["sweep", "--model", "pdc", "--gamma", "1e-300", "--n", "1000000000",
+             "--strategy", "ghz-free"], capsys)
+        assert code == 3 and out == ""
+        assert "F/t overflows" in err and "strategy=ghz_free" in err
+
     def test_smallest_rate_with_a_finite_window(self, capsys):
         code, out, err = run_capture(
             ["sweep", "--model", "adc", "--gamma", "6e-307", "--n", "1:3", "--c1", "0.6"], capsys

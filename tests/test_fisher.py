@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ghzfreq import cli
 from ghzfreq.channel import (
     ChannelParams,
     adc,
@@ -233,3 +234,32 @@ class TestCustomModelsOutsideTheDomain:
         for call in calls:
             with pytest.raises(ValueError, match="not CPTP"):
                 call()
+
+
+def _full_bit_flip(t):
+    """A CPTP map that swaps the poles and keeps no coherence: eta_par = -1,
+    so A++ = A+- = 0 and every block term of the ancilla strategy drops out."""
+    return ChannelParams(0.0, 0.0, -1.0, 0.0)
+
+
+class TestEmptyBlockTrace:
+    def test_closed_form_is_zero(self):
+        model = custom(_full_bit_flip)
+        for kind, n_anc in ((StrategyKind.GHZ_ANCILLA, 1), (StrategyKind.GHZ_FREE, 0)):
+            result = qfi_closed(kind, ProbeSpec.balanced(2, n_anc), model, 0.5)
+            assert (result.f_phase, result.f_freq) == (0.0, 0.0), kind
+
+    def test_optimizer_finds_no_coherence(self):
+        with pytest.raises(ValueError, match="no phase coherence.*strategy=ghz_ancilla"):
+            maximize_f_over_t(StrategyKind.GHZ_ANCILLA, ProbeSpec.balanced(2, 1),
+                              custom(_full_bit_flip))
+
+    def test_sweep_exits_3(self, monkeypatch, capsys):
+        # the CLI names only the named models, so one of them stands for the map
+        flip = custom(_full_bit_flip)
+        monkeypatch.setitem(cli._MODEL_FACTORIES, "adc", lambda gamma: flip)
+        code = cli.run(["sweep", "--model", "adc", "--gamma", "1", "--n", "1:3",
+                        "--strategy", "ghz-ancilla"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "no phase coherence" in captured.err

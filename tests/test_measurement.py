@@ -218,3 +218,25 @@ class TestSaturationCheck:
         # c2 = 0 carries no coherence, so there is no information to saturate
         with pytest.raises(ValueError):
             saturation_check(ProbeSpec(1.0, 0.0, 2), adc(1.0), 0.5, omega=0.0)
+
+
+class TestPhaseOverflow:
+    """N*(theta_noise + omega*t) beyond the doubles is named, not a bare
+    "math domain error" from math.cos(inf)."""
+
+    def test_float_readouts_name_the_phase(self):
+        spec, model = ProbeSpec.balanced(3), adc(1.0)
+        calls = [
+            lambda: saturation_check(spec, model, 10.0, 1e308),
+            lambda: error_propagation_sensitivity(spec, model, 10.0, 1e308, GhzObservable(3)),
+            lambda: coherence_block(spec, model, 1e308, 10.0),
+        ]
+        named = r"block phase N\*\(theta_noise \+ omega\*t\) = inf overflows"
+        for call in calls:
+            with pytest.raises(ValueError, match=named):
+                call()
+
+    def test_largest_finite_phase_still_works(self):
+        # N * omega * t = 3 * 1e307 * 5 is finite
+        _, delta, gap = saturation_check(ProbeSpec.balanced(3), adc(1.0), 5.0, 1e307)
+        assert 0.0 <= delta < math.pi and math.isfinite(gap)

@@ -1,12 +1,16 @@
 import collections
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzfreq import measurement, optimize
-from ghzfreq.channel import ChannelParams, adc, custom, dpc, pdc
+from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc
 from ghzfreq.cli import run
+from ghzfreq.fisher import log_qfi_phase
 from ghzfreq.measurement import saturation_check
 from ghzfreq.optimize import (
     STRATEGIES,
@@ -62,6 +66,87 @@ class TestAnalyticOptima:
         spec = ProbeSpec.balanced(1, 1)
         t_opt, _ = maximize_f_over_t(StrategyKind.GHZ_ANCILLA, spec, adc(1.0))
         assert t_opt == pytest.approx(T_OPT_ADC_ANCILLA_N1, rel=1e-8)
+
+
+
+GHZ_KINDS = [StrategyKind.GHZ_FREE, StrategyKind.GHZ_ANCILLA]
+
+
+def _no_search(monkeypatch):
+    """Make the scan's slope and the slope search fail if they are reached."""
+
+    def never(*_):
+        raise AssertionError("the numerical search ran")
+
+    monkeypatch.setattr(optimize, "_log_slope", never)
+    monkeypatch.setattr(optimize, "_slope_roots", never)
+
+
+class TestClosedFormOptimum:
+    """Where d/dt log(F/t) = 1/t + r with a constant r (uncorrelated rows of
+    the named models, pdc GHZ rows), t_opt = -1/r with no search."""
+
+    @pytest.mark.parametrize("gamma", [1e-300, 3.7e-42, 0.13, 1.0, 1.3, 7.0, 2.5e77, 1e300])
+    @pytest.mark.parametrize("make,factor", [(adc, 1.0), (dpc, 2.0), (pdc, 2.0)])
+    def test_uncorrelated_time_is_exact(self, monkeypatch, make, factor, gamma):
+        _no_search(monkeypatch)
+        for n in (1, 7):
+            spec = ProbeSpec(0.6, 0.8, n)
+            t_opt, _ = maximize_f_over_t(StrategyKind.UNCORRELATED, spec, make(gamma))
+            assert t_opt == 1.0 / (factor * gamma)
+
+    @pytest.mark.parametrize("gamma", [1e-200, 0.013, 1.0, 1.3, 7.0, 1e200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 123457, 10**6, 10**9])
+    def test_phase_damping_ghz_time_within_two_ulp(self, monkeypatch, n, gamma):
+        _no_search(monkeypatch)
+        exact = float(1 / (2 * n * Fraction(gamma)))
+        for kind in GHZ_KINDS:
+            spec = ProbeSpec(0.6, 0.8, n, STRATEGIES[kind].default_ancillas)
+            t_opt, _ = maximize_f_over_t(kind, spec, pdc(gamma))
+            assert abs(t_opt - exact) <= 2.0 * math.ulp(exact), kind
+
+    @pytest.mark.parametrize("make,kinds", [
+        (adc, [StrategyKind.UNCORRELATED]),
+        (dpc, [StrategyKind.UNCORRELATED]),
+        (pdc, list(StrategyKind)),
+    ])
+    def test_peak_is_f_over_t_at_t_opt(self, make, kinds):
+        model = make(1.3)
+        for kind in kinds:
+            for n in (1, 4, 250):
+                spec = ProbeSpec(0.35, math.sqrt(1.0 - 0.35**2), n,
+                                 STRATEGIES[kind].default_ancillas)
+                t_opt, best = maximize_f_over_t(kind, spec, model)
+                with np.errstate(all="ignore"):
+                    log_f = log_qfi_phase(kind, spec, model, np.array([t_opt]))
+                assert best == t_opt * np.exp(log_f[0]), (kind, n)
+
+    @pytest.mark.parametrize("make", [adc, dpc, pdc])
+    def test_sweep_searches_only_adc_and_dpc_ghz_rows(self, monkeypatch, make):
+        _no_search(monkeypatch)
+        strategies = list(StrategyKind) if make is pdc else [StrategyKind.UNCORRELATED]
+        rows = sweep(make(0.7), 1, 40, strategies=strategies, c1=0.9)
+        assert len(rows) == 40 * len(strategies)
+
+    def test_custom_model_keeps_the_search(self, monkeypatch):
+        searches = []
+        slope_roots = optimize._slope_roots
+
+        def counted(*args):
+            searches.append(args)
+            return slope_roots(*args)
+
+        monkeypatch.setattr(optimize, "_slope_roots", counted)
+        named = pdc(1.3)
+        wrapped = custom(lambda t: params_at(named, t), 1.3)
+        for kind in StrategyKind:
+            spec = ProbeSpec.balanced(5, STRATEGIES[kind].default_ancillas)
+            t_closed, best_closed = maximize_f_over_t(kind, spec, named)
+            t_searched, best_searched = maximize_f_over_t(kind, spec, wrapped)
+            # the central-difference slope places a custom optimum to about 2e-9
+            assert t_searched == pytest.approx(t_closed, rel=1e-8)
+            assert best_searched == pytest.approx(best_closed, rel=1e-14)
+        assert len(searches) == len(StrategyKind)
 
 
 class TestMaximizerGuards:
@@ -285,6 +370,25 @@ class TestBatch:
         monkeypatch.setattr(optimize, "BATCH_ROWS", 5)
         assert [_key(r) for r in sweep(dpc(0.8), 1, 25, c1=0.55)] == [_key(r) for r in whole]
 
+    def test_strategies_are_looked_up_once_per_batch(self, monkeypatch):
+        # hashing a StrategyKind runs Enum.__hash__ in Python; a batch looks up
+        # each of its two strategies once, whatever its row count
+        hashes = []
+        original = StrategyKind.__hash__
+
+        def counted(kind):
+            hashes.append(kind)
+            return original(kind)
+
+        monkeypatch.setattr(StrategyKind, "__hash__", counted)
+
+        def count(batches):
+            hashes.clear()
+            sweep(adc(1.3), 1, batches * optimize.BATCH_ROWS // len(GHZ))
+            return len(hashes)
+
+        assert count(10) - count(1) == 2 * 9
+
     def test_unimodality_failure_names_its_n(self):
         # this profile has a second peak for N = 2 only
         def rule(t):
@@ -305,6 +409,33 @@ class TestBatch:
         assert len(rows) == 4000
         assert all(abs(r.t_opt * 2.0 * r.n - 1.0) <= 1e-11 for r in rows)
 
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(
+    make=st.sampled_from([adc, dpc, pdc]),
+    log_gamma=st.floats(-100.0, 100.0),
+    c1=st.floats(0.05, 0.99),
+    n_min=st.integers(1, 3000),
+    width=st.integers(0, 4),
+)
+def test_sweep_rows_equal_the_one_row_calls(make, log_gamma, c1, n_min, width):
+    """Every `sweep` row is the one-row `maximize_f_over_t` and, at its
+    t_opt, `saturation_check`; the uncorrelated rows quote one probe's."""
+    model = make(10.0**log_gamma)
+    c2 = math.sqrt(1.0 - c1 * c1)
+    single = ProbeSpec(c1, c2, 1)
+    t_unc, best_single = maximize_f_over_t(StrategyKind.UNCORRELATED, single, model)
+    _, _, gap_unc = saturation_check(single, model, t_unc, 0.0)
+    for row in sweep(model, n_min, n_min + width, c1=c1):
+        if row.strategy is StrategyKind.UNCORRELATED:
+            assert _key(row) == (t_unc, row.n * best_single, 1.0, gap_unc)
+            continue
+        spec = ProbeSpec(c1, c2, row.n, STRATEGIES[row.strategy].default_ancillas)
+        t_opt, best = maximize_f_over_t(row.strategy, spec, model)
+        assert (row.t_opt, row.f_over_t_max) == (t_opt, best)
+        assert row.ratio_r == row.n * best_single / best
+        _, _, gap = saturation_check(spec, model, t_opt, 0.0)
+        assert abs(row.saturation_gap - gap) <= 2e-15
 
 # slopes that defeat a plain secant search on [1, 1.3]: a near-step, a
 # step with a tiny positive shelf, and cubics with a triple root near an end
@@ -352,7 +483,8 @@ class TestSlopeSearch:
         assert len(calls) <= bisection + 1
 
     def test_named_models_take_three_calls(self, monkeypatch):
-        # an exact work count: per search, 3 slope calls and 8 slope points per row
+        # an exact work count: no search for the analytic rows (uncorrelated,
+        # pdc GHZ), and per adc/dpc GHZ batch 3 slope calls and 8 slope points per row
         searches = []
         log_slope, slope_roots = optimize._log_slope, optimize._slope_roots
 
@@ -377,8 +509,8 @@ class TestSlopeSearch:
                 for c1 in (0.35, 0.9):
                     sweep(make(gamma), 1, 40, c1=c1)
                     sweep(make(gamma), 10**5, 10**5, strategies=GHZ, c1=c1)
-        # per setting: the uncorrelated optimum and 3 batches, then it and 1 batch
-        assert len(searches) == 3 * 3 * 2 * (4 + 2)
+        # per adc/dpc setting: 3 GHZ batches, then 1 batch
+        assert len(searches) == 2 * 3 * 2 * (3 + 1)
         assert all((calls, points) == (3, 8 * rows) for calls, points, rows in searches)
 
 
