@@ -107,7 +107,7 @@ def log_qfi_phase(strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel, t)
     low = t_arr if scalar else float(t_arr.min())
     if low < 0.0:
         raise ValueError(f"interrogation time must be >= 0, got {low}")
-    probe = _probe(STRATEGIES[strategy], spec)
+    probe = _probe(strategy, spec)
     if scalar:
         return _log_f_phase(probe, model, t_arr, _FloatMath, False)[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -23,16 +23,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from ._numpy import np
 from .channel import NoiseModel, _FloatMath, _log_channel
 from .fisher import _log_f_phase
 from .state import (
-    STRATEGIES,
     DirectSumState,
     ProbeSpec,
-    StrategyKind,
     _block,
     _probe,
     _row_name,
@@ -129,7 +126,7 @@ def error_propagation_sensitivity(
             f"observable spans {obs.n_total} qubits but the state has {spec.n_total}"
         )
     record, _, _ = _log_channel(model, t, _FloatMath, False)
-    probe = _probe(STRATEGIES[ghz_strategy(spec.n_ancillas)], spec)
+    probe = _probe(ghz_strategy(spec.n_ancillas), spec)
     r00, r11, off, _ = _block(probe, record, omega, t, _FloatMath)
     _, variance, flat = _readout(r00 + r11, off, spec.n_probes, obs.delta, _FloatMath)
     if flat:
@@ -137,27 +134,20 @@ def error_propagation_sensitivity(
     return variance / t
 
 
-def _raise_at(failed, message: str, rows, model: NoiseModel, xp) -> None:
-    """Raise ValueError(message) naming the first row where `failed` holds."""
+def _raise_at(failed, message: str, probe, model: NoiseModel, xp) -> None:
+    """Raise ValueError(message) naming the first row of `probe` where `failed` holds."""
     first = xp.flatnonzero(failed)
     if len(first):
-        raise ValueError(f"{message}: {_row_name(rows[int(first[0])], model)}")
+        raise ValueError(f"{message}: {_row_name(probe, int(first[0]), model)}")
 
 
-def _saturation_gaps(
-    rows: Sequence[tuple[StrategyKind, ProbeSpec]],
-    probe,
-    model: NoiseModel,
-    t,
-    log_f,
-    omega: float,
-    xp,
-):
-    """(quad, gap) of each GHZ (strategy, spec) row at its time t, all rows in one pass.
+def _saturation_gaps(probe, model: NoiseModel, t, log_f, omega: float, xp):
+    """(quad, gap) of each GHZ row of the probe record `probe` (`state._Probe`)
+    at its time t, all rows in one pass.
 
-    probe is the rows' record (`state._Probe`) and log_f each row's log
-    F_phase at its t: floats for one row (xp = `channel._FloatMath`), or
-    (rows, 1) columns (xp = numpy). The block entries come from
+    log_f is each row's log F_phase at its t: floats for one probe
+    (`state._probe`, xp = `channel._FloatMath`), or (rows, 1) columns for a
+    batch (`state._probe_columns`, xp = numpy). The block entries come from
     `state._block` over the model's log-space record at t
     (`channel._log_channel`, the sign of eta_perp and theta_noise included);
     then the quadrature phase, the readout there (`_readout`) and gap =
@@ -168,14 +158,14 @@ def _saturation_gaps(
     """
     f_phase = xp.exp(log_f)
     _raise_at(f_phase == 0.0, "quantum Fisher information vanishes; nothing to saturate",
-              rows, model, xp)
+              probe, model, xp)
     with xp.errstate(divide="ignore", invalid="ignore", over="ignore"):
         record, _, _ = _log_channel(model, t, xp, False)
         r00, r11, off, phase = _block(probe, record, omega, t, xp)
         # quadrature condition: phase_total - delta - arg(c1 conj(c2)) = pi/2 (mod pi)
         quad = (phase - xp.angle(probe.c12) - 0.5 * math.pi) % math.pi
         _, variance, flat = _readout(r00 + r11, off, probe.n, quad, xp)
-        _raise_at(flat, "the readout has no phase response at quadrature", rows, model, xp)
+        _raise_at(flat, "the readout has no phase response at quadrature", probe, model, xp)
         return quad, variance * f_phase - 1.0
 
 
@@ -205,11 +195,10 @@ def saturation_check(
     ValueError when its log-space record is read. That no other measurement
     phase does better is checked by a phase scan in `verify`.
     """
-    rows = [(ghz_strategy(spec.n_ancillas), spec)]
     t = float(t)
     if t < 0.0:
         raise ValueError(f"interrogation time must be >= 0, got {t}")
-    probe = _probe(STRATEGIES[rows[0][0]], spec)
+    probe = _probe(ghz_strategy(spec.n_ancillas), spec)
     log_f = _log_f_phase(probe, model, t, _FloatMath, False)[0]
-    quad, gap = _saturation_gaps(rows, probe, model, t, log_f, omega, _FloatMath)
+    quad, gap = _saturation_gaps(probe, model, t, log_f, omega, _FloatMath)
     return abs(gap) <= SATURATION_REL_TOL, float(quad), float(gap)

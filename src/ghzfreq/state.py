@@ -5,11 +5,14 @@ block on the span of |0...0> and |1...1>, plus a phase-free residual that is
 diagonal in the computational basis and degenerate within Hamming classes.
 `STRATEGIES` is the one place that says what each strategy is. From it,
 `_probe` builds the one record of a probe that the closed form, the
-optimizer and the readout read (`_probe_columns` stacks a batch's). Read
-from that are the coherence block alone (`coherence_block`, O(1) in N) and
-the whole direct sum of either GHZ strategy (`evolve_directsum(kind, ...)`).
-A full density-matrix evolution (the oracle route, which does not read the
-table) and a comparator between the two are also provided.
+optimizer and the readout read, and `_probe_columns` the record of a
+batch: a strategy and an N column, one row each, and the amplitudes that
+all rows share. A failing row is named from its record (`_row_name`).
+Read from a record are the coherence block alone (`coherence_block`, O(1)
+in N) and the whole direct sum of either GHZ strategy
+(`evolve_directsum(kind, ...)`). A full density-matrix evolution (the
+oracle route, which does not read the table) and a comparator between the
+two are also provided.
 """
 
 from __future__ import annotations
@@ -231,53 +234,61 @@ def ghz_state(spec: ProbeSpec) -> DenseState:
 
 class _Probe(NamedTuple):
     """What the coherence block and the closed form read of a probe: floats for
-    one probe (`_probe`), or (rows, 1) columns for a batch (`_probe_columns`),
-    which broadcast against a (rows, points) array of times."""
+    one probe (`_probe`), or a batch (`_probe_columns`) with (rows, 1) columns
+    of log w and N, which broadcast against a (rows, points) array of times."""
 
+    kinds: Sequence[StrategyKind]  # the strategy of each row
     terms: tuple[tuple[int, int, int], ...]  # block terms (weight, pole, side), see `Strategy`
-    w: tuple  # (|c1|^2, |c2|^2)
+    w: tuple[float, float]  # (|c1|^2, |c2|^2)
     log_w: tuple  # log w of each term, indexed as terms; -inf for a term w = 0 or absent
     n: int | np.ndarray  # the probe count N
-    c12: complex | np.ndarray  # c1 conj(c2)
+    c12: complex  # c1 conj(c2)
 
 
-def _probe(strategy: Strategy, spec: ProbeSpec, terms=None) -> _Probe:
-    """The record of `spec` under `strategy` (an entry of `STRATEGIES`), in floats.
-
-    terms are the block terms it holds, by default the strategy's own; a
-    batch passes the terms of all its rows' strategies, and a term that
-    `strategy` lacks gets the log weight -inf, which drops it from the block
-    trace.
-    """
-    own = strategy.block_terms
-    terms = own if terms is None else terms
+def _log_weights(spec: ProbeSpec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(|c1|^2, |c2|^2) of `spec` and their logs, -inf for a zero weight."""
     w = (abs(spec.c1) ** 2, abs(spec.c2) ** 2)
-    log_w = (_FloatMath.log(w[0]), _FloatMath.log(w[1]))
-    # `terms is own` spares the membership test for a probe's own terms
-    log_w = tuple([log_w[t[0]] if terms is own or t in own else -math.inf for t in terms])
-    return _Probe(terms, w, log_w, spec.n_probes, spec.c1 * spec.c2.conjugate())
+    return w, (_FloatMath.log(w[0]), _FloatMath.log(w[1]))
 
 
-def _probe_columns(rows: Sequence[tuple[StrategyKind, ProbeSpec]]) -> _Probe:
-    """The record of a batch of (strategy, spec) rows: each row's `_probe`
-    over their strategies' block terms, joined in `STRATEGIES` order, as
-    one (rows, 1) column per field.
+def _probe(kind: StrategyKind, spec: ProbeSpec) -> _Probe:
+    """The record of `spec` under strategy `kind`, in floats."""
+    terms = STRATEGIES[kind].block_terms
+    w, log_w = _log_weights(spec)
+    log_w = tuple([log_w[weight] for weight, _, _ in terms])
+    return _Probe((kind,), terms, w, log_w, spec.n_probes, spec.c1 * spec.c2.conjugate())
+
+
+def _probe_columns(kinds: Sequence[StrategyKind], ns: Sequence[int], spec: ProbeSpec) -> _Probe:
+    """The record of a batch whose row r is strategy kinds[r] on ns[r] probes
+    with the amplitudes of `spec`: each row's `_probe` over the block terms
+    of all the batch's strategies, joined in `STRATEGIES` order, where a
+    term the row's strategy lacks gets the log weight -inf.
 
     Each strategy of the batch is looked up in `STRATEGIES` once; a row
     finds its entry by position, since hashing a `StrategyKind` runs
     Python code (`Enum.__hash__`). A batch holds either correlated or
     uncorrelated rows: an uncorrelated row has no block term to join.
     """
-    kinds = [kind for kind, _ in rows]
     present = [kind for kind in STRATEGIES if kind in kinds]
     entries = [STRATEGIES[kind] for kind in present]
     if len({entry.correlated for entry in entries}) > 1:
         raise ValueError("a batch holds either correlated or uncorrelated rows, not both")
     terms = tuple(dict.fromkeys(term for entry in entries for term in entry.block_terms))
-    probes = [_probe(entries[present.index(kind)], spec, terms) for kind, spec in rows]
-    table = np.array([(*p.w, *p.log_w, p.n) for p in probes], dtype=float).T.copy()[:, :, None]
-    c12 = np.array([p.c12 for p in probes], dtype=complex)[:, None]
-    return _Probe(terms, tuple(table[:2]), tuple(table[2:-1]), table[-1], c12)
+    w, log_w = _log_weights(spec)
+    # log w of each term (column) under each strategy (row) of the batch
+    table = np.array(
+        [[log_w[t[0]] if t in entry.block_terms else -math.inf for t in terms] for entry in entries]
+    )
+    columns = table.T[:, [present.index(kind) for kind in kinds], None]
+    n = np.array(ns, dtype=float)[:, None]
+    return _Probe(kinds, terms, w, tuple(columns), n, complex(spec.c1 * spec.c2.conjugate()))
+
+
+def _rows_of(probe: _Probe, rows: np.ndarray) -> _Probe:
+    """The batch record `probe` narrowed to the rows at the indices `rows`."""
+    kinds = [probe.kinds[r] for r in rows.tolist()]
+    return probe._replace(kinds=kinds, log_w=tuple(c[rows] for c in probe.log_w), n=probe.n[rows])
 
 
 def _block_log_terms(probe: _Probe, log_half) -> tuple[list, Iterator]:
@@ -296,10 +307,10 @@ def _block_log_terms(probe: _Probe, log_half) -> tuple[list, Iterator]:
     return live, (log_w + n * log_half[pole] for pole, _, log_w in live)
 
 
-def _row_name(row: tuple[StrategyKind, ProbeSpec], model: NoiseModel) -> str:
-    """Which row of a batch failed, for an error message."""
-    kind, spec = row
-    return f"strategy={kind.value} model={model.kind} n={spec.n_probes}"
+def _row_name(probe: _Probe, r: int, model: NoiseModel) -> str:
+    """Which row of the record `probe` failed, for an error message."""
+    n = probe.n if isinstance(probe.n, int) else int(probe.n[r, 0])
+    return f"strategy={probe.kinds[r].value} model={model.kind} n={n}"
 
 
 def _block(probe: _Probe, record, omega, t, xp):
@@ -353,7 +364,7 @@ def coherence_block(
     if t < 0:
         raise ValueError(f"interrogation time must be >= 0, got {t}")
     record, _, _ = _log_channel(model, t, _FloatMath, False)
-    probe = _probe(STRATEGIES[ghz_strategy(spec.n_ancillas)], spec)
+    probe = _probe(ghz_strategy(spec.n_ancillas), spec)
     return _block_matrix(probe, record, omega, t)
 
 
@@ -404,7 +415,7 @@ def evolve_directsum(
     check_ancillas(kind, spec.n_ancillas)
     _require_cptp(params)
     record = _log_params(params, _FloatMath)
-    probe = _probe(STRATEGIES[kind], spec)
+    probe = _probe(kind, spec)
     block, phase = _block_matrix(probe, record, omega, t)
     log_half = record[1]
     n = spec.n_probes

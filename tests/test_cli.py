@@ -207,11 +207,12 @@ class TestSweep:
         ["--model", "adc", "--gamma", "1.7e308", "--n", "1:2"],
         ["--model", "adc", "--gamma", "1e308", "--n", "1:2"],
         ["--model", "dpc", "--gamma", "5e307", "--n", "1:3", "--strategy", "ghz-free"],
+        ["--model", "adc", "--gamma", "1e307", "--n", "1:30"],
     ], ids=" ".join)
     def test_subnormal_optimum_exits_3_naming_it(self, argv, capsys):
         # t_opt ~ 1/(N gamma) is subnormal, where 1/t and N gamma in the
-        # slope overflow to a NaN slope; the error says so, not that the
-        # slope keeps its sign
+        # slope overflow to an infinite or NaN slope; the error says so, not
+        # that the slope keeps its sign
         code, out, err = run_capture(["sweep", *argv], capsys)
         assert code == 3 and out == ""
         assert "overflows" in err and "subnormal" in err and "strategy=" in err
@@ -824,6 +825,23 @@ class TestStartup:
         exec(_FLOAT_CALLS, scope)
         want = [[repr(call()), False] for call in scope["CALLS"].values()]
         assert json.loads(proc.stdout) == want
+
+    def test_float_failures_leave_numpy_unloaded(self):
+        # a failing one-probe call names its row from the float record
+        code = ("import sys\n"
+                "from ghzfreq import ProbeSpec, adc, saturation_check\n"
+                "try:\n"
+                "    saturation_check(ProbeSpec(1.0, 0.0, 3), adc(1.0), 0.5, 0.0)\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n"
+                "print('numpy._core' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=module_env(), check=True)
+        assert proc.stdout.splitlines() == [
+            "quantum Fisher information vanishes; nothing to saturate: "
+            "strategy=ghz_free model=adc n=3",
+            "False",
+        ]
 
     def test_numpy_imported_after_the_package_works(self):
         code = ("import sys, types, ghzfreq, numpy; from ghzfreq import channel;"

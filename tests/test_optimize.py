@@ -143,10 +143,23 @@ class TestClosedFormOptimum:
             spec = ProbeSpec.balanced(5, STRATEGIES[kind].default_ancillas)
             t_closed, best_closed = maximize_f_over_t(kind, spec, named)
             t_searched, best_searched = maximize_f_over_t(kind, spec, wrapped)
-            # the central-difference slope places a custom optimum to about 2e-9
-            assert t_searched == pytest.approx(t_closed, rel=1e-8)
+            # the five-point slope places a custom optimum to about 3e-12
+            assert t_searched == pytest.approx(t_closed, rel=1e-11)
             assert best_searched == pytest.approx(best_closed, rel=1e-14)
         assert len(searches) == len(StrategyKind)
+
+    @pytest.mark.parametrize("make", [adc, dpc, pdc])
+    def test_custom_wrapper_places_the_named_optima(self, make):
+        # the five-point slope: about 2.7e-12 over this grid, 2e-9 with a
+        # central difference
+        for gamma in (0.7, 1.3):
+            named = make(gamma)
+            wrapped = custom(lambda t, named=named: params_at(named, t), gamma)
+            for c1 in (0.35, 1.0 / math.sqrt(2.0), 0.9):
+                rows = zip(sweep(named, 1, 20, c1=c1), sweep(wrapped, 1, 20, c1=c1))
+                for row, custom_row in rows:
+                    assert custom_row.t_opt == pytest.approx(row.t_opt, rel=1e-11), (
+                        gamma, c1, row.n, row.strategy)
 
 
 class TestMaximizerGuards:
@@ -400,6 +413,16 @@ class TestBatch:
         with pytest.raises(ValueError, match=r"not unimodal.*strategy=ghz_free .*n=2\b"):
             sweep(model, 1, 3, strategies=[StrategyKind.GHZ_FREE])
 
+    @pytest.mark.parametrize("kind", GHZ_KINDS)
+    def test_subnormal_optimum_is_named(self, kind):
+        # the slopes at the subnormal bracket's ends are -inf, not NaN
+        spec = ProbeSpec.balanced(2, STRATEGIES[kind].default_ancillas)
+        with pytest.raises(ValueError, match=(
+            rf"overflows double precision at the subnormal times .*strategy={kind.value} "
+            r"model=adc n=2$"
+        )):
+            maximize_f_over_t(kind, spec, adc(1e308))
+
     def test_no_coherence_names_the_strategy_and_n(self):
         with pytest.raises(ValueError, match=r"no phase coherence.*strategy=ghz_free .*n=3\b"):
             maximize_f_over_t(StrategyKind.GHZ_FREE, ProbeSpec(1.0, 0.0, 3), adc(1.0))
@@ -471,9 +494,7 @@ class TestSlopeSearch:
     def test_worst_case_is_bisection(self, monkeypatch, name, guess):
         calls = _recorded_slope(monkeypatch, ADVERSARIAL_SLOPES[name])
         a, b = 1.0, 1.3
-        (root,) = optimize._slope_roots(
-            None, None, np.array([a]), np.array([b]), np.array([guess]), [None]
-        )
+        (root,) = optimize._slope_roots(None, None, np.array([a]), np.array([b]), np.array([guess]))
         t = np.concatenate([c[0].ravel() for c in calls])
         s = np.concatenate([c[1].ravel() for c in calls])
         lo, hi = t[s > 0.0].max(), t[s <= 0.0].min()
@@ -498,9 +519,9 @@ class TestSlopeSearch:
 
             return counted
 
-        def counted_roots(probe, model, a, b, guess, rows):
-            searches.append([0, 0, len(rows)])
-            return slope_roots(probe, model, a, b, guess, rows)
+        def counted_roots(probe, model, a, b, guess):
+            searches.append([0, 0, len(a)])
+            return slope_roots(probe, model, a, b, guess)
 
         monkeypatch.setattr(optimize, "_log_slope", counted_slope)
         monkeypatch.setattr(optimize, "_slope_roots", counted_roots)
@@ -562,11 +583,21 @@ class TestSaturationGap:
         # both the optimizer and the gap pass of a batch read one probe record
         counted(optimize, "_probe_columns")
         counted(measurement, "_probe")
+        post_init = ProbeSpec.__post_init__
+
+        def counted_spec(spec):
+            calls["ProbeSpec"] += 1
+            post_init(spec)
+
+        monkeypatch.setattr(ProbeSpec, "__post_init__", counted_spec)
         assert len(sweep(adc(1.3), 1, 30)) == 90
         assert calls["saturation_check"] <= 1
         assert calls["_log_f_phase"] <= 1
         assert calls["GhzObservable"] == 0
-        # one per batch of 32 rows (two here), plus the one-row uncorrelated
-        # optimum and saturation check
-        assert calls["_probe_columns"] + calls["_probe"] <= 4
+        # one record per batch of 32 rows (two here) and one for the one-row
+        # uncorrelated optimum; one float record for its saturation check;
+        # the amplitudes are checked once
+        assert calls["_probe_columns"] == 3
+        assert calls["_probe"] == 1
+        assert calls["ProbeSpec"] == 1
         assert calls["_block"] <= 3

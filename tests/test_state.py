@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzfreq import channel, state
 from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc, superoperator
 from ghzfreq.state import (
     MAX_DENSE_QUBITS,
+    STRATEGIES,
     ProbeSpec,
     StrategyKind,
     assert_consistency,
@@ -394,3 +397,37 @@ class TestCoherenceBlock:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="must be >= 0"):
             coherence_block(ProbeSpec.balanced(2), adc(1.0), 0.0, -0.5)
+
+
+_GHZ_KINDS = [kind for kind in StrategyKind if STRATEGIES[kind].correlated]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    rows=st.one_of(
+        st.lists(st.tuples(st.sampled_from(_GHZ_KINDS), st.integers(1, 10**12)), min_size=1,
+                 max_size=8),
+        st.lists(st.tuples(st.just(StrategyKind.UNCORRELATED), st.integers(1, 10**12)),
+                 min_size=1, max_size=3),
+    ),
+    c1=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    phase=st.floats(-math.pi, math.pi),
+)
+def test_batch_record_rows_are_the_one_probe_records(rows, c1, phase):
+    """Row r of `_probe_columns(kinds, ns, spec)` is the one-probe `_probe` of
+    its strategy on ns[r] probes, bit for bit, with log weight -inf for a
+    term of the batch that its strategy lacks."""
+    kinds, ns = [kind for kind, _ in rows], [n for _, n in rows]
+    c2 = math.sqrt(1.0 - c1 * c1) * complex(math.cos(phase), math.sin(phase))
+    record = state._probe_columns(kinds, ns, ProbeSpec(c1, c2, 1))
+    assert record.n.shape == (len(rows), 1)
+    assert all(column.shape == (len(rows), 1) for column in record.log_w)
+    for r, (kind, n) in enumerate(rows):
+        one = state._probe(kind, ProbeSpec(c1, c2, n, STRATEGIES[kind].default_ancillas))
+        assert record.kinds[r] is kind
+        assert set(one.terms) <= set(record.terms)
+        assert record.w == one.w and record.c12 == one.c12
+        assert record.n[r, 0] == one.n
+        own = dict(zip(one.terms, one.log_w))
+        for term, column in zip(record.terms, record.log_w):
+            assert column[r, 0] == own.get(term, -math.inf), (r, term)
