@@ -133,16 +133,20 @@ def qfi_closed(
 
     All three are evaluated in log space (`log_qfi_phase`). Raises
     ValueError when the spec's ancilla count does not fit the strategy, and
-    when the information is positive but underflows double precision.
+    when a positive F over- or underflows double precision; a named model's
+    gamma*t that overflows gives eta_perp = exp(-inf) = 0, an underflow too.
     """
     check_ancillas(strategy, spec.n_ancillas)
     log_f = float(log_qfi_phase(strategy, spec, model, t))
     f_phase = math.exp(log_f)
-    f_freq = t * t * f_phase
-    if math.isfinite(log_f) and (f_phase < _TINY or (t > 0.0 and f_freq < _TINY)):
+    f_freq = t * t * f_phase if f_phase else 0.0  # t*t may be inf
+    decayed = model.kind != "custom" and math.isinf(model.gamma * t) and spec.c1 and spec.c2
+    if decayed or (math.isfinite(log_f) and (f_phase < _TINY or (t > 0.0 and f_freq < _TINY))):
         raise ValueError(
             f"information underflows double precision at t={t} (log F_phase = {log_f:.6g})"
         )
+    if f_freq == math.inf:
+        raise ValueError(f"information F = t^2 F_phase overflows double precision at t={t}")
     return QfiResult(f_phase, f_freq, STRATEGIES[strategy].route)
 
 

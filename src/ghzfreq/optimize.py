@@ -1,55 +1,54 @@
 """Interrogation-time optimization and strategy comparison.
 
 The figure of merit throughout is F_omega(t)/t, the frequency information
-per unit of total measurement time. It is maximized over t for a batch of
-rows at once under one noise model. A batch is one probe record
-(`state._probe_columns`): a strategy and an N column, one row each, and
-the amplitudes that all rows share. Every step evaluates the log-space
-closed form (`fisher._log_f_phase`) for all rows in one array call, the
-record's (rows, 1) columns against a (rows, points) array of times. The
-GHZ strategies share a batch: their block terms are joined and a row gives
-a term its strategy lacks the log weight -inf.
+per unit of total measurement time. Every model here depends on t only
+through x = gamma t (a custom rule is read as x -> rule(x / gamma)), and
+F_omega/t = (x / gamma) F_phase(x). So the maximizer runs at unit rate on x
+(`_unit_rate`), and leaves x once: t_opt = x_opt / gamma and F/t = t_opt
+F_phase(x_opt), where one check names either when it is not a normal
+double. A batch of rows is maximized at once, one probe record
+(`state._probe_columns`): a strategy and an N column, and the amplitudes
+that all rows share. Each step evaluates the log-space closed form
+(`fisher._log_f_phase`) of every row in one array call, the record's
+(rows, 1) columns against a (rows, points) array of x. The GHZ strategies
+share a batch; a row gives a block term its strategy lacks the log weight
+-inf.
 
-Where the answer is analytic it is taken as it is. The derivative record of
-`channel._log_channel`, read once per batch, says when d/dt log(F/t) is
-1/t + r with r constant (`_constant_slope`): then t_opt = -1/r. That is
-every uncorrelated row of a named model (t_opt = 1/gamma for adc,
-1/(2 gamma) for dpc and pdc) and every pdc GHZ row (1/(2 N gamma), as in
-Huelga et al., PRL 79, 3865 (1997)). The peak value comes from one
-objective call at t_opt, which is checked as the scan would be. Every other
-batch (adc and dpc GHZ rows, custom models) is searched in two stages:
+Where d/dx log(F/t) is 1/x + r with r constant (`_constant_slope`, from the
+derivative record of `channel._log_channel`), x_opt = -1/r: every
+uncorrelated row of a named model (x_opt = 1 for adc, 1/2 for dpc and pdc)
+and every pdc GHZ row (1/(2N), Huelga et al., PRL 79, 3865 (1997)). The
+peak is one objective call at x_opt, checked as the scan would be. Every
+other batch (adc and dpc GHZ rows, custom models) is searched in two stages:
 
   * a geometric scan of the whole window, one (rows, SCAN_POINTS) call,
     which also certifies that each row's sampled profile rises to a single
     interior peak;
-  * a bracketing search on the sign of d/dt log(F/t) between the scan
+  * a bracketing search on the sign of d/dx log(F/t) between the scan
     points either side of each row's peak. Each call evaluates the slope at
     two points of every bracket still open and keeps, per row, the
-    sub-interval where it changes sign. The first call's points lie either
-    side of the vertex of the parabola through the scan's log(F/t) around
-    the peak; each later call's lie either side of the secant root of the
-    row's bracket, at a distance that shrinks with the square of its width.
-    On adc and dpc, up to N = 10**9 at least, three calls (8 slope values
-    per row) narrow every bracket below REFINE_REL_WIDTH. A window that
-    would leave a bracket wider than bisection allows, with one call to
-    spare, is widened toward its midpoint, so no slope takes more calls
-    than bisection plus one. The slope is analytic for the named models and
-    a five-point difference of log(F/t) for custom ones.
+    sub-interval where it changes sign: first either side of the vertex of
+    the parabola through the scan's log(F/t) around the peak, then either
+    side of the secant root of the row's bracket, at a distance that
+    shrinks with the square of its width. On adc and dpc, up to N = 10**9
+    at least, three calls (8 slope values per row) narrow every bracket
+    below REFINE_REL_WIDTH, and no slope takes more calls than bisection
+    plus one. The slope is analytic for the named models and a five-point
+    difference of log(F/t) for custom ones.
 
-A row is frozen once its bracket is narrow enough and is evaluated no more,
-so its result is the same to the bit whichever rows share its batch;
-`maximize_f_over_t` is the one-row batch. A failed check names the row's
-strategy and N, read from the record (`state._row_name`). The slope's sign stays resolvable down to a few ulps of the
-optimum, where a value-based search stops at about sqrt(eps) because the
-profile is flat to second order at the peak.
+A row is frozen once its bracket is narrow enough, so its result is the same
+to the bit whichever rows share its batch; `maximize_f_over_t` is the
+one-row batch. A failed check names the row's strategy and N
+(`state._row_name`) and reports times in t. The slope's sign stays
+resolvable down to a few ulps of the optimum, where a value-based search
+stops at about sqrt(eps) because the profile is flat to second order there.
 
 `sweep` optimizes its GHZ rows in batches of at most BATCH_ROWS, so memory
-does not grow with the probe range, and packages the per-N results
-(optimal time, peak value, ratio against the best uncorrelated scheme, and
-the readout saturation gap at the optimum) into rows ready for tabulation.
-The gaps of a batch are formed in one array pass as well
-(`measurement._saturation_gaps`), from the batch's probe record and the
-log F_phase that the optimizer's last evaluation gives at t_opt;
+does not grow with the probe range, and packages the optimal time, peak
+value, ratio against the best uncorrelated scheme and readout saturation
+gap of each N into rows. The gaps of a batch are one array pass
+(`measurement._saturation_gaps`) at x_opt with the unit-rate model, from the
+record and the log F_phase of the optimizer's last evaluation;
 `measurement.saturation_check` runs the same pass on one probe's floats.
 """
 
@@ -86,8 +85,8 @@ __all__ = [
 ]
 
 SCAN_POINTS = 200
-# in units of 1/gamma; for the GHZ strategies the lower edge is also divided
-# by N, since their optimum sits near 1/(N gamma)
+# the scan window in x = gamma t; for the GHZ strategies the lower edge is
+# also divided by N, since their optimum sits near x = 1/N
 SCAN_WINDOW = (1e-4, 1e2)
 GUESS_REL_WIDTH = 6e-3  # half-width, relative, of the first slope window
 REFINE_REL_WIDTH = 1e-8  # bracket width, relative, at which the slope is interpolated
@@ -129,46 +128,58 @@ class Table1Row:
         return dict(vars(self))
 
 
-def _objective(probe, model: NoiseModel) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(F_omega/t, log F_phase) of each row of the batch record `probe` over a
-    (rows, points) array of times, F_omega/t being t * exp(log F_phase)."""
+def _unit_rate(model: NoiseModel) -> NoiseModel:
+    """`model` in the dimensionless time x = gamma t: a named model at
+    gamma = 1, a custom rule as x -> rule(x / gamma)."""
+    rule, gamma = model.rule, model.gamma
+    return NoiseModel(model.kind, 1.0, None if rule is None else lambda x: rule(x / gamma))
 
-    def f_over_t(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        log_f = _log_f_phase(probe, model, t, np, False)[0]
-        return t * np.exp(log_f), log_f
+
+def _objective(probe, model: NoiseModel) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(x F_phase, log F_phase) of each row of the batch record `probe` over a
+    (rows, points) array of dimensionless times x = gamma t, the model at
+    unit rate (`_unit_rate`); x F_phase is gamma F_omega/t."""
+    unit = _unit_rate(model)
+
+    def f_over_t(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        log_f = _log_f_phase(probe, unit, x, np, False)[0]
+        return x * np.exp(log_f), log_f
 
     return f_over_t
 
 
 def _log_slope(probe, model: NoiseModel) -> Callable[[np.ndarray], np.ndarray]:
-    """d/dt log(F/t) of each row of the batch record `probe` over (rows, points) times.
+    """d/dx log(F/t) of each row of the batch record `probe` over (rows,
+    points) dimensionless times x = gamma t.
 
     Analytic for the named models; for custom ones the five-point central
-    difference (f(t-2h) - 8 f(t-h) + 8 f(t+h) - f(t+2h)) / (12 h) of
-    log(F/t), h = 1e-3 t (Fornberg, Math. Comp. 51, 699 (1988)), all four
+    difference (f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)) / (12 h) of
+    log(F/t), h = 1e-3 x (Fornberg, Math. Comp. 51, 699 (1988)), all four
     points in one objective call. Its truncation error, of order h**4,
     places a custom optimum within about 3e-12 of the analytic one.
     """
     if model.kind == "custom":
         f = _objective(probe, model)
 
-        def slope(t: np.ndarray) -> np.ndarray:
-            h = 1e-3 * t
-            k = t.shape[1]
-            logs = np.log(f(np.concatenate([t - 2.0 * h, t - h, t + h, t + 2.0 * h], axis=1))[0])
+        def slope(x: np.ndarray) -> np.ndarray:
+            h = 1e-3 * x
+            k = x.shape[1]
+            logs = np.log(f(np.concatenate([x - 2.0 * h, x - h, x + h, x + 2.0 * h], axis=1))[0])
             return (logs[:, :k] - logs[:, 3 * k:] + 8.0 * (logs[:, 2 * k:3 * k] - logs[:, k:2 * k])
                     ) / (12.0 * h)
 
         return slope
 
-    def slope(t: np.ndarray) -> np.ndarray:
-        return _log_f_phase(probe, model, t, np, True)[1] + 1.0 / t
+    unit = _unit_rate(model)
+
+    def slope(x: np.ndarray) -> np.ndarray:
+        return _log_f_phase(probe, unit, x, np, True)[1] + 1.0 / x
 
     return slope
 
 
 def _slope_roots(probe, model, a, b, guess) -> np.ndarray:
-    """Locate the sign change of each row's decreasing slope inside [a, b].
+    """Locate the sign change of each row's decreasing slope in x inside [a, b].
 
     Each call evaluates the slope at two points of every bracket still open
     and keeps, per row, the sub-interval where it changes sign. The first
@@ -176,8 +187,8 @@ def _slope_roots(probe, model, a, b, guess) -> np.ndarray:
     GUESS_REL_WIDTH either side of the row's first guess. Each later call
     evaluates two points either side of the secant (regula falsi) root of
     the bracket [a, b], at a distance w**2 / (4 b) that shrinks with the
-    bracket's width w. The secant interpolates t times the slope, which is
-    linear in t for pdc and nearly so for the other models.
+    bracket's width w. The secant interpolates x times the slope, which is
+    linear in x for pdc and nearly so for the other models.
 
     A row's k-th call must leave its bracket at most w0 * 2**(1 - k) wide,
     w0 being the starting width, so a window is widened toward the
@@ -199,19 +210,11 @@ def _slope_roots(probe, model, a, b, guess) -> np.ndarray:
     changes = (values[:, 0] > 0.0) & (values[:, -1] < 0.0)
     if not changes.all():
         r = int(np.argmin(changes))
-        if a[r] < _TINY:
-            # near t ~ 1/(N gamma) < _TINY, 1/t and N gamma reach the largest
-            # double: the slope overflows to inf or NaN, or keeps too few bits
-            raise ValueError(
-                "the slope of log(F/t) overflows double precision at the subnormal times "
-                f"[{float(a[r])!r}, {float(b[r])!r}] around the optimum, below the "
-                f"smallest normal double {_TINY!r} (slopes {float(values[r, 0])!r}, "
-                f"{float(values[r, -1])!r}): {_row_name(probe, r, model)}"
-            )
+        gamma = model.gamma  # in t: t = x / gamma and d/dt = gamma d/dx
         raise ValueError(
             "the slope of log(F/t) does not change sign inside the scan bracket "
-            f"[{float(a[r])!r}, {float(b[r])!r}] "
-            f"(slopes {float(values[r, 0])!r}, {float(values[r, -1])!r}): "
+            f"[{float(a[r] / gamma)!r}, {float(b[r] / gamma)!r}] (slopes "
+            f"{float(values[r, 0] * gamma)!r}, {float(values[r, -1] * gamma)!r}): "
             f"{_row_name(probe, r, model)}"
         )
     roots = np.empty(len(a))
@@ -244,36 +247,36 @@ def _slope_roots(probe, model, a, b, guess) -> np.ndarray:
 
 
 def _constant_slope(probe, model: NoiseModel):
-    """The rate r of each row of the batch record `probe` where d/dt
-    log(F/t) = 1/t + r exactly, as a (rows,) array, or None if the slope
-    has another form.
+    """x_opt = -1/r of each row of the batch record `probe` where d/dx
+    log(F/t) = 1/x + r with r constant, as a (rows,) array, or None if the
+    slope has another form.
 
-    That is so when the derivative record of `channel._log_channel` has a
-    constant d/dt log|eta_perp| and a d/dt log(A/2) of exactly 0.0 for every
-    live block term (`state._block_log_terms`): then r = 2 P d/dt
-    log|eta_perp|, with P = N for a GHZ row and 1 otherwise, as
-    `fisher._log_f_phase` writes the slope, and the optimum is t = -1/r.
-    That holds for every uncorrelated row of a named model and for every
-    pdc GHZ row (Huelga et al., PRL 79, 3865 (1997)). The record is
+    That is so when the derivative record of `channel._log_channel` at unit
+    rate has a constant d/dx log|eta_perp| and a d/dx log(A/2) of exactly
+    0.0 for every live block term (`state._block_log_terms`): then r = 2 P
+    d/dx log|eta_perp|, with P = N for a GHZ row and 1 otherwise, as
+    `fisher._log_f_phase` writes the slope: r = -1 (adc) or -2 (dpc, pdc)
+    for an uncorrelated row and -2N for a pdc GHZ row. x_opt is formed as
+    -0.5 / (P d/dx log|eta_perp|), so 2N never overflows. The record is
     read at no times at all, so a custom rule is not called; its slope is
     not analytic (None).
     """
-    (_, log_half, _, _), d_eta, d_half = _log_channel(model, np.empty(0), np, True)
+    (_, log_half, _, _), d_eta, d_half = _log_channel(_unit_rate(model), np.empty(0), np, True)
     if d_eta is None or np.ndim(d_eta):
         return None
     live, _ = _block_log_terms(probe, log_half)
     if not all(isinstance(d_half[pole], float) and d_half[pole] == 0.0 for pole, _, _ in live):
         return None
     power = probe.n[:, 0] if probe.terms else np.ones(len(probe.n))
-    return 2.0 * power * d_eta
+    return -0.5 / (power * d_eta)
 
 
-def _check_profile(values, times, probe, model: NoiseModel, peak=None) -> None:
+def _check_profile(values, x, probe, model: NoiseModel, peak=None) -> None:
     """Raise ValueError naming the first row of the batch record `probe` whose
-    (rows, points) F/t `values` at `times` overflows double precision or is 0 at every
-    point (a probe without phase coherence); for a scan, whose `peak` index
-    per row is given, also a row that peaks at the window's edge or is not
-    unimodal."""
+    (rows, points) profile `values` of the objective at the dimensionless
+    times `x` overflows double precision or is 0 at every point (a probe
+    without phase coherence); for a scan, whose `peak` index per row is
+    given, also a row that peaks at the window's edge or is not unimodal."""
     finite = ~np.any(values == math.inf, axis=1)
     coherent = np.any(values > 0.0, axis=1)
     passed = finite & coherent
@@ -287,7 +290,7 @@ def _check_profile(values, times, probe, model: NoiseModel, peak=None) -> None:
         return
     r = int(np.argmin(passed))
     if not finite[r]:
-        at = float(times[r, np.argmax(values[r] == math.inf)])
+        at = float(x[r, np.argmax(values[r] == math.inf)] / model.gamma)
         raise ValueError(f"F/t overflows double precision at t={at!r}: {_row_name(probe, r, model)}")
     if not coherent[r]:
         raise ValueError(
@@ -305,75 +308,71 @@ def _check_profile(values, times, probe, model: NoiseModel, peak=None) -> None:
     )
 
 
-def _maximize_rows(probe, model: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t_opt, f_over_t_max, log F_phase at t_opt) of each row of the batch
-    record `probe` (`state._probe_columns`) as (rows,) arrays.
+def _check_normal(columns, probe, model: NoiseModel) -> None:
+    """Raise ValueError naming the first row of the batch record `probe`
+    where the first of the (name, (rows,) array) `columns` that fails
+    overflows or falls below the smallest normal double."""
+    for name, values in columns:
+        normal = (values >= _TINY) & (values < math.inf)
+        if not normal.all():
+            r = int(np.argmin(normal))
+            value = float(values[r])
+            cause = ("overflows double precision" if value == math.inf else f"= {value!r} "
+                     f"underflows double precision, below the smallest normal double {_TINY!r},")
+            raise ValueError(
+                f"{name} {cause} at gamma={model.gamma!r}: {_row_name(probe, r, model)}")
+
+
+def _maximize_rows(probe, model: NoiseModel):
+    """(x_opt, t_opt, f_over_t_max, log F_phase at x_opt) of each row of the
+    batch record `probe` (`state._probe_columns`) as (rows,) arrays.
 
     The rows are either all correlated (GHZ) or all uncorrelated, and one
-    array call evaluates every row. Where the slope of log(F/t) is 1/t + r
-    with a constant r (`_constant_slope`), t_opt = -1/r is taken as it is.
-    Otherwise the scan is one (rows, SCAN_POINTS) call, and the slope
-    search then follows each row's own bracket (`_slope_roots`). The
-    window's edges are checked either way, and every check is made per row:
-    a failure names the row's strategy and N. The last evaluation, at
-    t_opt, gives both f_over_t_max and log F_phase, which `sweep` passes on
-    to the saturation gap with the same record.
+    array call evaluates every row, at unit rate in x = gamma t. Where the
+    slope of log(F/t) is 1/x + r with a constant r (`_constant_slope`),
+    x_opt = -1/r is taken as it is. Otherwise the scan is one (rows,
+    SCAN_POINTS) call, and the slope search then follows each row's own
+    bracket (`_slope_roots`). x is left once: t_opt = x_opt / gamma and
+    f_over_t_max = t_opt F_phase(x_opt), each checked to be a normal
+    double. Every check is made per row, and a failure names the row's
+    strategy and N. The last evaluation also gives the log F_phase that
+    `sweep` passes on to the saturation gap at x_opt.
     """
     if model.gamma <= 0:
         raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
-    hi = SCAN_WINDOW[1] / model.gamma
-    lo = np.full(len(probe.kinds), SCAN_WINDOW[0] / model.gamma)
-    if probe.terms:
-        lo /= probe.n[:, 0]
-    if not math.isfinite(hi):
-        raise ValueError(
-            f"the scan window's upper edge {SCAN_WINDOW[1]!r}/gamma overflows double "
-            f"precision at gamma={model.gamma!r}: {_row_name(probe, 0, model)}"
-        )
-    if not lo.all():
-        r = int(np.argmin(lo))
-        raise ValueError(
-            f"the scan window's lower edge underflows to 0 at gamma={model.gamma!r}: "
-            f"{_row_name(probe, r, model)}"
-        )
     f = _objective(probe, model)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rate = _constant_slope(probe, model)
-        if rate is None:
-            t_opt = _searched_optima(f, probe, model, lo, hi)
-            best, log_f = f(t_opt[:, None])
+        x_opt = _constant_slope(probe, model)
+        if x_opt is None:
+            x_opt = _searched_optima(f, probe, model)
+            _, log_f = f(x_opt[:, None])
         else:
-            # -1/rate lies far inside the window. A rate that overflows gives
-            # 0, and the window's lower edge stands in for it while the
-            # profile is checked, so a probe without coherence is named first
-            t_opt = np.fmax(-1.0 / rate, lo)
-            best, log_f = f(t_opt[:, None])
-            _check_profile(best, t_opt[:, None], probe, model)
-            finite = np.isfinite(rate)
-            if not finite.all():
-                r = int(np.argmin(finite))
-                # 1/t + rate is inf - inf at the optimum -1/rate, below _TINY
-                raise ValueError(
-                    f"the slope of log(F/t), 1/t + ({float(rate[r])!r}), overflows double "
-                    "precision: the optimum lies at subnormal times, below the smallest "
-                    f"normal double {_TINY!r}: {_row_name(probe, r, model)}"
-                )
-    return t_opt, best[:, 0], log_f[:, 0]
+            scaled, log_f = f(x_opt[:, None])
+            _check_profile(scaled, x_opt[:, None], probe, model)
+        t_opt = x_opt / model.gamma
+        best = t_opt * np.exp(log_f[:, 0])
+    _check_normal([("t_opt", t_opt), ("F/t", best)], probe, model)
+    return x_opt, t_opt, best, log_f[:, 0]
 
 
-def _searched_optima(f, probe, model: NoiseModel, lo, hi: float) -> np.ndarray:
-    """t_opt of each row by the geometric scan of its window [lo, hi] with
-    the objective f, checked by `_check_profile`, and the slope search
+def _searched_optima(f, probe, model: NoiseModel) -> np.ndarray:
+    """x_opt of each row by the geometric scan of its window in x = gamma t
+    with the objective f, checked by `_check_profile`, and the slope search
     between the scan points either side of the peak (`_slope_roots`)."""
+    lo = np.full(len(probe.kinds), SCAN_WINDOW[0])
+    if probe.terms:
+        lo /= probe.n[:, 0]
+    _check_normal([(f"the scan window's lower edge gamma*t = {SCAN_WINDOW[0]!r}/N", lo)],
+                  probe, model)
     log_lo = np.log(lo)
-    step = (math.log(hi) - log_lo) / (SCAN_POINTS - 1)
+    step = (math.log(SCAN_WINDOW[1]) - log_lo) / (SCAN_POINTS - 1)
     grid = np.exp(log_lo[:, None] + np.arange(float(SCAN_POINTS)) * step[:, None])
     values, _ = f(grid)
     peak = np.argmax(values, axis=1)
     _check_profile(values, grid, probe, model, peak)
     row = np.arange(len(lo))
     # the vertex of the parabola through log(F/t) at the three scan
-    # points around the peak, in log t, where the grid is even
+    # points around the peak, in log x, where the grid is even
     y0, y1, y2 = np.log(values[row[:, None], peak[:, None] + np.arange(-1, 2)]).T
     guess = grid[row, peak] * np.exp(step * (y0 - y2) / (2.0 * (y0 - 2.0 * y1 + y2)))
     return _slope_roots(probe, model, grid[row, peak - 1], grid[row, peak + 1], guess)
@@ -385,25 +384,19 @@ def maximize_f_over_t(
     """Maximize F_omega(t)/t over the interrogation time.
 
     Returns (t_opt, f_over_t_max); this is the one-row batch of the
-    maximizer that `sweep` runs over many rows. The spec's ancilla count
-    must fit the strategy. Where d/dt log(F/t) = 1/t + r with a constant r
-    (an uncorrelated row of a named model, a pdc GHZ row), t_opt = -1/r.
-    Otherwise the scan takes SCAN_POINTS times across SCAN_WINDOW in units
-    of 1/gamma, its lower edge divided by N for the correlated (GHZ)
-    strategies; the sampled profile must rise strictly to a single interior
-    peak and never rise again past it, otherwise a ValueError is raised
-    rather than silently refining one of several candidate peaks. Either
-    way a ValueError is also raised when the window's edges or F/t leave
-    double precision (gamma below about 5.6e-307, N*gamma above about
-    4e319 or N/gamma above about 1e308), when F/t is 0 at every time (a
-    probe without phase coherence, |c1 c2| = 0), and when the slope of
-    log(F/t) overflows because the optimum lies below the smallest normal
-    double (N*gamma above about 1e308); a searched row also fails when its
-    slope does not change sign between the scan points either side of the
-    peak.
+    maximizer that `sweep` runs over many rows, in x = gamma t. The spec's
+    ancilla count must fit the strategy. Where d/dx log(F/t) = 1/x + r with
+    a constant r (an uncorrelated row of a named model, a pdc GHZ row),
+    x_opt = -1/r. Otherwise the scan takes SCAN_POINTS values of x across
+    SCAN_WINDOW, its lower edge divided by N for the GHZ strategies; a
+    ValueError is raised unless the sampled profile rises strictly to a
+    single interior peak and never rises again, and unless the slope changes
+    sign between the scan points either side of it. A ValueError is also
+    raised when F/t is 0 at every time (a probe without phase coherence,
+    |c1 c2| = 0), and when t_opt or F/t is not a normal double.
     """
     check_ancillas(strategy, spec.n_ancillas)
-    t_opt, best, _ = _maximize_rows(_probe_columns([strategy], [spec.n_probes], spec), model)
+    _, t_opt, best, _ = _maximize_rows(_probe_columns([strategy], [spec.n_probes], spec), model)
     return float(t_opt[0]), float(best[0])
 
 
@@ -437,10 +430,10 @@ def sweep(
     each one record with a strategy and an N column (`_maximize_rows`),
     pdc's in closed form and the others by the scan and slope search; a
     row's result does not depend on the batch it falls in. The saturation
-    gap is evaluated at the optimal time with the corner readout, for a
-    whole batch at once; uncorrelated rows quote the single-probe gap (one
-    `saturation_check` call per sweep) since that strategy is measured
-    qubit by qubit.
+    gap is evaluated at the optimum x_opt = gamma t_opt with the unit-rate
+    model and the corner readout, for a whole batch at once; uncorrelated
+    rows quote the single-probe gap (one `saturation_check` call per sweep)
+    since that strategy is measured qubit by qubit.
     """
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad probe range {n_min}..{n_max}")
@@ -450,9 +443,11 @@ def sweep(
         raise ValueError("no strategies selected")
     c2 = math.sqrt(1.0 - abs(c1) ** 2)
     single = ProbeSpec(c1, c2, 1)
-    t_unc, best_single = maximize_f_over_t(StrategyKind.UNCORRELATED, single, model)
+    x_unc, t_unc, best_single, _ = (float(v[0]) for v in _maximize_rows(
+        _probe_columns([StrategyKind.UNCORRELATED], [1], single), model))
+    unit = _unit_rate(model)
     if StrategyKind.UNCORRELATED in chosen:
-        _, _, gap_unc = saturation_check(single, model, t_unc, omega=0.0)
+        _, _, gap_unc = saturation_check(single, unit, x_unc, omega=0.0)
     correlated = [s for s in chosen if STRATEGIES[s].correlated]
     per_chunk = max(1, BATCH_ROWS // max(1, len(correlated)))
     rows = []
@@ -463,8 +458,8 @@ def sweep(
             # N ascending, the strategies of each N in declaration order
             ns = [n for n in probes for _ in correlated]
             probe = _probe_columns(correlated * len(probes), ns, single)
-            t_opt, best, log_f = _maximize_rows(probe, model)
-            _, gaps = _saturation_gaps(probe, model, t_opt[:, None], log_f[:, None], 0.0, np)
+            x_opt, t_opt, best, log_f = _maximize_rows(probe, model)
+            _, gaps = _saturation_gaps(probe, unit, x_opt[:, None], log_f[:, None], 0.0, np)
             optima = zip(t_opt.tolist(), best.tolist(), gaps[:, 0].tolist())
         for n in probes:
             best_unc = n * best_single

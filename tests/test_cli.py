@@ -11,11 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 import ghzfreq
 from ghzfreq import choi_matrix, cli, params_at
 from ghzfreq.cli import run
-from ghzfreq.optimize import sweep
+from ghzfreq.channel import adc, pdc
+from ghzfreq.fisher import log_qfi_phase
+from ghzfreq.optimize import StrategyKind, sweep
+from ghzfreq.state import ProbeSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -177,12 +181,10 @@ class TestSweep:
         ["--model", "adc", "--gamma", "1e300", "--n", "1:2"],
         ["--model", "dpc", "--gamma", "1e300", "--n", "1000000"],
         ["--model", "adc", "--gamma", "1e307", "--n", "2"],
-        ["--model", "adc", "--gamma", "1e305", "--n", "1000"],
     ], ids=" ".join)
     def test_huge_rate(self, argv, capsys):
         # t_opt ~ 1e-300, so F = t^2 F_phase underflows although F/t and the gap do not;
-        # the last two scan from a subnormal 1e-4/(N gamma), and the last has a
-        # subnormal t_opt, which is no error where the slope stays finite
+        # the last optimum, x / gamma with x = gamma t_opt about 1, is still a normal double
         code, out, err = run_capture(["sweep", *argv], capsys)
         assert code == 0 and err == ""
         for row in parse_csv(out):
@@ -190,14 +192,13 @@ class TestSweep:
             assert abs(float(row["saturation_gap"])) <= 2e-15
 
     @pytest.mark.parametrize("argv, word", [
-        (["--gamma", "5e-307", "--n", "1:3", "--c1", "0.6"], "overflows"),
         (["--gamma", "1e-320", "--n", "1:3", "--c1", "0.6"], "overflows"),
         (["--gamma", "1e-300", "--n", "1000000000", "--strategy", "ghz-free"], "overflows"),
         (["--gamma", "1e308", "--n", "1000000000000", "--strategy", "ghz-free"], "underflows"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_double_range_exceeded_exits_3(self, argv, word, capsys):
-        # 100/gamma, F/t ~ N/gamma or 1e-4/(N gamma) leaves the doubles; the
-        # error says so, not that the probe lacks coherence or the profile a peak
+        # t_opt = x/gamma or F/t ~ N/gamma leaves the normal doubles; the error
+        # says so, not that the probe lacks coherence or the profile a peak
         code, out, err = run_capture(["sweep", "--model", "adc", *argv], capsys)
         assert code == 3 and out == ""
         assert word in err and "strategy=" in err
@@ -208,24 +209,26 @@ class TestSweep:
         ["--model", "adc", "--gamma", "1e308", "--n", "1:2"],
         ["--model", "dpc", "--gamma", "5e307", "--n", "1:3", "--strategy", "ghz-free"],
         ["--model", "adc", "--gamma", "1e307", "--n", "1:30"],
+        ["--model", "adc", "--gamma", "1e305", "--n", "1000"],
     ], ids=" ".join)
     def test_subnormal_optimum_exits_3_naming_it(self, argv, capsys):
-        # t_opt ~ 1/(N gamma) is subnormal, where 1/t and N gamma in the
-        # slope overflow to an infinite or NaN slope; the error says so, not
-        # that the slope keeps its sign
+        # t_opt = x/gamma with x = gamma t_opt of order 1/N is subnormal; the
+        # error says so, not that the slope keeps its sign
         code, out, err = run_capture(["sweep", *argv], capsys)
         assert code == 3 and out == ""
-        assert "overflows" in err and "subnormal" in err and "strategy=" in err
-        assert "does not change sign" not in err
+        assert re.search(r"t_opt = \S+ underflows double precision, below the smallest "
+                         r"normal double .*strategy=", err), err
+        assert "does not change sign" not in err and "phase coherence" not in err
 
     def test_closed_form_optimum_below_the_smallest_normal_double_exits_3(self, capsys):
-        # pdc GHZ takes t_opt = 1/(2 N gamma) in closed form; 2 N gamma overflows
+        # pdc GHZ takes x_opt = 1/(2N) in closed form; x_opt / gamma is subnormal
         code, out, err = run_capture(
             ["sweep", "--model", "pdc", "--gamma", "1e305", "--n", "1000",
              "--strategy", "ghz-free"], capsys)
         assert code == 3 and out == ""
-        assert "overflows" in err and "subnormal" in err and "strategy=ghz_free" in err
-        assert "does not change sign" not in err
+        assert re.search(r"t_opt = \S+ underflows double precision, below the smallest "
+                         r"normal double .*strategy=ghz_free", err), err
+        assert "does not change sign" not in err and "phase coherence" not in err
 
     @pytest.mark.parametrize("c1", ["0.0", "1.0"])
     def test_no_coherence_is_named_before_a_subnormal_optimum(self, c1, capsys):
@@ -239,6 +242,36 @@ class TestSweep:
              "--strategy", "ghz-free"], capsys)
         assert code == 3 and out == ""
         assert "F/t overflows" in err and "strategy=ghz_free" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "adc", "--gamma", "5e-307", "--n", "1:3", "--c1", "0.6"],
+        ["--model", "pdc", "--gamma", "1e-307", "--n", "1:2"],
+    ], ids=" ".join)
+    def test_tiniest_rates_match_the_closed_forms(self, argv, capsys):
+        # t_opt ~ 1/gamma and F/t ~ N/gamma are normal doubles although 100/gamma is not
+        code, out, err = run_capture(["sweep", *argv], capsys)
+        assert code == 0 and err == ""
+        model = {"adc": adc, "pdc": pdc}[argv[1]](float(argv[3]))
+        c1 = float(argv[argv.index("--c1") + 1]) if "--c1" in argv else 1.0 / math.sqrt(2.0)
+        c2 = math.sqrt(1.0 - c1 * c1)
+        rho = c1 * c1 / (c2 * c2)
+        for row in parse_csv(out):
+            n, t_opt, kind = int(row["n"]), float(row["t_opt"]), row["strategy"]
+            spec = ProbeSpec(c1, c2, n, 1 if kind == "ghz_ancilla" else 0)
+            strategy = StrategyKind(kind)
+            # F/t = t F_phase(t), the closed form at the printed optimum
+            f_over_t = t_opt * math.exp(log_qfi_phase(strategy, spec, model, t_opt))
+            assert float(row["f_over_t_max"]) == pytest.approx(f_over_t, rel=1e-14)
+            if kind == "uncorrelated":
+                exact = 1.0 / (model.gamma * (1.0 if model.kind == "adc" else 2.0))
+            elif model.kind == "pdc":
+                exact = 1.0 / (2.0 * n * model.gamma)
+            elif kind == "ghz_ancilla":
+                # Nγt = 1 + W(ρ/e) with ρ = |c1|²/|c2|² (adc)
+                exact = (1.0 + lambertw(rho / math.e).real) / (n * model.gamma)
+            else:
+                continue
+            assert t_opt == pytest.approx(exact, rel=1e-14), row
 
     def test_smallest_rate_with_a_finite_window(self, capsys):
         code, out, err = run_capture(
@@ -636,7 +669,18 @@ USAGE_ERRORS = [
     (["sweep", *SWEEP_RANGE, "--strategy", " , "], "strategy"),
     (["qfi", *QFI_POINT, "--strategy", "ghz-free", "--n-ancillas", "1"], "ancillas"),
     (["qfi", *QFI_POINT, "--strategy", "ghz-ancilla", "--n-ancillas", "0"], "ancillas"),
+    (["--spec"], "spec"),
 ]
+
+# (spec file text, word that names the offending input on stderr)
+SPEC_FILE_ERRORS = {
+    "no command": (json.dumps({"model": "adc"}), "command"),
+    "command not a string": (json.dumps({"command": 3}), "command"),
+    "command spelled as a flag": (json.dumps({"command": "--help"}), "command"),
+    "list value": (json.dumps({"command": "qfi", "model": ["adc"]}), "model"),
+    "null value": (json.dumps({"command": "qfi", "t": None}), "t"),
+    "not JSON": ("{'command': 'qfi'}", "JSON"),
+}
 
 
 class TestUsageErrors:
@@ -648,6 +692,24 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert re.search(rf"\b{word}\b", err, re.IGNORECASE), err
+
+    @pytest.mark.parametrize("name", sorted(SPEC_FILE_ERRORS))
+    def test_spec_file_exit_2_naming_the_input(self, name, tmp_path, capsys):
+        text, word = SPEC_FILE_ERRORS[name]
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        code, out, err = run_capture(["--spec", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert re.search(rf"\b{word}\b", err), err
+
+    def test_output_into_a_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_capture(["sweep", *SWEEP_RANGE, "--output", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "output" in err and str(target) in err
+        assert not target.parent.exists()
 
     def test_spec_file_with_a_bad_command(self, tmp_path, capsys):
         path = tmp_path / "run.json"
@@ -683,6 +745,18 @@ class TestSpecFile:
         assert run(["sweep", "--model", "adc", "--gamma", "1.0", "--n", "1:2",
                     "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_boolean_key_is_a_bare_flag(self, oracle, tmp_path, capsys):
+        # true gives the bytes of the bare flag, false those of leaving it out
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"command": "qfi", "model": "dpc", "gamma": 1, "n": 2,
+                                    "t": 0.3, "oracle": oracle}))
+        argv = ["qfi", "--model", "dpc", "--gamma", "1", "--n", "2", "--t", "0.3"]
+        code, out, err = run_capture(["--spec", str(path)], capsys)
+        assert code == 0 and err == ""
+        assert (code, out) == run_capture(argv + ["--oracle"] * oracle, capsys)[:2]
+        assert ("oracle_f_freq" in out.splitlines()[0]) is oracle
 
     def test_missing_file(self, capsys):
         code, _, err = run_capture(["--spec", "/nonexistent/run.json"], capsys)
@@ -825,6 +899,16 @@ class TestStartup:
         exec(_FLOAT_CALLS, scope)
         want = [[repr(call()), False] for call in scope["CALLS"].values()]
         assert json.loads(proc.stdout) == want
+
+    def test_qfi_range_failures_leave_numpy_unloaded(self):
+        # F = t^2 F_phase under- and overflowing, named on the float route
+        report = _numpy_probe([
+            ["qfi", "--model", "pdc", "--gamma", "8.5e129", "--n", "4", "--t", "1.37e269",
+             "--c1", "0.9"],
+            ["qfi", "--model", "pdc", "--gamma", "1e-300", "--n", "4", "--t", "1e200",
+             "--strategy", "uncorrelated"],
+        ])
+        assert report["runs"] == [[3, "", False], [3, "", False]]
 
     def test_float_failures_leave_numpy_unloaded(self):
         # a failing one-probe call names its row from the float record

@@ -263,3 +263,43 @@ class TestEmptyBlockTrace:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert "no phase coherence" in captured.err
+
+
+# qfi points whose F = t^2 F_phase leaves the doubles: gamma t overflows, so
+# eta_perp = exp(-inf) = 0 with both amplitudes nonzero; and t^2 overflows
+# while F_phase is of order 1
+DECAYED = (StrategyKind.GHZ_FREE, ProbeSpec(0.9, math.sqrt(0.19), 4), pdc(8.5e129), 1.37e269)
+OVERFLOWING = (StrategyKind.UNCORRELATED, ProbeSpec.balanced(4), pdc(1e-300), 1e200)
+
+
+class TestInformationOutsideTheDoubles:
+    """An F that over- or underflows is named, never returned as nan or inf."""
+
+    def test_overflowing_decay_is_an_underflow(self):
+        with pytest.raises(ValueError, match=r"^information underflows double precision "
+                                             r"at t=1.37e\+269"):
+            qfi_closed(*DECAYED)
+
+    def test_overflow_is_named(self):
+        with pytest.raises(ValueError, match=r"^information F = t\^2 F_phase overflows double "
+                                             r"precision at t=1e\+200"):
+            qfi_closed(*OVERFLOWING)
+
+    @pytest.mark.parametrize("point", [DECAYED, OVERFLOWING], ids=["decayed", "overflowing"])
+    def test_a_probe_without_coherence_stays_zero(self, point):
+        kind, _, model, t = point
+        result = qfi_closed(kind, ProbeSpec(1.0, 0.0, 4), model, t)
+        assert (result.f_phase, result.f_freq) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("argv, word", [
+        (["--model", "pdc", "--gamma", "8.5e129", "--t", "1.37e269", "--c1", "0.9"],
+         "underflows"),
+        (["--model", "pdc", "--gamma", "1e-300", "--t", "1e200", "--strategy", "uncorrelated"],
+         "overflows"),
+    ], ids=["decayed", "overflowing"])
+    def test_qfi_exits_3_naming_it(self, argv, word, capsys):
+        code = cli.run(["qfi", "--n", "4", *argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "information" in captured.err and f"{word} double precision" in captured.err
+        assert "non-finite" not in captured.err

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzfreq import measurement, optimize
+from ghzfreq import cli, measurement, optimize
 from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc
 from ghzfreq.cli import run
 from ghzfreq.fisher import log_qfi_phase
@@ -61,6 +62,18 @@ class TestAnalyticOptima:
         t2, b2 = maximize_f_over_t(StrategyKind.GHZ_FREE, spec, adc(3.1))
         assert t2 * 3.1 == pytest.approx(t1, rel=1e-9)
         assert b2 * 3.1 == pytest.approx(b1, rel=1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.13, 1.3, 7.0])
+    @pytest.mark.parametrize("make", [adc, dpc, pdc])
+    def test_rows_depend_on_gamma_only_through_the_time_unit(self, make, gamma):
+        # F/t = (x/gamma) F_phase(x) with x = gamma t, so scaling gamma by 4
+        # divides t_opt and F/t by exactly 4 and moves no bit of R or the gap
+        for row, scaled in zip(sweep(make(gamma), 1, 40, c1=0.6),
+                               sweep(make(4.0 * gamma), 1, 40, c1=0.6), strict=True):
+            assert (scaled.t_opt, scaled.f_over_t_max) == (row.t_opt / 4.0,
+                                                           row.f_over_t_max / 4.0), row
+            assert (scaled.ratio_r, scaled.saturation_gap) == (row.ratio_r,
+                                                               row.saturation_gap), row
 
     def test_amplitude_damping_ancilla_optimum_time(self):
         spec = ProbeSpec.balanced(1, 1)
@@ -174,6 +187,40 @@ class TestMaximizerGuards:
 
         with pytest.raises(ValueError, match="unimodal"):
             maximize_f_over_t(StrategyKind.GHZ_FREE, ProbeSpec.balanced(1), custom(rule))
+
+    def test_optimum_past_the_window_exits_3(self, monkeypatch, capsys):
+        # adc at rate 1e-4 as a custom rule at gamma = 1: the uncorrelated
+        # optimum lies near t = 1e4, past the window's upper edge 100/gamma
+        slow = custom(lambda t: params_at(adc(1e-4), t), 1.0)
+        monkeypatch.setitem(cli._MODEL_FACTORIES, "adc", lambda gamma: slow)
+        code = run(["sweep", "--model", "adc", "--gamma", "1", "--n", "1:3"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert re.search(r"peaks at the scan boundary .*strategy=uncorrelated model=custom n=1$",
+                         captured.err.strip()), captured.err
+
+    def test_slope_without_a_sign_change_exits_3(self, monkeypatch, capsys):
+        # eta_perp steps down halfway between the N = 1 scan points and is flat
+        # in between: the sampled F/t peaks and falls, while the slope of
+        # log(F/t) between the steps is 1/t > 0
+        low = math.log(optimize.SCAN_WINDOW[0])
+        step = (math.log(optimize.SCAN_WINDOW[1]) - low) / (optimize.SCAN_POINTS - 1)
+
+        def staircase(t):
+            k = math.floor((math.log(t) - low) / step - 0.5) if t > 0.0 else -1
+            eta = math.exp(-math.exp(low + (k + 0.5) * step)) if k >= 0 else 1.0
+            return ChannelParams(0.0, eta, 1.0, 0.0)
+
+        model = custom(staircase)
+        with pytest.raises(ValueError, match=r"does not change sign .*\(slopes \S+, \S+\): "
+                                             r"strategy=ghz_free model=custom n=1$"):
+            maximize_f_over_t(StrategyKind.GHZ_FREE, ProbeSpec.balanced(1), model)
+        monkeypatch.setitem(cli._MODEL_FACTORIES, "adc", lambda gamma: model)
+        code = run(["sweep", "--model", "adc", "--gamma", "1", "--n", "1:3"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert re.search(r"does not change sign .*strategy=uncorrelated model=custom n=1$",
+                         captured.err.strip()), captured.err
 
     def test_strategy_spec_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -415,13 +462,15 @@ class TestBatch:
 
     @pytest.mark.parametrize("kind", GHZ_KINDS)
     def test_subnormal_optimum_is_named(self, kind):
-        # the slopes at the subnormal bracket's ends are -inf, not NaN
+        # x_opt = gamma t_opt is about 1, so t_opt is about 1e-308
         spec = ProbeSpec.balanced(2, STRATEGIES[kind].default_ancillas)
         with pytest.raises(ValueError, match=(
-            rf"overflows double precision at the subnormal times .*strategy={kind.value} "
-            r"model=adc n=2$"
-        )):
+            r"^t_opt = .* underflows double precision, below the smallest normal double "
+            rf".*strategy={kind.value} model=adc n=2$"
+        )) as info:
             maximize_f_over_t(kind, spec, adc(1e308))
+        assert "does not change sign" not in str(info.value)
+        assert "phase coherence" not in str(info.value)
 
     def test_no_coherence_names_the_strategy_and_n(self):
         with pytest.raises(ValueError, match=r"no phase coherence.*strategy=ghz_free .*n=3\b"):
@@ -443,12 +492,14 @@ class TestBatch:
 )
 def test_sweep_rows_equal_the_one_row_calls(make, log_gamma, c1, n_min, width):
     """Every `sweep` row is the one-row `maximize_f_over_t` and, at its
-    t_opt, `saturation_check`; the uncorrelated rows quote one probe's."""
+    t_opt, `saturation_check`; the uncorrelated rows quote one probe's,
+    whose gap is formed at x = gamma t_opt and so is that of gamma = 1."""
     model = make(10.0**log_gamma)
     c2 = math.sqrt(1.0 - c1 * c1)
     single = ProbeSpec(c1, c2, 1)
     t_unc, best_single = maximize_f_over_t(StrategyKind.UNCORRELATED, single, model)
-    _, _, gap_unc = saturation_check(single, model, t_unc, 0.0)
+    x_unc, _ = maximize_f_over_t(StrategyKind.UNCORRELATED, single, make(1.0))
+    _, _, gap_unc = saturation_check(single, make(1.0), x_unc, 0.0)
     for row in sweep(model, n_min, n_min + width, c1=c1):
         if row.strategy is StrategyKind.UNCORRELATED:
             assert _key(row) == (t_unc, row.n * best_single, 1.0, gap_unc)

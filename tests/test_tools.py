@@ -34,3 +34,52 @@ def test_a_slice_is_deterministic():
     assert {r["argv"][0] for r in records} == {"sweep", "qfi"}
     assert all(r["exit"] in (0, 2, 3) for r in records)
     assert all("Traceback" not in r["stderr"] for r in records)
+
+
+def _run(argv, code, stdout="", stderr=""):
+    return {"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr}
+
+
+def test_compare_summarizes_two_corpora(tmp_path, capsys):
+    tool = _load_tool()
+    sweep = ["sweep", "--model", "adc", "--gamma", "1", "--n", "1"]
+    header = "n,strategy,t_opt,ratio_r\n"
+    old = [
+        _run(["qfi", "--n", "1"], 0, "f\n1\n"),
+        _run([*sweep, "--c1", "0.6"], 0, header + "1,ghz_free,1.0,0.5\n1,uncorrelated,2.0,1\n"),
+        _run([*sweep, "--c1", "0.7"], 0, json.dumps([{"strategy": "ghz_free", "t_opt": 4.0}])),
+        _run([*sweep, "--c1", "0.8"], 3, stderr="numerical failure: slope at t=1e-309\n"),
+        _run([*sweep, "--c1", "0.9"], 3, stderr="numerical failure: slope at t=2e-309\n"),
+        _run([*sweep, "--c1", "1.0"], 0, header + "1,ghz_free,1e-309,1\n"),
+    ]
+    new = [
+        old[0],
+        _run(old[1]["argv"], 0, header + "1,ghz_free,1.0,0.5000000001\n1,uncorrelated,2.5,1\n"),
+        _run(old[2]["argv"], 0, json.dumps([{"strategy": "ghz_free", "t_opt": 3.0}])),
+        _run(old[3]["argv"], 3, stderr="numerical failure: t_opt = 1e-309 underflows\n"),
+        _run(old[4]["argv"], 3, stderr="numerical failure: t_opt = 3e-309 underflows\n"),
+        _run(old[5]["argv"], 3, stderr="numerical failure: t_opt = 1e-309 underflows\n"),
+    ]
+    summary = tool.compare(old, new)
+    assert summary["runs"] == 6 and summary["identical"] == 1
+    assert summary["exit_changes"] == [(" ".join(old[5]["argv"]), 0, 3)]
+    assert summary["stderr_changes"] == {
+        ("numerical failure: slope at t=#", "numerical failure: t_opt = # underflows"): 2}
+    assert summary["layout_changes"] == []
+    moves = summary["moves"]
+    assert set(moves) == {("sweep", "ratio_r", "ghz_free"), ("sweep", "t_opt", "uncorrelated"),
+                          ("sweep", "t_opt", "ghz_free")}
+    assert abs(moves["sweep", "ratio_r", "ghz_free"][0] - 2e-10) < 1e-15
+    assert moves["sweep", "t_opt", "uncorrelated"][:3] == [0.25, " ".join(old[1]["argv"]), 0.5]
+    assert moves["sweep", "t_opt", "ghz_free"][:3] == [0.25, " ".join(old[2]["argv"]), 1.0]
+
+    paths = []
+    for name, corpus in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.jsonl")
+        paths[-1].write_text("".join(json.dumps(run) + "\n" for run in corpus))
+    tool.main(["--compare", *map(str, paths)])
+    report = capsys.readouterr().out
+    assert report.startswith("1 of 6 runs identical\n")
+    assert "exit-code changes: 1\n  0 -> 3: sweep" in report
+    assert "stderr-only changes: 2\n  2 x\n" in report
+    assert "sweep t_opt uncorrelated: relative 0.25" in report

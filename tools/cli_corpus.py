@@ -11,22 +11,30 @@ every slice of a corpus is reproducible on its own. The runs cover
     a decay N*gamma*t in [1e-4, 1e3]), N up to 10**12, c1, --c2-phase and
     --omega, a few with --oracle at small N.
 
-The package is imported from the path, so a byte check of two source trees
-is two runs and a `cmp`:
+The package is imported from the path, so a check of two source trees is
+two runs and a comparison:
 
     PYTHONPATH=old/src python tools/cli_corpus.py --out old.jsonl
     PYTHONPATH=new/src python tools/cli_corpus.py --out new.jsonl
-    cmp old.jsonl new.jsonl
+    python tools/cli_corpus.py --compare old.jsonl new.jsonl
+
+`--compare` summarizes two corpora of the same argvs: how many runs are
+identical, each exit-code change with its argv, the stderr-only changes
+grouped by message (numbers read as #), and the largest relative and
+absolute move of each numeric column per command and strategy, over the
+runs that exit 0 on both sides.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
 import random
+import re
 import sys
 import warnings
 
@@ -104,13 +112,112 @@ def write_corpus(seed: int, start: int, runs: int, stream) -> None:
         stream.write(json.dumps(run_one(corpus_argv(seed, index)), sort_keys=True) + "\n")
 
 
+def _records(stdout: str) -> list[dict]:
+    """The rows a run printed, as CSV or JSON."""
+    if stdout.startswith("["):
+        return json.loads(stdout)
+    return list(csv.DictReader(io.StringIO(stdout)))
+
+
+def _number(value) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _message(stderr: str) -> str:
+    """stderr with its numbers read as #, so that runs group by message."""
+    return re.sub(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|\binf\b|\bnan\b", "#",
+                  stderr.strip())
+
+
+def compare(old: list[dict], new: list[dict]) -> dict:
+    """A summary of two corpora whose runs share their argvs, run by run.
+
+    `identical` counts runs equal in exit code, stdout and stderr;
+    `exit_changes` lists (argv, old exit, new exit); `stderr_changes` counts
+    each (old, new) stderr pair, numbers read as #, of runs whose exit code
+    and stdout are equal; `moves` maps (command, column, strategy) to the
+    largest relative and absolute move of a numeric cell and the argv of
+    each, over the runs that exit 0 on both sides; `layout_changes` lists
+    the argvs of those runs whose rows or columns differ.
+    """
+    summary = {"runs": len(old), "identical": 0, "exit_changes": [], "stderr_changes": {},
+               "moves": {}, "layout_changes": []}
+    if len(old) != len(new):
+        raise ValueError(f"the corpora hold {len(old)} and {len(new)} runs")
+    for a, b in zip(old, new):
+        if a["argv"] != b["argv"]:
+            raise ValueError(f"the corpora differ in argv: {a['argv']} against {b['argv']}")
+        argv = " ".join(a["argv"])
+        if a == b:
+            summary["identical"] += 1
+        elif a["exit"] != b["exit"]:
+            summary["exit_changes"].append((argv, a["exit"], b["exit"]))
+        elif a["stdout"] == b["stdout"]:
+            key = (_message(a["stderr"]), _message(b["stderr"]))
+            summary["stderr_changes"][key] = summary["stderr_changes"].get(key, 0) + 1
+        if a["exit"] != 0 or b["exit"] != 0 or a["stdout"] == b["stdout"]:
+            continue
+        rows_a, rows_b = _records(a["stdout"]), _records(b["stdout"])
+        if len(rows_a) != len(rows_b) or any(r.keys() != s.keys() for r, s in zip(rows_a, rows_b)):
+            summary["layout_changes"].append(argv)
+            continue
+        for row_a, row_b in zip(rows_a, rows_b):
+            for column, cell in row_a.items():
+                x, y = _number(cell), _number(row_b[column])
+                if x is None or y is None or x == y:
+                    continue
+                key = (a["argv"][0], column, str(row_a.get("strategy", "-")))
+                rel = abs(y - x) / abs(x) if x else math.inf
+                top = summary["moves"].setdefault(key, [0.0, "", 0.0, ""])
+                if rel > top[0]:
+                    top[0:2] = rel, argv
+                if abs(y - x) > top[2]:
+                    top[2:4] = abs(y - x), argv
+    return summary
+
+
+def _report(summary: dict, stream) -> None:
+    write = stream.write
+    write(f"{summary['identical']} of {summary['runs']} runs identical\n")
+    write(f"\nexit-code changes: {len(summary['exit_changes'])}\n")
+    for argv, was, now in summary["exit_changes"]:
+        write(f"  {was} -> {now}: {argv}\n")
+    changes = summary["stderr_changes"]
+    write(f"\nstderr-only changes: {sum(changes.values())}\n")
+    for (was, now), count in sorted(changes.items(), key=lambda item: -item[1]):
+        write(f"  {count} x\n    old: {was}\n    new: {now}\n")
+    write(f"\nlayout changes on runs that exit 0 on both sides: {len(summary['layout_changes'])}\n")
+    for argv in summary["layout_changes"]:
+        write(f"  {argv}\n")
+    write("\nlargest moves on runs that exit 0 on both sides:\n")
+    for (command, column, strategy), (rel, rel_argv, dev, dev_argv) in sorted(
+            summary["moves"].items()):
+        write(f"  {command} {column} {strategy}: relative {rel:.3g} ({rel_argv}), "
+              f"absolute {dev:.3g} ({dev_argv})\n")
+
+
+def _load(path: str) -> list[dict]:
+    with open(path) as stream:
+        return [json.loads(line) for line in stream]
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--start", type=int, default=0, help="index of the first run")
     parser.add_argument("--runs", type=int, default=4000)
     parser.add_argument("--out", help="write here instead of stdout")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="summarize two corpora instead of writing one")
     ns = parser.parse_args(argv)
+    if ns.compare:
+        _report(compare(*map(_load, ns.compare)), sys.stdout)
+        return
     if ns.out is None:
         write_corpus(ns.seed, ns.start, ns.runs, sys.stdout)
         return
