@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ._numpy import np
 from .channel import _TINY, NoiseModel, _FloatMath, _log_channel, params_at
@@ -169,32 +169,15 @@ def _sld_qfi(rho: np.ndarray, drho) -> float:
     return float(2.0 * np.sum(np.abs(m[mask]) ** 2 / s[mask]))
 
 
-def qfi_sld_oracle(
-    spec: ProbeSpec,
-    model: NoiseModel,
-    t: float,
-    omega: float,
-    dphi: float | None = None,
-) -> QfiResult:
+def qfi_sld_oracle(spec: ProbeSpec, model: NoiseModel, t: float, omega: float) -> QfiResult:
     """Brute-force QFI from the full density matrix.
 
-    Evolves the dense state, differentiates it with respect to the encoded
-    phase (analytically when dphi is None, else by second-order central
-    differences of step dphi), and evaluates the eigendecomposition form of
-    the symmetric-logarithmic-derivative information.
+    Evolves the dense state, differentiates it analytically with respect to
+    the encoded phase, and evaluates the eigendecomposition form of the
+    symmetric-logarithmic-derivative information.
     """
-    params = params_at(model, t)
-    rho = evolve_dense(spec, params, omega, t).matrix
+    rho = evolve_dense(spec, params_at(model, t), omega, t).matrix
     n = spec.n_probes
-    if dphi is None:
-        drho = (-1j * n * rho[0, -1], 1j * n * rho[-1, 0])
-    else:
-        if not (0.0 < dphi <= 1e-3):
-            raise ValueError(f"finite-difference step must lie in (0, 1e-3], got {dphi}")
-        # shifting theta_noise by +-dphi shifts the encoded phase by the same
-        # amount, as both enter the block phase only through their sum
-        plus = evolve_dense(spec, replace(params, theta_noise=params.theta_noise + dphi), omega, t)
-        minus = evolve_dense(spec, replace(params, theta_noise=params.theta_noise - dphi), omega, t)
-        drho = (plus.matrix - minus.matrix) / (2.0 * dphi)
+    drho = (-1j * n * rho[0, -1], 1j * n * rho[-1, 0])
     f_phase = _sld_qfi(rho, drho)
     return QfiResult(f_phase, t * t * f_phase, "sld_oracle")

@@ -2,11 +2,12 @@
 
 The figure of merit throughout is F_omega(t)/t, the frequency information
 per unit of total measurement time. Every model here depends on t only
-through x = gamma t (a custom rule is read as x -> rule(x / gamma)), and
+through x = gamma t (a custom rule is read at t = x / gamma), and
 F_omega/t = (x / gamma) F_phase(x). So the maximizer runs at unit rate on x
-(`_unit_rate`), and leaves x once: t_opt = x_opt / gamma and F/t = t_opt
-F_phase(x_opt), where one check names either when it is not a normal
-double. A batch of rows is maximized at once, one probe record
+(`_unit_rate`), on log(gamma F/t) = log x + log F_phase(x) throughout, and
+leaves both once: t_opt = x_opt / gamma and F/t = t_opt F_phase(x_opt),
+where the one range check names either when it is not a normal double. A
+batch of rows is maximized at once, one probe record
 (`state._probe_columns`): a strategy and an N column, and the amplitudes
 that all rows share. Each step evaluates the log-space closed form
 (`fisher._log_f_phase`) of every row in one array call, the record's
@@ -17,13 +18,13 @@ share a batch; a row gives a block term its strategy lacks the log weight
 Where d/dx log(F/t) is 1/x + r with r constant (`_constant_slope`, from the
 derivative record of `channel._log_channel`), x_opt = -1/r: every
 uncorrelated row of a named model (x_opt = 1 for adc, 1/2 for dpc and pdc)
-and every pdc GHZ row (1/(2N), Huelga et al., PRL 79, 3865 (1997)). The
-peak is one objective call at x_opt, checked as the scan would be. Every
+and every pdc GHZ row (1/(2N), Huelga et al., PRL 79, 3865 (1997)). Every
 other batch (adc and dpc GHZ rows, custom models) is searched in two stages:
 
-  * a geometric scan of the whole window, one (rows, SCAN_POINTS) call,
-    which also certifies that each row's sampled profile rises to a single
-    interior peak;
+  * a geometric scan of log(F/t) over the whole window, one (rows,
+    SCAN_POINTS) call, which also certifies that each row's sampled profile
+    rises to a single interior peak and never rises after it (a -inf tail,
+    where F = 0, does not rise);
   * a bracketing search on the sign of d/dx log(F/t) between the scan
     points either side of each row's peak. Each call evaluates the slope at
     two points of every bracket still open and keeps, per row, the
@@ -33,9 +34,10 @@ other batch (adc and dpc GHZ rows, custom models) is searched in two stages:
     shrinks with the square of its width. On adc and dpc, up to N = 10**9
     at least, three calls (8 slope values per row) narrow every bracket
     below REFINE_REL_WIDTH, and no slope takes more calls than bisection
-    plus one. The slope is analytic for the named models and a five-point
-    difference of log(F/t) for custom ones.
+    plus one. The slope is 1/x + d/dx log F_phase, analytic for the named
+    models and a five-point difference of log F_phase for custom ones.
 
+Either way the peak is one objective call at x_opt, checked for coherence.
 A row is frozen once its bracket is narrow enough, so its result is the same
 to the bit whichever rows share its batch; `maximize_f_over_t` is the
 one-row batch. A failed check names the row's strategy and N
@@ -47,9 +49,9 @@ stops at about sqrt(eps) because the profile is flat to second order there.
 does not grow with the probe range, and packages the optimal time, peak
 value, ratio against the best uncorrelated scheme and readout saturation
 gap of each N into rows. The gaps of a batch are one array pass
-(`measurement._saturation_gaps`) at x_opt with the unit-rate model, from the
-record and the log F_phase of the optimizer's last evaluation;
-`measurement.saturation_check` runs the same pass on one probe's floats.
+(`measurement._saturation_gaps`) at x_opt as `_unit_rate` reads it, from the
+record and that log F_phase; `measurement.saturation_check` runs the same
+pass on one probe's floats.
 """
 
 from __future__ import annotations
@@ -128,35 +130,34 @@ class Table1Row:
         return dict(vars(self))
 
 
-def _unit_rate(model: NoiseModel) -> NoiseModel:
-    """`model` in the dimensionless time x = gamma t: a named model at
-    gamma = 1, a custom rule as x -> rule(x / gamma)."""
-    rule, gamma = model.rule, model.gamma
-    return NoiseModel(model.kind, 1.0, None if rule is None else lambda x: rule(x / gamma))
+def _unit_rate(model: NoiseModel) -> tuple[NoiseModel, float]:
+    """(model, divisor) that read the dimensionless time x = gamma t at x /
+    divisor: a named model at gamma = 1 at x itself, a custom one at t = x /
+    gamma, so that its rule and the checks on it name t."""
+    return (model, model.gamma) if model.kind == "custom" else (NoiseModel(model.kind, 1.0), 1.0)
 
 
-def _objective(probe, model: NoiseModel) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(x F_phase, log F_phase) of each row of the batch record `probe` over a
-    (rows, points) array of dimensionless times x = gamma t, the model at
-    unit rate (`_unit_rate`); x F_phase is gamma F_omega/t."""
-    unit = _unit_rate(model)
+def _objective(probe, model: NoiseModel) -> Callable[[np.ndarray], np.ndarray]:
+    """log F_phase of each row of the batch record `probe` over a (rows,
+    points) array of dimensionless times x = gamma t, the model read as
+    `_unit_rate` says; log x + log F_phase is log(gamma F_omega/t)."""
+    unit, divisor = _unit_rate(model)
 
-    def f_over_t(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        log_f = _log_f_phase(probe, unit, x, np, False)[0]
-        return x * np.exp(log_f), log_f
+    def log_f_phase(x: np.ndarray) -> np.ndarray:
+        return _log_f_phase(probe, unit, x / divisor, np, False)[0]
 
-    return f_over_t
+    return log_f_phase
 
 
 def _log_slope(probe, model: NoiseModel) -> Callable[[np.ndarray], np.ndarray]:
-    """d/dx log(F/t) of each row of the batch record `probe` over (rows,
-    points) dimensionless times x = gamma t.
+    """d/dx log(F/t) = 1/x + d/dx log F_phase of each row of the batch record
+    `probe` over (rows, points) dimensionless times x = gamma t.
 
-    Analytic for the named models; for custom ones the five-point central
-    difference (f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)) / (12 h) of
-    log(F/t), h = 1e-3 x (Fornberg, Math. Comp. 51, 699 (1988)), all four
-    points in one objective call. Its truncation error, of order h**4,
-    places a custom optimum within about 3e-12 of the analytic one.
+    d/dx log F_phase is analytic for the named models; for custom ones the
+    five-point central difference (f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h))
+    / (12 h) of f = log F_phase, h = 1e-3 x (Fornberg, Math. Comp. 51, 699
+    (1988)), all four points in one objective call. Its truncation error, of
+    order h**4, places a custom optimum within about 3e-12 of the analytic one.
     """
     if model.kind == "custom":
         f = _objective(probe, model)
@@ -164,13 +165,13 @@ def _log_slope(probe, model: NoiseModel) -> Callable[[np.ndarray], np.ndarray]:
         def slope(x: np.ndarray) -> np.ndarray:
             h = 1e-3 * x
             k = x.shape[1]
-            logs = np.log(f(np.concatenate([x - 2.0 * h, x - h, x + h, x + 2.0 * h], axis=1))[0])
+            logs = f(np.concatenate([x - 2.0 * h, x - h, x + h, x + 2.0 * h], axis=1))
             return (logs[:, :k] - logs[:, 3 * k:] + 8.0 * (logs[:, 2 * k:3 * k] - logs[:, k:2 * k])
-                    ) / (12.0 * h)
+                    ) / (12.0 * h) + 1.0 / x
 
         return slope
 
-    unit = _unit_rate(model)
+    unit, _ = _unit_rate(model)  # divisor 1
 
     def slope(x: np.ndarray) -> np.ndarray:
         return _log_f_phase(probe, unit, x, np, True)[1] + 1.0 / x
@@ -261,7 +262,7 @@ def _constant_slope(probe, model: NoiseModel):
     read at no times at all, so a custom rule is not called; its slope is
     not analytic (None).
     """
-    (_, log_half, _, _), d_eta, d_half = _log_channel(_unit_rate(model), np.empty(0), np, True)
+    (_, log_half, _, _), d_eta, d_half = _log_channel(_unit_rate(model)[0], np.empty(0), np, True)
     if d_eta is None or np.ndim(d_eta):
         return None
     live, _ = _block_log_terms(probe, log_half)
@@ -271,27 +272,22 @@ def _constant_slope(probe, model: NoiseModel):
     return -0.5 / (power * d_eta)
 
 
-def _check_profile(values, x, probe, model: NoiseModel, peak=None) -> None:
+def _check_profile(values, probe, model: NoiseModel, peak=None) -> None:
     """Raise ValueError naming the first row of the batch record `probe` whose
-    (rows, points) profile `values` of the objective at the dimensionless
-    times `x` overflows double precision or is 0 at every point (a probe
-    without phase coherence); for a scan, whose `peak` index per row is
-    given, also a row that peaks at the window's edge or is not unimodal."""
-    finite = ~np.any(values == math.inf, axis=1)
-    coherent = np.any(values > 0.0, axis=1)
-    passed = finite & coherent
+    (rows, points) log-space profile `values` is -inf at every point (F = 0,
+    a probe without phase coherence); for a scan, whose `peak` index per row
+    is given, also a row that peaks at the window's edge or is not unimodal:
+    each step after the peak must not rise (a -inf tail's nan steps do not)."""
+    passed = coherent = np.any(values > -math.inf, axis=1)
     if peak is not None:
         inside = (peak > 0) & (peak < values.shape[1] - 1)
         diffs = np.diff(values, axis=1)
         rising = np.arange(1, values.shape[1]) <= peak[:, None]
-        unimodal = np.all(np.where(rising, diffs > 0.0, diffs <= 0.0), axis=1)
-        passed &= inside & unimodal
+        unimodal = np.all(np.where(rising, diffs > 0.0, ~(diffs > 0.0)), axis=1)
+        passed = coherent & inside & unimodal
     if passed.all():
         return
     r = int(np.argmin(passed))
-    if not finite[r]:
-        at = float(x[r, np.argmax(values[r] == math.inf)] / model.gamma)
-        raise ValueError(f"F/t overflows double precision at t={at!r}: {_row_name(probe, r, model)}")
     if not coherent[r]:
         raise ValueError(
             "F/t is 0 at every scanned time: the probe has no phase coherence "
@@ -332,11 +328,12 @@ def _maximize_rows(probe, model: NoiseModel):
     slope of log(F/t) is 1/x + r with a constant r (`_constant_slope`),
     x_opt = -1/r is taken as it is. Otherwise the scan is one (rows,
     SCAN_POINTS) call, and the slope search then follows each row's own
-    bracket (`_slope_roots`). x is left once: t_opt = x_opt / gamma and
-    f_over_t_max = t_opt F_phase(x_opt), each checked to be a normal
-    double. Every check is made per row, and a failure names the row's
-    strategy and N. The last evaluation also gives the log F_phase that
-    `sweep` passes on to the saturation gap at x_opt.
+    bracket (`_slope_roots`). Either way log F_phase is evaluated once at
+    x_opt and checked for coherence, and x is left once: t_opt = x_opt /
+    gamma and f_over_t_max = t_opt F_phase(x_opt), each checked to be a
+    normal double, the one range check. Every check is made per row, and a
+    failure names the row's strategy and N. The log F_phase at x_opt is
+    what `sweep` passes on to the saturation gap there.
     """
     if model.gamma <= 0:
         raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
@@ -345,10 +342,8 @@ def _maximize_rows(probe, model: NoiseModel):
         x_opt = _constant_slope(probe, model)
         if x_opt is None:
             x_opt = _searched_optima(f, probe, model)
-            _, log_f = f(x_opt[:, None])
-        else:
-            scaled, log_f = f(x_opt[:, None])
-            _check_profile(scaled, x_opt[:, None], probe, model)
+        log_f = f(x_opt[:, None])
+        _check_profile(log_f, probe, model)
         t_opt = x_opt / model.gamma
         best = t_opt * np.exp(log_f[:, 0])
     _check_normal([("t_opt", t_opt), ("F/t", best)], probe, model)
@@ -356,9 +351,9 @@ def _maximize_rows(probe, model: NoiseModel):
 
 
 def _searched_optima(f, probe, model: NoiseModel) -> np.ndarray:
-    """x_opt of each row by the geometric scan of its window in x = gamma t
-    with the objective f, checked by `_check_profile`, and the slope search
-    between the scan points either side of the peak (`_slope_roots`)."""
+    """x_opt of each row by the geometric scan of log(gamma F/t) = log x + f(x)
+    over its window in x = gamma t, checked by `_check_profile`, and the slope
+    search between the scan points either side of the peak (`_slope_roots`)."""
     lo = np.full(len(probe.kinds), SCAN_WINDOW[0])
     if probe.terms:
         lo /= probe.n[:, 0]
@@ -366,14 +361,15 @@ def _searched_optima(f, probe, model: NoiseModel) -> np.ndarray:
                   probe, model)
     log_lo = np.log(lo)
     step = (math.log(SCAN_WINDOW[1]) - log_lo) / (SCAN_POINTS - 1)
-    grid = np.exp(log_lo[:, None] + np.arange(float(SCAN_POINTS)) * step[:, None])
-    values, _ = f(grid)
+    log_grid = log_lo[:, None] + np.arange(float(SCAN_POINTS)) * step[:, None]
+    grid = np.exp(log_grid)
+    values = log_grid + f(grid)
     peak = np.argmax(values, axis=1)
-    _check_profile(values, grid, probe, model, peak)
+    _check_profile(values, probe, model, peak)
     row = np.arange(len(lo))
     # the vertex of the parabola through log(F/t) at the three scan
     # points around the peak, in log x, where the grid is even
-    y0, y1, y2 = np.log(values[row[:, None], peak[:, None] + np.arange(-1, 2)]).T
+    y0, y1, y2 = values[row[:, None], peak[:, None] + np.arange(-1, 2)].T
     guess = grid[row, peak] * np.exp(step * (y0 - y2) / (2.0 * (y0 - 2.0 * y1 + y2)))
     return _slope_roots(probe, model, grid[row, peak - 1], grid[row, peak + 1], guess)
 
@@ -430,8 +426,8 @@ def sweep(
     each one record with a strategy and an N column (`_maximize_rows`),
     pdc's in closed form and the others by the scan and slope search; a
     row's result does not depend on the batch it falls in. The saturation
-    gap is evaluated at the optimum x_opt = gamma t_opt with the unit-rate
-    model and the corner readout, for a whole batch at once; uncorrelated
+    gap is evaluated at the optimum x_opt = gamma t_opt as `_unit_rate`
+    reads it, with the corner readout, for a whole batch at once; uncorrelated
     rows quote the single-probe gap (one `saturation_check` call per sweep)
     since that strategy is measured qubit by qubit.
     """
@@ -445,9 +441,9 @@ def sweep(
     single = ProbeSpec(c1, c2, 1)
     x_unc, t_unc, best_single, _ = (float(v[0]) for v in _maximize_rows(
         _probe_columns([StrategyKind.UNCORRELATED], [1], single), model))
-    unit = _unit_rate(model)
+    unit, divisor = _unit_rate(model)
     if StrategyKind.UNCORRELATED in chosen:
-        _, _, gap_unc = saturation_check(single, unit, x_unc, omega=0.0)
+        _, _, gap_unc = saturation_check(single, unit, x_unc / divisor, omega=0.0)
     correlated = [s for s in chosen if STRATEGIES[s].correlated]
     per_chunk = max(1, BATCH_ROWS // max(1, len(correlated)))
     rows = []
@@ -459,7 +455,8 @@ def sweep(
             ns = [n for n in probes for _ in correlated]
             probe = _probe_columns(correlated * len(probes), ns, single)
             x_opt, t_opt, best, log_f = _maximize_rows(probe, model)
-            _, gaps = _saturation_gaps(probe, unit, x_opt[:, None], log_f[:, None], 0.0, np)
+            at = x_opt[:, None] / divisor
+            _, gaps = _saturation_gaps(probe, unit, at, log_f[:, None], 0.0, np)
             optima = zip(t_opt.tolist(), best.tolist(), gaps[:, 0].tolist())
         for n in probes:
             best_unc = n * best_single

@@ -236,12 +236,16 @@ class TestSweep:
             ["sweep", "--model", "pdc", "--gamma", "1e308", "--n", "3", "--c1", c1], capsys)
         assert code == 3 and "no phase coherence" in err
 
-    def test_closed_form_f_over_t_overflow_exits_3(self, capsys):
+    @pytest.mark.parametrize("model", ["pdc", "adc", "dpc"])
+    def test_f_over_t_overflow_exits_3(self, model, capsys):
+        # pdc's GHZ rows take the closed form, adc's and dpc's are searched;
+        # either way the overflow is named once, at the maximizer's exit
         code, out, err = run_capture(
-            ["sweep", "--model", "pdc", "--gamma", "1e-300", "--n", "1000000000",
-             "--strategy", "ghz-free"], capsys)
+            ["sweep", "--model", model, "--gamma", "1e-300", "--n", "1000000000",
+             "--strategy", "ghz-free,ghz-ancilla"], capsys)
         assert code == 3 and out == ""
-        assert "F/t overflows" in err and "strategy=ghz_free" in err
+        assert "F/t overflows double precision at gamma=1e-300" in err
+        assert "strategy=ghz_free" in err
 
     @pytest.mark.parametrize("argv", [
         ["--model", "adc", "--gamma", "5e-307", "--n", "1:3", "--c1", "0.6"],

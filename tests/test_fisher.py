@@ -140,20 +140,6 @@ class TestSldOracle:
         ]
         assert max(values) - min(values) <= 1e-9 * max(values)
 
-    def test_finite_difference_route(self):
-        spec = ProbeSpec.balanced(2, 1)
-        model, t = adc(1.0), 0.6
-        exact = qfi_sld_oracle(spec, model, t, 0.5).f_freq
-        for dphi in (1e-4, 1e-5):
-            fd = qfi_sld_oracle(spec, model, t, 0.5, dphi=dphi).f_freq
-            assert fd == pytest.approx(exact, rel=1e-6)
-
-    def test_finite_difference_step_validated(self):
-        spec = ProbeSpec.balanced(2)
-        for bad in (-1e-5, 0.0, 1e-2):
-            with pytest.raises(ValueError):
-                qfi_sld_oracle(spec, adc(1.0), 0.5, 0.0, dphi=bad)
-
     def test_route_labels(self):
         spec = ProbeSpec.balanced(2)
         assert qfi_closed(StrategyKind.GHZ_FREE, spec, adc(1.0), 0.5).route == "closed_ghz"

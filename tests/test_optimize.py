@@ -222,6 +222,32 @@ class TestMaximizerGuards:
         assert re.search(r"does not change sign .*strategy=uncorrelated model=custom n=1$",
                          captured.err.strip()), captured.err
 
+    @pytest.mark.parametrize("gamma", [1.0, 4.0])
+    def test_custom_rule_failure_names_the_time_t(self, gamma):
+        # eta_perp leaves the CPTP region past t = 2 whatever gamma is, so the
+        # first scan point that fails lies just past t = 2, not x = gamma t
+        def rule(t):
+            g = math.exp(-0.05 * t)
+            return ChannelParams(0.0, g if t <= 2.0 else 1.2, g, 0.0)
+
+        with pytest.raises(ValueError) as info:
+            maximize_f_over_t(StrategyKind.GHZ_FREE, ProbeSpec.balanced(1), custom(rule, gamma))
+        t = re.fullmatch(r"model parameters at t=(\S+) are not CPTP", str(info.value)).group(1)
+        assert 2.0 < float(t) < 2.06
+
+    def test_zero_tail_counts_as_falling(self):
+        # eta_perp reaches 0 at t = 3 and stays there, so log(F/t) is -inf over
+        # the rest of the scan; F/t = t N eta^2 (uncorrelated) and t N^2 eta^(2N)
+        # (GHZ-free, eta_par = 1, kappa = 0) peak at t = 1 and 3/(2N + 1)
+        model = custom(lambda t: ChannelParams(0.0, max(0.0, 1.0 - t / 3.0), 1.0, 0.0))
+        spec = ProbeSpec.balanced(2)
+        t_opt, best = maximize_f_over_t(StrategyKind.UNCORRELATED, spec, model)
+        assert t_opt == pytest.approx(1.0, rel=1e-11)
+        assert best == pytest.approx(8.0 / 9.0, rel=1e-11)
+        t_opt, best = maximize_f_over_t(StrategyKind.GHZ_FREE, spec, model)
+        assert t_opt == pytest.approx(0.6, rel=1e-11)
+        assert best == pytest.approx(0.98304, rel=1e-11)
+
     def test_strategy_spec_mismatch_rejected(self):
         with pytest.raises(ValueError):
             maximize_f_over_t(StrategyKind.GHZ_ANCILLA, ProbeSpec.balanced(2, 0), adc(1.0))

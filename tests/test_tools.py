@@ -34,6 +34,8 @@ def test_a_slice_is_deterministic():
     assert {r["argv"][0] for r in records} == {"sweep", "qfi"}
     assert all(r["exit"] in (0, 2, 3) for r in records)
     assert all("Traceback" not in r["stderr"] for r in records)
+    # the runner shows every warning, and no run should raise one
+    assert all("Warning" not in r["stderr"] for r in records)
 
 
 def _run(argv, code, stdout="", stderr=""):
