@@ -44,7 +44,7 @@ from .channel import (
 )
 from .fisher import qfi_closed, qfi_sld_oracle
 from .optimize import StrategyKind, sweep, table1
-from .state import STRATEGIES, ProbeSpec, block_probe, check_ancillas
+from .state import MAX_DENSE_QUBITS, ProbeSpec, block_probe, check_ancillas
 from .verify import run_verification
 
 __all__ = ["run", "main"]
@@ -192,17 +192,23 @@ def _noise_model(ns: argparse.Namespace) -> NoiseModel:
 
 def _cmd_qfi(ns: argparse.Namespace) -> tuple[str, int]:
     strategy = _STRATEGY_BY_FLAG[ns.strategy]
-    n_anc = STRATEGIES[strategy].default_ancillas if ns.n_ancillas is None else ns.n_ancillas
+    n_anc = strategy.default_ancillas if ns.n_ancillas is None else ns.n_ancillas
     try:
         check_ancillas(strategy, n_anc)
     except ValueError as exc:
         raise UsageError(f"--n-ancillas: {exc}") from None
-    model = _noise_model(ns)
     c2 = math.sqrt(max(0.0, 1.0 - ns.c1**2))
     spec = ProbeSpec(
         complex(ns.c1), c2 * complex(math.cos(ns.c2_phase), math.sin(ns.c2_phase)),
         ns.n, n_anc,
     )
+    unit, copies = block_probe(strategy, spec)
+    if ns.oracle and unit.n_total > MAX_DENSE_QUBITS:
+        raise UsageError(
+            f"--oracle: dense representation capped at {MAX_DENSE_QUBITS} qubits, "
+            f"got {unit.n_total}"
+        )
+    model = _noise_model(ns)
     result = qfi_closed(strategy, spec, model, ns.t)
     record = {
         "model": ns.model,
@@ -219,7 +225,6 @@ def _cmd_qfi(ns: argparse.Namespace) -> tuple[str, int]:
         "qcrb": ns.t / result.f_freq if result.f_freq > 0 else math.inf,
     }
     if ns.oracle:
-        unit, copies = block_probe(strategy, spec)
         oracle = copies * qfi_sld_oracle(unit, model, ns.t, ns.omega).f_freq
         record["oracle_f_freq"] = oracle
         record["oracle_rel_dev"] = (

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from ._numpy import np
 from .channel import _TINY, NoiseModel, _FloatMath, _log_channel, params_at
 from .state import (
-    STRATEGIES,
     ProbeSpec,
     StrategyKind,
     _block_log_terms,
@@ -85,7 +84,7 @@ def _log_f_phase(probe, model: NoiseModel, t, xp, slope: bool):
 def log_qfi_phase(strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel, t):
     """log F_phase of one strategy's closed form, at one time or over an array of times.
 
-    For the GHZ strategies (those with block terms in `state.STRATEGIES`)
+    For the GHZ strategies (those whose `StrategyKind` member has block terms)
 
         log F = log(4 |c1 c2|^2 N^2) + 2N log|eta_perp|
                 - logsumexp_i(log w_i + N log(A_i/2)),
@@ -147,7 +146,7 @@ def qfi_closed(
         )
     if f_freq == math.inf:
         raise ValueError(f"information F = t^2 F_phase overflows double precision at t={t}")
-    return QfiResult(f_phase, f_freq, STRATEGIES[strategy].route)
+    return QfiResult(f_phase, f_freq, strategy.route)
 
 
 def _sld_qfi(rho: np.ndarray, drho) -> float:

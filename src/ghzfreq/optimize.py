@@ -65,7 +65,6 @@ from .channel import _TINY, NoiseModel, _FloatMath, _log_channel
 from .fisher import _log_f_phase, qfi_closed
 from .measurement import _saturation_gaps, saturation_check
 from .state import (
-    STRATEGIES,
     ProbeSpec,
     StrategyKind,
     _block_log_terms,
@@ -433,18 +432,18 @@ def sweep(
     """
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad probe range {n_min}..{n_max}")
-    wanted = set(StrategyKind if strategies is None else strategies)
+    wanted = tuple(StrategyKind if strategies is None else strategies)
     chosen = [s for s in StrategyKind if s in wanted]
     if not chosen:
         raise ValueError("no strategies selected")
-    c2 = math.sqrt(1.0 - abs(c1) ** 2)
+    c2 = math.sqrt(max(0.0, 1.0 - abs(c1) ** 2))
     single = ProbeSpec(c1, c2, 1)
     x_unc, t_unc, best_single, _ = (float(v[0]) for v in _maximize_rows(
         _probe_columns([StrategyKind.UNCORRELATED], [1], single), model))
     unit, divisor = _unit_rate(model)
     if StrategyKind.UNCORRELATED in chosen:
         _, _, gap_unc = saturation_check(single, unit, x_unc / divisor, omega=0.0)
-    correlated = [s for s in chosen if STRATEGIES[s].correlated]
+    correlated = [s for s in chosen if s.correlated]
     per_chunk = max(1, BATCH_ROWS // max(1, len(correlated)))
     rows = []
     for first in range(n_min, n_max + 1, per_chunk):

@@ -3,16 +3,16 @@
 The probe c1|0...0> + c2|1...1> evolves into a direct sum: a 2x2 coherence
 block on the span of |0...0> and |1...1>, plus a phase-free residual that is
 diagonal in the computational basis and degenerate within Hamming classes.
-`STRATEGIES` is the one place that says what each strategy is. From it,
-`_probe` builds the one record of a probe that the closed form, the
-optimizer and the readout read, and `_probe_columns` the record of a
-batch: a strategy and an N column, one row each, and the amplitudes that
-all rows share. A failing row is named from its record (`_row_name`).
-Read from a record are the coherence block alone (`coherence_block`, O(1)
-in N) and the whole direct sum of either GHZ strategy
-(`evolve_directsum(kind, ...)`). A full density-matrix evolution (the
-oracle route, which does not read the table) and a comparator between the
-two are also provided.
+Each `StrategyKind` member is the one place that says what its strategy
+is: its data lives on the member. From it, `_probe` builds the one record
+of a probe that the closed form, the optimizer and the readout read, and
+`_probe_columns` the record of a batch: a strategy and an N column, one
+row each, and the amplitudes that all rows share. A failing row is named
+from its record (`_row_name`). Read from a record are the coherence block
+alone (`coherence_block`, O(1) in N) and the whole direct sum of either GHZ
+strategy (`evolve_directsum(kind, ...)`). A full density-matrix evolution
+(the oracle route, which reads no strategy data) and a comparator between
+the two are also provided.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .channel import (
 __all__ = [
     "MAX_DENSE_QUBITS",
     "StrategyKind",
-    "Strategy",
-    "STRATEGIES",
     "ProbeSpec",
     "DirectSumState",
     "DenseState",
@@ -54,12 +52,6 @@ __all__ = [
 MAX_DENSE_QUBITS = 12
 
 
-class StrategyKind(Enum):
-    UNCORRELATED = "uncorrelated"
-    GHZ_FREE = "ghz_free"
-    GHZ_ANCILLA = "ghz_ancilla"
-
-
 # pole rows, in the order of `channel._log_channel`: A++, A+-, A-+, A--
 PP, PM, MP, MM = range(4)
 # pole rows of a probe qubit found in |0> and in |1>, on the branch from
@@ -67,9 +59,8 @@ PP, PM, MP, MM = range(4)
 _BRANCH_POLES = ((PP, MM), (MP, PM))
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """What one strategy is, as data; `STRATEGIES` holds one per kind.
+class StrategyKind(Enum):
+    """A strategy and what it is, as data on the member; its value is its name.
 
     default_ancillas: 0 for a strategy that takes no noise-free ancillas;
     else 1, and the strategy needs at least one (the information does not
@@ -90,6 +81,27 @@ class Strategy:
     residual: tuple[tuple[int, int, int, tuple[int, ...]], ...]
     route: str
 
+    def __new__(cls, value, default_ancillas, block_terms, residual, route):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.default_ancillas = default_ancillas
+        member.block_terms = block_terms
+        member.residual = residual
+        member.route = route
+        return member
+
+    UNCORRELATED = ("uncorrelated", 0, (), (), "closed_uncorrelated")
+    # without ancillas both branches land on the same configurations
+    GHZ_FREE = (
+        "ghz_free", 0, ((0, PP, 0), (0, MM, 1), (1, MP, 0), (1, PM, 1)), ((0, 1, -1, (0, 1)),),
+        "closed_ghz",
+    )
+    # the ancillas tag each branch, so the cross terms leave the block
+    GHZ_ANCILLA = (
+        "ghz_ancilla", 1, ((0, PP, 0), (1, PM, 1)), ((0, 0, -1, (0,)), (1, 1, 0, (1,))),
+        "closed_ancilla",
+    )
+
     @property
     def correlated(self) -> bool:
         """Whether the N probes share one coherence block."""
@@ -99,30 +111,16 @@ class Strategy:
         return n_ancillas >= 1 if self.default_ancillas else n_ancillas == 0
 
 
-STRATEGIES = {
-    StrategyKind.UNCORRELATED: Strategy(0, (), (), "closed_uncorrelated"),
-    # without ancillas both branches land on the same configurations
-    StrategyKind.GHZ_FREE: Strategy(
-        0, ((0, PP, 0), (0, MM, 1), (1, MP, 0), (1, PM, 1)), ((0, 1, -1, (0, 1)),),
-        "closed_ghz",
-    ),
-    # the ancillas tag each branch, so the cross terms leave the block
-    StrategyKind.GHZ_ANCILLA: Strategy(
-        1, ((0, PP, 0), (1, PM, 1)), ((0, 0, -1, (0,)), (1, 1, 0, (1,))), "closed_ancilla",
-    ),
-}
-
-
 def check_ancillas(kind: StrategyKind, n_ancillas: int) -> None:
     """Raise ValueError unless strategy `kind` admits n_ancillas ancillas."""
-    if not STRATEGIES[kind].admits(n_ancillas):
-        need = "at least one ancilla" if STRATEGIES[kind].default_ancillas else "no ancillas"
+    if not kind.admits(n_ancillas):
+        need = "at least one ancilla" if kind.default_ancillas else "no ancillas"
         raise ValueError(f"strategy {kind.value!r} takes {need}, got n_ancillas = {n_ancillas}")
 
 
 def ghz_strategy(n_ancillas: int) -> StrategyKind:
     """The strategy with a shared coherence block that admits n_ancillas ancillas."""
-    return next(k for k, e in STRATEGIES.items() if e.correlated and e.admits(n_ancillas))
+    return next(k for k in StrategyKind if k.correlated and k.admits(n_ancillas))
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ class ProbeSpec:
 def block_probe(kind: StrategyKind, spec: ProbeSpec) -> tuple[ProbeSpec, int]:
     """The probe holding one coherence block of `kind` on `spec`, and how many copies:
     (spec, 1) if the probes share one block, else N one-qubit probes."""
-    if STRATEGIES[kind].correlated:
+    if kind.correlated:
         return spec, 1
     return ProbeSpec(spec.c1, spec.c2, 1), spec.n_probes
 
@@ -172,10 +170,10 @@ class DirectSumState:
 
     block is the 2x2 coherence sector in the {|0...0>, |1...1>} basis.
     residual holds the log of each Hamming class's phase-free population,
-    summed over its C(N, k) configurations, in the order of the strategy's
-    residual families in `STRATEGIES`. phase_total is the accumulated block phase
-    N*(theta_noise + omega*t); its derivative with respect to the encoded
-    phase omega*t is n_probes.
+    summed over its C(N, k) configurations, in the order of the residual
+    families on the strategy's `StrategyKind` member. phase_total is the
+    accumulated block phase N*(theta_noise + omega*t); its derivative with
+    respect to the encoded phase omega*t is n_probes.
     """
 
     block: np.ndarray
@@ -238,7 +236,7 @@ class _Probe(NamedTuple):
     of log w and N, which broadcast against a (rows, points) array of times."""
 
     kinds: Sequence[StrategyKind]  # the strategy of each row
-    terms: tuple[tuple[int, int, int], ...]  # block terms (weight, pole, side), see `Strategy`
+    terms: tuple[tuple[int, int, int], ...]  # block terms (weight, pole, side), see StrategyKind
     w: tuple[float, float]  # (|c1|^2, |c2|^2)
     log_w: tuple  # log w of each term, indexed as terms; -inf for a term w = 0 or absent
     n: int | np.ndarray  # the probe count N
@@ -253,7 +251,7 @@ def _log_weights(spec: ProbeSpec) -> tuple[tuple[float, float], tuple[float, flo
 
 def _probe(kind: StrategyKind, spec: ProbeSpec) -> _Probe:
     """The record of `spec` under strategy `kind`, in floats."""
-    terms = STRATEGIES[kind].block_terms
+    terms = kind.block_terms
     w, log_w = _log_weights(spec)
     log_w = tuple([log_w[weight] for weight, _, _ in terms])
     return _Probe((kind,), terms, w, log_w, spec.n_probes, spec.c1 * spec.c2.conjugate())
@@ -262,23 +260,19 @@ def _probe(kind: StrategyKind, spec: ProbeSpec) -> _Probe:
 def _probe_columns(kinds: Sequence[StrategyKind], ns: Sequence[int], spec: ProbeSpec) -> _Probe:
     """The record of a batch whose row r is strategy kinds[r] on ns[r] probes
     with the amplitudes of `spec`: each row's `_probe` over the block terms
-    of all the batch's strategies, joined in `STRATEGIES` order, where a
-    term the row's strategy lacks gets the log weight -inf.
-
-    Each strategy of the batch is looked up in `STRATEGIES` once; a row
-    finds its entry by position, since hashing a `StrategyKind` runs
-    Python code (`Enum.__hash__`). A batch holds either correlated or
-    uncorrelated rows: an uncorrelated row has no block term to join.
+    of all the batch's strategies, joined in declaration order, where a
+    term the row's strategy lacks gets the log weight -inf. A batch holds
+    either correlated or uncorrelated rows: an uncorrelated row has no block
+    term to join.
     """
-    present = [kind for kind in STRATEGIES if kind in kinds]
-    entries = [STRATEGIES[kind] for kind in present]
-    if len({entry.correlated for entry in entries}) > 1:
+    present = [kind for kind in StrategyKind if kind in kinds]
+    if len({kind.correlated for kind in present}) > 1:
         raise ValueError("a batch holds either correlated or uncorrelated rows, not both")
-    terms = tuple(dict.fromkeys(term for entry in entries for term in entry.block_terms))
+    terms = tuple(dict.fromkeys(term for kind in present for term in kind.block_terms))
     w, log_w = _log_weights(spec)
     # log w of each term (column) under each strategy (row) of the batch
     table = np.array(
-        [[log_w[t[0]] if t in entry.block_terms else -math.inf for t in terms] for entry in entries]
+        [[log_w[t[0]] if t in kind.block_terms else -math.inf for t in terms] for kind in present]
     )
     columns = table.T[:, [present.index(kind) for kind in kinds], None]
     n = np.array(ns, dtype=float)[:, None]
@@ -370,7 +364,7 @@ def coherence_block(
 
 def _residual_families(kind: StrategyKind, n: int):
     """(ancilla bit, array of k, weights) of each residual family of `kind`, in order."""
-    for bit, first, last, weights in STRATEGIES[kind].residual:
+    for bit, first, last, weights in kind.residual:
         yield bit, np.arange(first, n + last + 1), weights
 
 
@@ -410,7 +404,7 @@ def evolve_directsum(
     has the log mass log C(N, k) + logsumexp_w(log w + k log(A0/2) +
     (N - k) log(A1/2)): one array expression per family, O(N), finite at any N.
     """
-    if not STRATEGIES[kind].correlated:
+    if not kind.correlated:
         raise ValueError(f"strategy {kind.value!r} has no shared coherence block")
     check_ancillas(kind, spec.n_ancillas)
     _require_cptp(params)

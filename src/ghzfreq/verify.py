@@ -44,7 +44,6 @@ from .measurement import (
 )
 from .optimize import StrategyKind, maximize_f_over_t, sensitivity_ratio, tabulated_f_over_t
 from .state import (
-    STRATEGIES,
     ProbeSpec,
     assert_consistency,
     block_probe,
@@ -91,7 +90,7 @@ def _check_route_agreement(rng: np.random.Generator, nmax: int) -> CheckResult:
                 (StrategyKind.GHZ_ANCILLA, 3), (StrategyKind.UNCORRELATED, 1),
             ):
                 for _ in range(draws):
-                    spec = _random_spec(rng, n, STRATEGIES[kind].default_ancillas)
+                    spec = _random_spec(rng, n, kind.default_ancillas)
                     t = rng.uniform(0.05, 1.5)
                     omega = rng.uniform(-2.0, 2.0)
                     closed = qfi_closed(kind, spec, model, t).f_freq
@@ -155,7 +154,7 @@ def _check_tabulated_forms(rng: np.random.Generator, nmax: int) -> CheckResult:
             else:
                 worst_match = max(worst_match, abs(lit - closed) / closed)
             for strat in (StrategyKind.GHZ_ANCILLA, StrategyKind.UNCORRELATED):
-                probe = ProbeSpec.balanced(n, STRATEGIES[strat].default_ancillas)
+                probe = ProbeSpec.balanced(n, strat.default_ancillas)
                 f = qfi_closed(strat, probe, model, t).f_freq / t
                 lit = tabulated_f_over_t(kind, strat, n, 1.0, t)
                 worst_match = max(worst_match, abs(lit - f) / f)
@@ -345,7 +344,7 @@ def _check_noiseless_limit(nmax: int) -> CheckResult:
                 (StrategyKind.GHZ_FREE, n**2), (StrategyKind.GHZ_ANCILLA, n**2),
                 (StrategyKind.UNCORRELATED, n),
             ):
-                probe = ProbeSpec.balanced(n, STRATEGIES[kind].default_ancillas)
+                probe = ProbeSpec.balanced(n, kind.default_ancillas)
                 worst = max(worst, abs(qfi_closed(kind, probe, model, t).f_freq - law * t**2))
     return CheckResult(
         "noiseless_limit",

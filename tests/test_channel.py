@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ghzfreq.channel import (
     CP_TOL,
     ChannelParams,
+    NoiseModel,
     a_coefficients,
     adc,
     affine_apply,
@@ -101,8 +103,6 @@ class TestParamDictionaries:
         assert params_at(model, 2.0) == ChannelParams(0.2, 0.9, 0.8, 0.0)
 
     def test_custom_without_rule_rejected(self):
-        from ghzfreq.channel import NoiseModel
-
         with pytest.raises(ValueError):
             NoiseModel("custom", 1.0)
 
@@ -300,3 +300,22 @@ class TestMasterEquation:
         with pytest.raises(ValueError):
             rule = lambda t: ChannelParams(0.0, 1.0, 1.0, 0.0)
             integrate_master_equation(custom(rule), 0.0, 1.0, rho_of([0, 0, 0]), 100)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NoiseModel("xyz", 1.0), "unknown noise model kind: 'xyz'"),
+    (lambda: NoiseModel("adc", math.inf), "gamma must be finite and >= 0, got inf"),
+    (lambda: NoiseModel("adc", -1.0), "gamma must be finite and >= 0, got -1.0"),
+    (lambda: affine_apply(params_at(adc(1.0), 0.5), 0.0, 0.5, np.zeros(2)),
+     "Bloch vector must have shape (3,), got (2,)"),
+    (lambda: integrate_master_equation(adc(1.0), 0.0, -1.0, rho_of([0, 0, 0]), 10),
+     "integration time must be >= 0, got -1.0"),
+    (lambda: integrate_master_equation(adc(1.0), 0.0, 1.0, np.eye(3) / 3, 10),
+     "rho0 must be 2x2, got shape (3, 3)"),
+    (lambda: integrate_master_equation(adc(1.0), 0.0, 1.0, np.eye(2), 10),
+     "rho0 trace (2+0j) is not 1"),
+], ids=["model_kind", "model_gamma_inf", "model_gamma_negative", "bloch_shape",
+        "master_equation_t", "master_equation_shape", "master_equation_trace"])
+def test_input_checks_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -68,6 +68,16 @@ class TestQfi:
         assert float(row["oracle_rel_dev"]) < 1e-7
         assert row["n_ancillas"] == "1"  # ancilla default
 
+    def test_uncorrelated_oracle_at_any_n(self, capsys):
+        # the oracle of N uncorrelated probes is one one-qubit probe, N times
+        code, out, _ = run_capture(
+            ["qfi", "--model", "adc", "--gamma", "1", "--n", "40", "--t", "0.1",
+             "--strategy", "uncorrelated", "--oracle"],
+            capsys,
+        )
+        assert code == 0
+        assert float(parse_csv(out)[0]["oracle_rel_dev"]) < 1e-12
+
     def test_json_format_round_trips(self, capsys):
         args = ["qfi", "--model", "dpc", "--gamma", "0.8", "--n", "4", "--t", "0.3",
                 "--strategy", "uncorrelated", "--format", "json"]
@@ -595,6 +605,14 @@ class TestVerify:
         monkeypatch.setattr(verify, "assert_consistency", lambda ds, dense: math.nan)
         assert not verify._check_directsum_consistency(rng, 3).passed
 
+    @pytest.mark.parametrize("nmax, message", [
+        (0, "nmax must be >= 1, got 0"),
+        (11, "nmax 11 would make the dense oracle states huge"),
+    ])
+    def test_nmax_outside_1_to_10_is_named(self, nmax, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ghzfreq.run_verification(nmax=nmax)
+
     def test_passes_and_reports(self, capsys):
         code, out, _ = run_capture(["verify", "--nmax", "2"], capsys)
         assert code == 0
@@ -673,6 +691,9 @@ USAGE_ERRORS = [
     (["sweep", *SWEEP_RANGE, "--strategy", " , "], "strategy"),
     (["qfi", *QFI_POINT, "--strategy", "ghz-free", "--n-ancillas", "1"], "ancillas"),
     (["qfi", *QFI_POINT, "--strategy", "ghz-ancilla", "--n-ancillas", "0"], "ancillas"),
+    (["qfi", "--model", "adc", "--gamma", "1", "--n", "13", "--t", "0.1", "--oracle"], "oracle"),
+    (["qfi", "--model", "adc", "--gamma", "1", "--n", "12", "--t", "0.1", "--oracle",
+      "--strategy", "ghz-ancilla"], "oracle"),
     (["--spec"], "spec"),
 ]
 

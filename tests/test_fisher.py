@@ -14,7 +14,7 @@ from ghzfreq.channel import (
     params_at,
     pdc,
 )
-from ghzfreq.fisher import _sld_qfi, qfi_closed, qfi_sld_oracle
+from ghzfreq.fisher import _sld_qfi, log_qfi_phase, qfi_closed, qfi_sld_oracle
 from ghzfreq.measurement import GhzObservable, error_propagation_sensitivity, saturation_check
 from ghzfreq.optimize import StrategyKind, maximize_f_over_t, sweep
 from ghzfreq.state import ProbeSpec, coherence_block, evolve_dense, evolve_directsum
@@ -289,3 +289,9 @@ class TestInformationOutsideTheDoubles:
         assert code == 3 and captured.out == ""
         assert "information" in captured.err and f"{word} double precision" in captured.err
         assert "non-finite" not in captured.err
+
+
+def test_array_time_below_zero_is_named():
+    with pytest.raises(ValueError, match=r"interrogation time must be >= 0, got -0\.5$"):
+        log_qfi_phase(StrategyKind.GHZ_FREE, ProbeSpec.balanced(2), adc(1.0),
+                      np.array([0.1, -0.5]))

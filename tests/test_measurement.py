@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,3 +241,15 @@ class TestPhaseOverflow:
         # N * omega * t = 3 * 1e307 * 5 is finite
         _, delta, gap = saturation_check(ProbeSpec.balanced(3), adc(1.0), 5.0, 1e307)
         assert 0.0 <= delta < math.pi and math.isfinite(gap)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: error_propagation_sensitivity(ProbeSpec.balanced(2), adc(1.0), 0.3, 0.0,
+                                           GhzObservable(3)),
+     "observable spans 3 qubits but the state has 2"),
+    (lambda: saturation_check(ProbeSpec.balanced(2), adc(1.0), -0.5, 0.0),
+     "interrogation time must be >= 0, got -0.5"),
+], ids=["observable_qubits", "saturation_time"])
+def test_input_checks_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from ghzfreq import cli, measurement, optimize
 from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc
 from ghzfreq.cli import run
-from ghzfreq.fisher import log_qfi_phase
+from ghzfreq.fisher import log_qfi_phase, qfi_closed
 from ghzfreq.measurement import saturation_check
 from ghzfreq.optimize import (
-    STRATEGIES,
     StrategyKind,
     maximize_f_over_t,
     sensitivity_ratio,
@@ -114,7 +113,7 @@ class TestClosedFormOptimum:
         _no_search(monkeypatch)
         exact = float(1 / (2 * n * Fraction(gamma)))
         for kind in GHZ_KINDS:
-            spec = ProbeSpec(0.6, 0.8, n, STRATEGIES[kind].default_ancillas)
+            spec = ProbeSpec(0.6, 0.8, n, kind.default_ancillas)
             t_opt, _ = maximize_f_over_t(kind, spec, pdc(gamma))
             assert abs(t_opt - exact) <= 2.0 * math.ulp(exact), kind
 
@@ -128,7 +127,7 @@ class TestClosedFormOptimum:
         for kind in kinds:
             for n in (1, 4, 250):
                 spec = ProbeSpec(0.35, math.sqrt(1.0 - 0.35**2), n,
-                                 STRATEGIES[kind].default_ancillas)
+                                 kind.default_ancillas)
                 t_opt, best = maximize_f_over_t(kind, spec, model)
                 with np.errstate(all="ignore"):
                     log_f = log_qfi_phase(kind, spec, model, np.array([t_opt]))
@@ -153,7 +152,7 @@ class TestClosedFormOptimum:
         named = pdc(1.3)
         wrapped = custom(lambda t: params_at(named, t), 1.3)
         for kind in StrategyKind:
-            spec = ProbeSpec.balanced(5, STRATEGIES[kind].default_ancillas)
+            spec = ProbeSpec.balanced(5, kind.default_ancillas)
             t_closed, best_closed = maximize_f_over_t(kind, spec, named)
             t_searched, best_searched = maximize_f_over_t(kind, spec, wrapped)
             # the five-point slope places a custom optimum to about 3e-12
@@ -340,6 +339,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(adc(1.0), 0, 2)
 
+    def test_strategies_from_a_one_shot_iterator(self):
+        rows = sweep(adc(1.0), 1, 2, strategies=iter([StrategyKind.GHZ_ANCILLA]))
+        assert [(r.n, r.strategy) for r in rows] == [(1, StrategyKind.GHZ_ANCILLA),
+                                                     (2, StrategyKind.GHZ_ANCILLA)]
+
+    def test_amplitude_above_one_names_the_norm(self):
+        # c2 = sqrt(1 - |c1|^2) would be a bare "math domain error"
+        with pytest.raises(ValueError, match=r"^\|c1\|\^2 \+ \|c2\|\^2 = 1\.44 is not 1$"):
+            sweep(adc(1.0), 1, 2, c1=1.2)
+
 
 class TestTable1:
     def test_amplitude_damping_entries_match(self):
@@ -367,6 +376,19 @@ class TestTable1:
             tabulated_f_over_t("custom", StrategyKind.GHZ_FREE, 2, 1.0, 0.5)
         with pytest.raises(ValueError):
             tabulated_f_over_t("adc", StrategyKind.GHZ_FREE, 0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sweep(adc(1.0), 1, 2, strategies=[]), "no strategies selected"),
+    (lambda: tabulated_f_over_t("adc", StrategyKind.GHZ_FREE, 2, -1.0, 0.5),
+     "gamma and t must be nonnegative"),
+    (lambda: tabulated_f_over_t("adc", StrategyKind.GHZ_FREE, 2, 1.0, -0.5),
+     "gamma and t must be nonnegative"),
+    (lambda: table1(adc(1.0), 2, 0.0), "F/t needs t > 0, got 0.0"),
+], ids=["sweep_no_strategy", "tabulated_gamma", "tabulated_t", "table1_t"])
+def test_input_checks_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestLargeN:
@@ -430,7 +452,7 @@ class TestBatch:
                 continue
             (alone,) = sweep(model, row.n, row.n, strategies=[row.strategy], c1=0.6)
             assert _key(alone) == _key(row), (row.n, row.strategy)
-            spec = ProbeSpec(0.6, 0.8, row.n, STRATEGIES[row.strategy].default_ancillas)
+            spec = ProbeSpec(0.6, 0.8, row.n, row.strategy.default_ancillas)
             assert maximize_f_over_t(row.strategy, spec, model) == (row.t_opt, row.f_over_t_max)
 
     def test_cli_rows_equal_the_rows_alone(self, capsys):
@@ -456,9 +478,16 @@ class TestBatch:
         monkeypatch.setattr(optimize, "BATCH_ROWS", 5)
         assert [_key(r) for r in sweep(dpc(0.8), 1, 25, c1=0.55)] == [_key(r) for r in whole]
 
-    def test_strategies_are_looked_up_once_per_batch(self, monkeypatch):
-        # hashing a StrategyKind runs Enum.__hash__ in Python; a batch looks up
-        # each of its two strategies once, whatever its row count
+    @pytest.mark.parametrize("call", [
+        lambda: qfi_closed(StrategyKind.GHZ_FREE, ProbeSpec.balanced(3), adc(1.0), 0.2),
+        lambda: saturation_check(ProbeSpec.balanced(3, 1), adc(1.0), 0.2, 0.0),
+        lambda: maximize_f_over_t(StrategyKind.GHZ_ANCILLA, ProbeSpec.balanced(3, 1), adc(1.0)),
+        lambda: sweep(adc(1.0), 1, 30),
+        lambda: run(["qfi", "--model", "adc", "--gamma", "1", "--n", "3", "--t", "0.2"]),
+    ], ids=["qfi_closed", "saturation_check", "maximize_f_over_t", "sweep", "cli_qfi"])
+    def test_no_strategy_is_hashed(self, monkeypatch, capsys, call):
+        # hashing a StrategyKind runs Enum.__hash__ in Python; every strategy
+        # is read off its member, so no call looks one up by hash
         hashes = []
         original = StrategyKind.__hash__
 
@@ -467,13 +496,8 @@ class TestBatch:
             return original(kind)
 
         monkeypatch.setattr(StrategyKind, "__hash__", counted)
-
-        def count(batches):
-            hashes.clear()
-            sweep(adc(1.3), 1, batches * optimize.BATCH_ROWS // len(GHZ))
-            return len(hashes)
-
-        assert count(10) - count(1) == 2 * 9
+        call()
+        assert hashes == []
 
     def test_unimodality_failure_names_its_n(self):
         # this profile has a second peak for N = 2 only
@@ -489,7 +513,7 @@ class TestBatch:
     @pytest.mark.parametrize("kind", GHZ_KINDS)
     def test_subnormal_optimum_is_named(self, kind):
         # x_opt = gamma t_opt is about 1, so t_opt is about 1e-308
-        spec = ProbeSpec.balanced(2, STRATEGIES[kind].default_ancillas)
+        spec = ProbeSpec.balanced(2, kind.default_ancillas)
         with pytest.raises(ValueError, match=(
             r"^t_opt = .* underflows double precision, below the smallest normal double "
             rf".*strategy={kind.value} model=adc n=2$"
@@ -530,7 +554,7 @@ def test_sweep_rows_equal_the_one_row_calls(make, log_gamma, c1, n_min, width):
         if row.strategy is StrategyKind.UNCORRELATED:
             assert _key(row) == (t_unc, row.n * best_single, 1.0, gap_unc)
             continue
-        spec = ProbeSpec(c1, c2, row.n, STRATEGIES[row.strategy].default_ancillas)
+        spec = ProbeSpec(c1, c2, row.n, row.strategy.default_ancillas)
         t_opt, best = maximize_f_over_t(row.strategy, spec, model)
         assert (row.t_opt, row.f_over_t_max) == (t_opt, best)
         assert row.ratio_r == row.n * best_single / best
@@ -636,7 +660,7 @@ class TestSaturationGap:
         rows = sweep(model, 1, n_max, strategies=GHZ, c1=c1)
         assert len(rows) == 2 * n_max
         for row in rows:
-            spec = ProbeSpec(c1, c2, row.n, STRATEGIES[row.strategy].default_ancillas)
+            spec = ProbeSpec(c1, c2, row.n, row.strategy.default_ancillas)
             _, _, gap = saturation_check(spec, model, row.t_opt, 0.0)
             assert abs(row.saturation_gap - gap) <= 2e-15, (row.n, row.strategy)
             assert abs(row.saturation_gap) <= 1e-14, (row.n, row.strategy)

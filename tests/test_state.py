@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from ghzfreq import channel, state
 from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc, superoperator
 from ghzfreq.state import (
     MAX_DENSE_QUBITS,
-    STRATEGIES,
+    DenseState,
+    DirectSumState,
     ProbeSpec,
     StrategyKind,
     assert_consistency,
@@ -355,6 +357,27 @@ class TestConsistencyChecker:
             assert_consistency(ds, dense)
 
 
+def _short_residual():
+    """A free direct sum of 3 probes that lost its last residual class."""
+    params = params_at(adc(1.0), 0.5)
+    ds = evolve_directsum(StrategyKind.GHZ_FREE, ProbeSpec.balanced(3), params, 0.0, 0.5)
+    short = DirectSumState(ds.block, ds.residual[:-1], ds.phase_total, ds.n_probes)
+    return assert_consistency(short, evolve_dense(ProbeSpec.balanced(3), params, 0.0, 0.5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ProbeSpec(0.6, 0.8, 2, -1), "ancilla count must be >= 0, got -1"),
+    (lambda: DenseState(np.eye(2) / 2, 2), "matrix shape (2, 2) does not match 2 qubits"),
+    (lambda: DenseState(np.array([[0.5, 0.1], [0.0, 0.5]]), 1),
+     "density matrix is not Hermitian within 1e-12"),
+    (lambda: DenseState(np.eye(2), 1), "density matrix trace (2+0j) is not 1 within 1e-10"),
+    (_short_residual, "residual entry count does not match the class layout"),
+], ids=["spec_ancillas", "dense_shape", "dense_hermitian", "dense_trace", "residual_count"])
+def test_input_checks_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def _rotating_rule(t):
     """A CPTP custom map with a noise rotation theta_noise != 0 and eta_perp < 0."""
     g = math.exp(-t)
@@ -399,7 +422,7 @@ class TestCoherenceBlock:
             coherence_block(ProbeSpec.balanced(2), adc(1.0), 0.0, -0.5)
 
 
-_GHZ_KINDS = [kind for kind in StrategyKind if STRATEGIES[kind].correlated]
+_GHZ_KINDS = [kind for kind in StrategyKind if kind.correlated]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -423,7 +446,7 @@ def test_batch_record_rows_are_the_one_probe_records(rows, c1, phase):
     assert record.n.shape == (len(rows), 1)
     assert all(column.shape == (len(rows), 1) for column in record.log_w)
     for r, (kind, n) in enumerate(rows):
-        one = state._probe(kind, ProbeSpec(c1, c2, n, STRATEGIES[kind].default_ancillas))
+        one = state._probe(kind, ProbeSpec(c1, c2, n, kind.default_ancillas))
         assert record.kinds[r] is kind
         assert set(one.terms) <= set(record.terms)
         assert record.w == one.w and record.c12 == one.c12

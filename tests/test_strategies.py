@@ -1,4 +1,4 @@
-"""Every entry of the strategy table, driven through every consumer, plus
+"""Every `StrategyKind` member's strategy data, driven through every consumer, plus
 property tests of the one closed form `fisher.log_qfi_phase`."""
 
 import math
@@ -14,7 +14,6 @@ from ghzfreq.fisher import log_qfi_phase, qfi_closed, qfi_sld_oracle
 from ghzfreq.measurement import GhzObservable, error_propagation_sensitivity, saturation_check
 from ghzfreq.optimize import maximize_f_over_t, sweep
 from ghzfreq.state import (
-    STRATEGIES,
     ProbeSpec,
     StrategyKind,
     assert_consistency,
@@ -37,14 +36,14 @@ def flipped(gamma):
 def probe(kind, n, c1=0.6, n_ancillas=None):
     """A probe of `kind` with real c1 and the strategy's default ancilla count."""
     if n_ancillas is None:
-        n_ancillas = STRATEGIES[kind].default_ancillas
+        n_ancillas = kind.default_ancillas
     return ProbeSpec(c1, math.sqrt(1.0 - c1 * c1), n, n_ancillas)
 
 
 def oracle_f_phase(kind, spec, model, t, omega):
     """The SLD oracle's information: one dense block, or N one-qubit blocks."""
     unit, copies = block_probe(kind, spec)
-    if STRATEGIES[kind].correlated:
+    if kind.correlated:
         assert (unit, copies) == (spec, 1)
     else:
         assert (unit.n_probes, unit.n_ancillas, copies) == (1, 0, spec.n_probes)
@@ -65,13 +64,12 @@ class TestStrategyTable:
             spec = probe(kind, n, c1=rng.uniform(0.2, 0.9))
             t, omega = rng.uniform(0.05, 1.5), rng.uniform(-2.0, 2.0)
             result = qfi_closed(kind, spec, model, t)
-            assert result.route == STRATEGIES[kind].route
+            assert result.route == kind.route
             want = oracle_f_phase(kind, spec, model, t, omega)
             assert result.f_phase == pytest.approx(want, rel=1e-10)
 
     def test_ancilla_rule(self, kind, capsys):
-        entry = STRATEGIES[kind]
-        wrong = 0 if entry.default_ancillas else 1
+        wrong = 0 if kind.default_ancillas else 1
         spec = probe(kind, 3, n_ancillas=wrong)
         with pytest.raises(ValueError):
             qfi_closed(kind, spec, adc(1.0), 0.3)
@@ -87,8 +85,8 @@ class TestStrategyTable:
         assert run(argv) == 0
         header, row = capsys.readouterr().out.splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
-        assert fields["n_ancillas"] == str(entry.default_ancillas)
-        if entry.default_ancillas:
+        assert fields["n_ancillas"] == str(kind.default_ancillas)
+        if kind.default_ancillas:
             assert run(argv + ["--n-ancillas", "3"]) == 0  # any count >= 1
 
     @pytest.mark.parametrize("make", MODELS + (flipped,))
