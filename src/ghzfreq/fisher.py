@@ -51,25 +51,20 @@ class QfiResult:
 def _log_f_phase(probe, model: NoiseModel, t, xp, slope: bool):
     """(log F_phase, d/dt log F_phase or None) at t of the probe record
     `probe` (`state._Probe`): floats for one probe at a float or an array t,
-    or (rows, 1) columns against a (rows, points) t, one row per probe."""
+    or (rows, 1) columns against a (rows, points) t, one row per probe. The
+    slope reads again each block term (`state._block_log_terms`) of log r0."""
     n = probe.n
     power = n if probe.terms else 1
     (log_eta, log_half, _, _), d_eta, d_half = _log_channel(model, t, xp, slope)
     d_f = None
     if slope and d_eta is not None:
         d_f = 2.0 * power * d_eta + 0.0 * t  # shaped like t
-    # the block trace is summed before log F is formed, and its terms are
-    # dropped as they are summed unless the slope reads them again: fewer
-    # (rows, points) arrays are alive at once
+    log_f = xp.log(4.0 * probe.w[0] * probe.w[1] * n * power) + 2.0 * power * log_eta
     if probe.terms:
         live, parts = _block_log_terms(probe, log_half)
-        if d_f is not None:
-            parts = list(parts)
         # a strategy whose every term drops out has r0 = 0, so log r0 = -inf
         # and F = 0 (an initial -inf would cost one more array logaddexp)
         log_r0 = functools.reduce(xp.logaddexp, parts) if live else -math.inf
-    log_f = xp.log(4.0 * probe.w[0] * probe.w[1] * n * power) + 2.0 * power * log_eta
-    if probe.terms:
         # a zero block trace comes with a zero numerator, so (-inf) - (-inf)
         # = nan stands for F = 0
         log_f = xp.fmax(log_f - log_r0, -math.inf)
@@ -130,23 +125,33 @@ def qfi_closed(
         (c1, c2), F = 4 t^2 |c1 c2|^2 N eta_perp^2; with every exponent 1
         the block trace is 1 identically.
 
-    All three are evaluated in log space (`log_qfi_phase`). Raises
-    ValueError when the spec's ancilla count does not fit the strategy, and
-    when a positive F over- or underflows double precision; a named model's
-    gamma*t that overflows gives eta_perp = exp(-inf) = 0, an underflow too.
+    All three are evaluated in log space (`log_qfi_phase`), and F as
+    t (t F_phase). Raises ValueError when the spec's ancilla count does not
+    fit the strategy, and when a positive F_phase or F is not a normal
+    double; a named model's gamma*t that overflows gives eta_perp =
+    exp(-inf) = 0, an underflow too.
     """
+    f_phase, f_freq = _scaled(strategy, spec, model, t, 2)
+    return QfiResult(f_phase, f_freq, strategy.route)
+
+
+def _scaled(strategy, spec, model: NoiseModel, t, power: int) -> tuple[float, float]:
+    """(F_phase, t**power F_phase) at t, power 1 or 2, checked as `qfi_closed`
+    says; t^2 alone may leave the doubles first, so each factor t comes in alone."""
     check_ancillas(strategy, spec.n_ancillas)
     log_f = float(log_qfi_phase(strategy, spec, model, t))
-    f_phase = math.exp(log_f)
-    f_freq = t * t * f_phase if f_phase else 0.0  # t*t may be inf
+    f_phase = scaled = math.exp(log_f)
+    for _ in range(power):
+        scaled = t * scaled if scaled else 0.0  # t may be inf
     decayed = model.kind != "custom" and math.isinf(model.gamma * t) and spec.c1 and spec.c2
-    if decayed or (math.isfinite(log_f) and (f_phase < _TINY or (t > 0.0 and f_freq < _TINY))):
+    if decayed or (math.isfinite(log_f) and (f_phase < _TINY or (t > 0.0 and scaled < _TINY))):
         raise ValueError(
             f"information underflows double precision at t={t} (log F_phase = {log_f:.6g})"
         )
-    if f_freq == math.inf:
-        raise ValueError(f"information F = t^2 F_phase overflows double precision at t={t}")
-    return QfiResult(f_phase, f_freq, strategy.route)
+    if scaled == math.inf:
+        raise ValueError(f"information {('F/t = t', 'F = t^2')[power - 1]} F_phase overflows "
+                         f"double precision at t={t}")
+    return f_phase, scaled
 
 
 def _sld_qfi(rho: np.ndarray, drho) -> float:
@@ -179,4 +184,4 @@ def qfi_sld_oracle(spec: ProbeSpec, model: NoiseModel, t: float, omega: float) -
     n = spec.n_probes
     drho = (-1j * n * rho[0, -1], 1j * n * rho[-1, 0])
     f_phase = _sld_qfi(rho, drho)
-    return QfiResult(f_phase, t * t * f_phase, "sld_oracle")
+    return QfiResult(f_phase, t * (t * f_phase), "sld_oracle")  # t^2 alone may underflow

@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 
 from ._numpy import np
 from .channel import _TINY, NoiseModel, _FloatMath, _log_channel
-from .fisher import _log_f_phase, qfi_closed
+from .fisher import _log_f_phase, _scaled
 from .measurement import _saturation_gaps, saturation_check
 from .state import (
     ProbeSpec,
@@ -70,7 +70,6 @@ from .state import (
     _block_log_terms,
     _probe_columns,
     _row_name,
-    _rows_of,
     check_ancillas,
 )
 
@@ -195,10 +194,10 @@ def _slope_roots(probe, model, a, b, guess) -> np.ndarray:
     bracket's midpoint where it would leave more (as in ITP, Oliveira &
     Takahashi, ACM TOMS 47(1), 2020). A row thus takes at most
     ceil(log2(w0 / (REFINE_REL_WIDTH * b))) + 1 calls, one more than
-    bisection. A row whose bracket is narrower than REFINE_REL_WIDTH is
-    frozen: its root is interpolated linearly between the bracket's ends
-    and it is evaluated no more, so what it returns does not depend on the
-    other rows of the batch.
+    bisection. A row is frozen once its bracket is narrower than
+    REFINE_REL_WIDTH: its root, interpolated linearly between the bracket's
+    ends, is kept through the calls that open rows still make, so what it
+    returns does not depend on the other rows of the batch.
     """
     slope = _log_slope(probe, model)
     budget = b - a  # the widest bracket each row's next call may leave
@@ -218,23 +217,17 @@ def _slope_roots(probe, model, a, b, guess) -> np.ndarray:
             f"{_row_name(probe, r, model)}"
         )
     roots = np.empty(len(a))
-    active = np.arange(len(a))
+    frozen = np.zeros(len(a), dtype=bool)
     while True:
         # flat index of the first point of each row where the slope is <= 0
         right = np.argmax(values <= 0.0, axis=1) + np.arange(0, values.size, values.shape[1])
         a, b = points.take(right - 1), points.take(right)
         s_a, s_b = values.take(right - 1), values.take(right)
         w = b - a
-        done = w <= REFINE_REL_WIDTH * b
-        if done.any():
-            roots[active[done]] = (a + w * s_a / (s_a - s_b))[done]
-            if done.all():
-                return roots
-            keep = ~done
-            active, a, b, w, s_a, s_b, budget = (
-                v[keep] for v in (active, a, b, w, s_a, s_b, budget)
-            )
-            slope = _log_slope(_rows_of(probe, active), model)
+        roots = np.where(frozen, roots, a + w * s_a / (s_a - s_b))
+        frozen |= w <= REFINE_REL_WIDTH * b
+        if frozen.all():
+            return roots
         budget = 0.5 * budget
         y_a, y_b = a * s_a, b * s_b
         half = 0.25 * w * w / b  # below w / 4, since w < b
@@ -535,16 +528,17 @@ def tabulated_f_over_t(
 def table1(model: NoiseModel, n: int, t: float) -> Table1Row:
     """Closed-form F_omega/t for all three strategies at one (N, t) point.
 
-    Includes the tabulated GHZ expression alongside the derived one;
-    `literal_mismatch` is set when the two disagree beyond rounding.
+    Each F/t is t F_phase, checked as `fisher.qfi_closed` checks F: F =
+    t^2 F_phase may underflow where F/t does not. Includes the tabulated
+    GHZ expression alongside the derived one; `literal_mismatch` is set
+    when the two disagree beyond rounding.
     """
     if t <= 0:
         raise ValueError(f"F/t needs t > 0, got {t}")
-    spec_free = ProbeSpec.balanced(n, 0)
-    spec_anc = ProbeSpec.balanced(n, 1)
-    f_ghz = qfi_closed(StrategyKind.GHZ_FREE, spec_free, model, t).f_freq / t
-    f_anc = qfi_closed(StrategyKind.GHZ_ANCILLA, spec_anc, model, t).f_freq / t
-    f_unc = qfi_closed(StrategyKind.UNCORRELATED, spec_free, model, t).f_freq / t
+    f_ghz, f_anc, f_unc = (
+        _scaled(kind, ProbeSpec.balanced(n, kind.default_ancillas), model, t, 1)[1]
+        for kind in (StrategyKind.GHZ_FREE, StrategyKind.GHZ_ANCILLA, StrategyKind.UNCORRELATED)
+    )
     literal = tabulated_f_over_t(model.kind, StrategyKind.GHZ_FREE, n, model.gamma, t)
     mismatch = abs(literal - f_ghz) > 1e-9 * max(abs(f_ghz), 1e-300)
     return Table1Row(

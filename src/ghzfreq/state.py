@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._numpy import np
 from .channel import (
@@ -279,26 +279,20 @@ def _probe_columns(kinds: Sequence[StrategyKind], ns: Sequence[int], spec: Probe
     return _Probe(kinds, terms, w, tuple(columns), n, complex(spec.c1 * spec.c2.conjugate()))
 
 
-def _rows_of(probe: _Probe, rows: np.ndarray) -> _Probe:
-    """The batch record `probe` narrowed to the rows at the indices `rows`."""
-    kinds = [probe.kinds[r] for r in rows.tolist()]
-    return probe._replace(kinds=kinds, log_w=tuple(c[rows] for c in probe.log_w), n=probe.n[rows])
-
-
-def _block_log_terms(probe: _Probe, log_half) -> tuple[list, Iterator]:
+def _block_log_terms(probe: _Probe, log_half) -> tuple[list, list]:
     """The block terms (pole, side, log w) of `probe` that can be nonzero, and
-    log(w (A/2)^N) of each, one at a time, from the channel's log(A/2) per
-    pole (`channel._log_channel`).
+    the list of log(w (A/2)^N) of each, from the channel's log(A/2) per pole
+    (`channel._log_channel`).
 
     A term whose pole's log(A/2) is the float -inf (adc's A-+, pdc's A-+ and
     A--) adds nothing and is left out. The closed form sums these into the
-    block trace and the coherence block puts each on its side of the
-    diagonal, so both read the same numbers.
+    block trace, and reads them again for its slope; the coherence block
+    puts each on its side of the diagonal, so both read the same numbers.
     """
     n = probe.n
     live = [(pole, side, log_w) for (_, pole, side), log_w in zip(probe.terms, probe.log_w)
             if not (isinstance(log_half[pole], float) and log_half[pole] == -math.inf)]
-    return live, (log_w + n * log_half[pole] for pole, _, log_w in live)
+    return live, [log_w + n * log_half[pole] for pole, _, log_w in live]
 
 
 def _row_name(probe: _Probe, r: int, model: NoiseModel) -> str:
@@ -373,25 +367,6 @@ def _k_log(k: np.ndarray, log_half: float) -> np.ndarray:
     return np.multiply(k, log_half, out=np.zeros(k.shape), where=k > 0)
 
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-_STIRLING_FROM = 16
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0..n: `math.lgamma` below _STIRLING_FROM and, above it,
-    the Stirling series of log Gamma(k + 1) with four correction terms
-    (Abramowitz & Stegun 6.1.41) as one array expression. The two agree to
-    4.5e-16 relative up to k = 10**6; a cumulative sum of log k would drift
-    by 3.6e-14."""
-    head = np.fromiter(map(math.lgamma, range(1, min(n + 1, _STIRLING_FROM) + 1)), float)
-    if n < _STIRLING_FROM:
-        return head
-    z = np.arange(_STIRLING_FROM + 1.0, n + 2.0)
-    r2 = 1.0 / (z * z)
-    series = (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0))) / z
-    return np.concatenate([head, ((z - 0.5) * np.log(z) - z) + (_HALF_LOG_2PI + series)])
-
-
 def evolve_directsum(
     kind: StrategyKind, spec: ProbeSpec, params: ChannelParams, omega: float, t: float
 ) -> DirectSumState:
@@ -402,7 +377,8 @@ def evolve_directsum(
     block, when the spec's ancilla count does not fit `kind`, and when the
     channel is not CPTP. From the block's exact log(A/2), class k of a family
     has the log mass log C(N, k) + logsumexp_w(log w + k log(A0/2) +
-    (N - k) log(A1/2)): one array expression per family, O(N), finite at any N.
+    (N - k) log(A1/2)): one array expression per family, O(N), finite at any N,
+    its log k! from N + 1 calls of `math.lgamma`.
     """
     if not kind.correlated:
         raise ValueError(f"strategy {kind.value!r} has no shared coherence block")
@@ -414,7 +390,7 @@ def evolve_directsum(
     log_half = record[1]
     n = spec.n_probes
     log_w = [_FloatMath.log(w) for w in probe.w]  # per branch, as the residual families read it
-    log_fact = _log_factorials(n)
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float)  # log k!, k = 0..n
     residual = np.concatenate([
         np.logaddexp.reduce([
             log_w[i] + _k_log(k, log_half[_BRANCH_POLES[i][0]])

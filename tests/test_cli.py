@@ -16,7 +16,7 @@ from scipy.special import lambertw
 import ghzfreq
 from ghzfreq import choi_matrix, cli, params_at
 from ghzfreq.cli import run
-from ghzfreq.channel import adc, pdc
+from ghzfreq.channel import adc, dpc, pdc
 from ghzfreq.fisher import log_qfi_phase
 from ghzfreq.optimize import StrategyKind, sweep
 from ghzfreq.state import ProbeSpec
@@ -545,6 +545,63 @@ class TestTable1:
         assert row["literal_mismatch"] == "true"
         ratio = float(row["f_ghz_over_t_literal"]) / float(row["f_ghz_over_t"])
         assert ratio == pytest.approx(2.0, abs=1e-9)
+
+
+class TestTimesWhoseSquareLeavesTheDoubles:
+    """F = t (t F_phase) and table1's F/t = t F_phase, against log space: t^2
+    alone is subnormal or overflows in these runs, though F or F/t is not."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "pdc", "--gamma", "3.2822316969401476e-127", "--t", "3.4459692113448613e-162",
+         "--n", "8131512162", "--strategy", "ghz-ancilla", "--c1", "0.22744762175569644",
+         "--c2-phase", "-4.740863314495732", "--omega", "104.93735973143043",
+         "--n-ancillas", "2"],
+        ["--model", "pdc", "--gamma", "3.45e-198", "--n", "1", "--t", "1e200",
+         "--strategy", "uncorrelated"],
+        ["--model", "pdc", "--gamma", "1", "--n", str(10**100), "--t", "1e-160",
+         "--strategy", "uncorrelated"],
+    ], ids=["subnormal-t2", "overflowing-t2", "subnormal-t2-huge-n"])
+    def test_qfi(self, argv, capsys):
+        code, out, err = run_capture(["qfi", *argv], capsys)
+        assert code == 0, err
+        row = parse_csv(out)[0]
+        c1, t = float(row["c1"]), float(row["t"])
+        spec = ProbeSpec(c1, math.sqrt(1.0 - c1 * c1), int(row["n"]), int(row["n_ancillas"]))
+        log_f = log_qfi_phase(StrategyKind(row["strategy"]), spec, pdc(float(row["gamma"])), t)
+        want = math.exp(2.0 * math.log(t) + log_f)
+        # math.isclose: pytest.approx would also pass anything within 1e-12 absolute
+        assert math.isclose(float(row["f_freq"]), want, rel_tol=1e-12)
+        assert math.isclose(float(row["f_over_t"]), want / t, rel_tol=1e-12)
+
+    def test_qfi_oracle(self, capsys):
+        code, out, err = run_capture(
+            ["qfi", "--model", "pdc", "--gamma", "3.45e-198", "--n", "1", "--t", "1e200",
+             "--strategy", "uncorrelated", "--oracle"], capsys
+        )
+        assert code == 0, err
+        assert float(parse_csv(out)[0]["oracle_rel_dev"]) <= 1e-12
+
+    def test_table1(self, capsys):
+        code, out, err = run_capture(
+            ["table1", "--model", "dpc", "--gamma", "1", "--n", "2", "--t", "1e-170"], capsys
+        )
+        assert code == 0, err
+        row = parse_csv(out)[0]
+        for column, kind, n_anc in (("f_ghz_over_t", StrategyKind.GHZ_FREE, 0),
+                                    ("f_ancilla_over_t", StrategyKind.GHZ_ANCILLA, 1),
+                                    ("f_uncorrelated_over_t", StrategyKind.UNCORRELATED, 0)):
+            log_f = log_qfi_phase(kind, ProbeSpec.balanced(2, n_anc), dpc(1.0), 1e-170)
+            want = math.exp(math.log(1e-170) + log_f)
+            assert math.isclose(float(row[column]), want, rel_tol=1e-12), column
+
+    def test_table1_subnormal_f_phase_exits_3(self, capsys):
+        # F_phase = e^-740 keeps a few bits; t F_phase = 4.19e-308 would be 0.26% off
+        code, out, err = run_capture(
+            ["table1", "--model", "pdc", "--gamma", "3.7e-12", "--n", "1", "--t", "1e14"], capsys
+        )
+        assert code == 3 and out == ""
+        assert "information underflows double precision" in err
+        assert "log F_phase = -740" in err
 
 
 class TestChannel:

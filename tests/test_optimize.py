@@ -561,6 +561,18 @@ def test_sweep_rows_equal_the_one_row_calls(make, log_gamma, c1, n_min, width):
         _, _, gap = saturation_check(spec, model, t_opt, 0.0)
         assert abs(row.saturation_gap - gap) <= 2e-15
 
+@pytest.mark.parametrize("make", [adc, dpc])
+@pytest.mark.parametrize("c1", [1e-6, 0.05, 0.999])
+def test_rows_that_freeze_apart_equal_the_one_row_calls(make, c1):
+    """In these sweeps some rows of a batch freeze on an earlier slope call
+    than others; each GHZ row still equals its one-row batch to the bit."""
+    c2 = math.sqrt(1.0 - c1 * c1)
+    for row in sweep(make(1.0), 1, 200, strategies=(StrategyKind.GHZ_FREE,
+                                                    StrategyKind.GHZ_ANCILLA), c1=c1):
+        spec = ProbeSpec(c1, c2, row.n, row.strategy.default_ancillas)
+        assert (row.t_opt, row.f_over_t_max) == maximize_f_over_t(row.strategy, spec, make(1.0))
+
+
 # slopes that defeat a plain secant search on [1, 1.3]: a near-step, a
 # step with a tiny positive shelf, and cubics with a triple root near an end
 ADVERSARIAL_SLOPES = {

@@ -145,18 +145,6 @@ class TestFreeEvolution:
             ds = evolve_directsum(kind, ProbeSpec(0.6, 0.8, 1031, n_anc), params, 0.0, 0.3)
             assert abs(ds.block_trace() + ds.residual_mass() - 1.0) <= 1e-12
 
-    def test_log_factorials_match_lgamma(self):
-        # the Stirling series from k = 16 on, against math.lgamma over 1..10**6 + 1
-        n = 10**6
-        log_fact = state._log_factorials(n)
-        assert log_fact.shape == (n + 1,)
-        sample = sorted({*range(40), *np.geomspace(40, n, 400).astype(int).tolist(), n})
-        for k in sample:
-            want = math.lgamma(k + 1.0)
-            assert abs(log_fact[k] - want) <= 6.7e-16 * want, k
-        for small in range(20):
-            assert state._log_factorials(small).tolist() == log_fact[: small + 1].tolist()
-
     @pytest.mark.parametrize("make", [adc, dpc, pdc])
     def test_matches_dense_evolution(self, make):
         rng = np.random.default_rng(7)

@@ -31,7 +31,7 @@ def test_a_slice_is_deterministic():
     assert _corpus(tool, 12, 8).splitlines() == lines[12:]
     records = [json.loads(line) for line in lines]
     assert {tuple(sorted(r)) for r in records} == {("argv", "exit", "stderr", "stdout")}
-    assert {r["argv"][0] for r in records} == {"sweep", "qfi"}
+    assert {r["argv"][0] for r in records} == {"sweep", "qfi", "table1"}
     assert all(r["exit"] in (0, 2, 3) for r in records)
     assert all("Traceback" not in r["stderr"] for r in records)
     # the runner shows every warning, and no run should raise one
@@ -85,3 +85,13 @@ def test_compare_summarizes_two_corpora(tmp_path, capsys):
     assert "exit-code changes: 1\n  0 -> 3: sweep" in report
     assert "stderr-only changes: 2\n  2 x\n" in report
     assert "sweep t_opt uncorrelated: relative 0.25" in report
+
+
+def test_compare_groups_table1_rows_by_model():
+    tool = _load_tool()
+    argv = ["table1", "--model", "dpc", "--gamma", "1", "--n", "2", "--t", "0.3"]
+    header = "model,n,f_ghz_over_t\n"
+    old = [_run(argv, 0, header + "dpc,2,2.0\n")]
+    new = [_run(argv, 0, header + "dpc,2,2.5\n")]
+    assert tool.compare(old, new)["moves"] == {
+        ("table1", "f_ghz_over_t", "dpc"): [0.25, " ".join(argv), 0.5, " ".join(argv)]}

@@ -9,7 +9,10 @@ every slice of a corpus is reproducible on its own. The runs cover
     c1 in [0, 1], every subset of the strategies, CSV and JSON;
   * random `qfi` points: model, strategy, ancilla count, gamma, t (mostly
     a decay N*gamma*t in [1e-4, 1e3]), N up to 10**12, c1, --c2-phase and
-    --omega, a few with --oracle at small N.
+    --omega, a few with --oracle at small N;
+  * random `table1` ranges: model, gamma, a first N and t drawn as for
+    `qfi` (the decay of the GHZ strategies), a range of up to 5 probe
+    counts, CSV and JSON.
 
 The package is imported from the path, so a check of two source trees is
 two runs and a comparison:
@@ -21,8 +24,9 @@ two runs and a comparison:
 `--compare` summarizes two corpora of the same argvs: how many runs are
 identical, each exit-code change with its argv, the stderr-only changes
 grouped by message (numbers read as #), and the largest relative and
-absolute move of each numeric column per command and strategy, over the
-runs that exit 0 on both sides.
+absolute move of each numeric column per command and strategy (per model
+for `table1`, whose rows have no strategy), over the runs that exit 0 on
+both sides.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ MODELS = ("adc", "dpc", "pdc")
 STRATEGIES = ("uncorrelated", "ghz-free", "ghz-ancilla")
 GAMMA_EDGES = (1e-300, 5.6e-307, 1e-10, 1.0, 1e300, 1e305, 1e307, 1e308, 1.7e308)
 RANGE_LENGTHS = (1, 2, 5, 17, 30, 64)
+TABLE1_LENGTHS = (1, 2, 5)
 C1_CHOICES = (0.35, 0.6, 1.0 / math.sqrt(2.0), 0.9)
 
 
@@ -69,15 +74,22 @@ def _sweep_argv(rng: random.Random) -> list[str]:
     ]
 
 
+def _n(rng: random.Random) -> int:
+    return max(1, int(_log_uniform(rng, 0, 12)))
+
+
+def _time(rng: random.Random, rate: float) -> float:
+    """Mostly a decay rate*t between 1e-4 and 1e3, else any time at all."""
+    return _log_uniform(rng, -4, 3) / rate if rng.random() < 0.7 else _log_uniform(rng, -300, 300)
+
+
 def _qfi_argv(rng: random.Random) -> list[str]:
     strategy = rng.choice(STRATEGIES)
     oracle = rng.random() < 0.05
-    n = rng.randint(1, 5) if oracle else max(1, int(_log_uniform(rng, 0, 12)))
+    n = rng.randint(1, 5) if oracle else _n(rng)
     gamma = _log_uniform(rng, -300, 300)
-    # mostly a decay between 1e-4 and 1e3 (N*gamma*t for a GHZ probe, else
-    # gamma*t), else any time at all
-    decay = gamma * (1 if strategy == "uncorrelated" else n)
-    t = _log_uniform(rng, -4, 3) / decay if rng.random() < 0.7 else _log_uniform(rng, -300, 300)
+    # the decay is N*gamma*t for a GHZ probe, else gamma*t
+    t = _time(rng, gamma * (1 if strategy == "uncorrelated" else n))
     argv = [
         "qfi", "--model", rng.choice(MODELS), "--gamma", repr(gamma),
         "--t", repr(t), "--n", str(n), "--strategy", strategy,
@@ -89,10 +101,25 @@ def _qfi_argv(rng: random.Random) -> list[str]:
     return argv + ["--oracle"] if oracle else argv
 
 
+def _table1_argv(rng: random.Random) -> list[str]:
+    n = _n(rng)
+    gamma = _log_uniform(rng, -300, 300)
+    t = _time(rng, gamma * n)
+    return [
+        "table1", "--model", rng.choice(MODELS), "--gamma", repr(gamma), "--t", repr(t),
+        "--n", f"{n}:{n + rng.choice(TABLE1_LENGTHS) - 1}",
+        "--format", rng.choice(("csv", "json")),
+    ]
+
+
 def corpus_argv(seed: int, index: int) -> list[str]:
-    """The argv of run `index` of the corpus with `seed`: a sweep, 3 times in 4."""
+    """The argv of run `index` of the corpus with `seed`: a sweep 3 times in 5,
+    else a `qfi` or a `table1` run, as often as each other."""
     rng = random.Random(f"{seed}:{index}")
-    return _sweep_argv(rng) if rng.random() < 0.75 else _qfi_argv(rng)
+    draw = rng.random()
+    if draw < 0.6:
+        return _sweep_argv(rng)
+    return _qfi_argv(rng) if draw < 0.8 else _table1_argv(rng)
 
 
 def run_one(argv: list[str]) -> dict:
@@ -142,7 +169,8 @@ def compare(old: list[dict], new: list[dict]) -> dict:
     each (old, new) stderr pair, numbers read as #, of runs whose exit code
     and stdout are equal; `moves` maps (command, column, strategy) to the
     largest relative and absolute move of a numeric cell and the argv of
-    each, over the runs that exit 0 on both sides; `layout_changes` lists
+    each, over the runs that exit 0 on both sides, with the model in place
+    of the strategy for rows that have none; `layout_changes` lists
     the argvs of those runs whose rows or columns differ.
     """
     summary = {"runs": len(old), "identical": 0, "exit_changes": [], "stderr_changes": {},
@@ -171,7 +199,7 @@ def compare(old: list[dict], new: list[dict]) -> dict:
                 x, y = _number(cell), _number(row_b[column])
                 if x is None or y is None or x == y:
                     continue
-                key = (a["argv"][0], column, str(row_a.get("strategy", "-")))
+                key = (a["argv"][0], column, str(row_a.get("strategy", row_a.get("model"))))
                 rel = abs(y - x) / abs(x) if x else math.inf
                 top = summary["moves"].setdefault(key, [0.0, "", 0.0, ""])
                 if rel > top[0]:
