@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Callable
 
 from .channel import (
+    _TINY,
     NoiseModel,
     _choi_spectrum,
     _FloatMath,
@@ -210,6 +211,11 @@ def _cmd_qfi(ns: argparse.Namespace) -> tuple[str, int]:
         )
     model = _noise_model(ns)
     result = qfi_closed(strategy, spec, model, ns.t)
+    qcrb = ns.t / result.f_freq if result.f_freq > 0 else math.inf
+    if qcrb < _TINY:
+        raise NumericalFailure(
+            f"qcrb = {qcrb!r} underflows double precision, below the smallest normal double "
+            f"{_TINY!r}, at gamma={ns.gamma!r} n={ns.n} t={ns.t!r}")
     record = {
         "model": ns.model,
         "strategy": strategy.value,
@@ -222,7 +228,7 @@ def _cmd_qfi(ns: argparse.Namespace) -> tuple[str, int]:
         "omega": ns.omega,
         "f_freq": result.f_freq,
         "f_over_t": result.f_freq / ns.t,
-        "qcrb": ns.t / result.f_freq if result.f_freq > 0 else math.inf,
+        "qcrb": qcrb,
     }
     if ns.oracle:
         oracle = copies * qfi_sld_oracle(unit, model, ns.t, ns.omega).f_freq

@@ -161,8 +161,15 @@ def _sld_qfi(rho: np.ndarray, drho) -> float:
     those corners are its only nonzero entries; <i|drho|j> is then the
     rank-2 sum conj(v_0i) drho[0, -1] v_-1j + conj(v_-1i) drho[-1, 0] v_0j
     over the first and last rows of the eigenvectors, not a dense product.
+    A row whose one nonzero entry (exactly) is its diagonal is an eigenvector as
+    it stands; `eigh` diagonalizes the block of the other rows, wherever they sit.
     """
-    lam, vec = np.linalg.eigh(rho)
+    nonzero = rho != 0
+    coupled = (nonzero.sum(axis=1) > nonzero.diagonal()).nonzero()[0]
+    lam, vec = rho.diagonal().real.copy(), np.eye(len(rho), dtype=rho.dtype)
+    if len(coupled):
+        rows = coupled[:, None]
+        lam[coupled], vec[rows, coupled] = np.linalg.eigh(rho[rows, coupled])
     if isinstance(drho, tuple):
         first, last = vec[0], vec[-1]
         m = np.outer(first.conj(), drho[0] * last) + np.outer(last.conj(), drho[1] * first)

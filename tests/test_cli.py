@@ -496,8 +496,9 @@ class TestDeepDecay:
         row = parse_csv(out)[0]
         want = math.exp(log_qfi_dpc_balanced(strategy, n, gamma, t))
         assert want > 0.0
-        assert float(row["f_freq"]) == pytest.approx(want, rel=1e-9)
-        assert float(row["f_over_t"]) == pytest.approx(want / t, rel=1e-9)
+        # math.isclose: pytest.approx would add an absolute 1e-12, which passes any tiny value
+        assert math.isclose(float(row["f_freq"]), want, rel_tol=1e-9)
+        assert math.isclose(float(row["f_over_t"]), want / t, rel_tol=1e-9)
 
     def test_table1_prints_the_tiny_value(self, capsys):
         code, out, _ = run_capture(
@@ -508,10 +509,10 @@ class TestDeepDecay:
         row = parse_csv(out)[0]
         want = math.exp(log_qfi_dpc_balanced("ghz-free", 2000, 1.0, 0.2)) / 0.2
         want_anc = math.exp(log_qfi_dpc_balanced("ghz-ancilla", 2000, 1.0, 0.2)) / 0.2
-        assert float(row["f_ghz_over_t"]) == pytest.approx(want, rel=1e-9)
-        assert float(row["f_ancilla_over_t"]) == pytest.approx(want_anc, rel=1e-9)
+        assert math.isclose(float(row["f_ghz_over_t"]), want, rel_tol=1e-9)
+        assert math.isclose(float(row["f_ancilla_over_t"]), want_anc, rel_tol=1e-9)
         assert 9.7e-260 < float(row["f_ghz_over_t"]) < 9.9e-260
-        assert float(row["f_ghz_over_t_literal"]) == pytest.approx(2.0 * want, rel=1e-9)
+        assert math.isclose(float(row["f_ghz_over_t_literal"]), 2.0 * want, rel_tol=1e-9)
         assert row["literal_mismatch"] == "true"
 
     def test_underflow_exits_3(self, capsys):
@@ -602,6 +603,27 @@ class TestTimesWhoseSquareLeavesTheDoubles:
         assert code == 3 and out == ""
         assert "information underflows double precision" in err
         assert "log F_phase = -740" in err
+
+
+class TestQcrbOutsideTheDoubles:
+    """`qfi` prints qcrb = t/F only as a normal double; below that it exits 3 naming it."""
+
+    ARGV = ["qfi", "--model", "pdc", "--gamma", "1e-300", "--t", "0.5", "--n"]
+
+    def test_subnormal_qcrb_exits_3(self, capsys):
+        code, out, err = run_capture(self.ARGV + [str(13 * 10**153)], capsys)
+        assert code == 3 and out == ""
+        assert ("qcrb = 1.1834319526627685e-308 underflows double precision, below the "
+                "smallest normal double 2.2250738585072014e-308, at gamma=1e-300") in err
+
+    def test_normal_qcrb_keeps_its_bytes(self, capsys):
+        code, out, err = run_capture(self.ARGV + [str(10**153)], capsys)
+        assert code == 0, err
+        assert out == (
+            "model,strategy,gamma,n,n_ancillas,c1,c2_phase,t,omega,f_freq,f_over_t,qcrb\n"
+            f"pdc,ghz_free,1e-300,{10**153},0,0.70710678118654746,0,0.5,0,"
+            "2.5000000000000815e+305,5.000000000000163e+305,1.9999999999999349e-306\n"
+        )
 
 
 class TestChannel:

@@ -14,10 +14,22 @@ from ghzfreq.channel import (
     params_at,
     pdc,
 )
-from ghzfreq.fisher import _sld_qfi, log_qfi_phase, qfi_closed, qfi_sld_oracle
+from ghzfreq.fisher import (
+    SLD_EIGENVALUE_CUTOFF,
+    _sld_qfi,
+    log_qfi_phase,
+    qfi_closed,
+    qfi_sld_oracle,
+)
 from ghzfreq.measurement import GhzObservable, error_propagation_sensitivity, saturation_check
 from ghzfreq.optimize import StrategyKind, maximize_f_over_t, sweep
-from ghzfreq.state import ProbeSpec, coherence_block, evolve_dense, evolve_directsum
+from ghzfreq.state import (
+    ProbeSpec,
+    block_probe,
+    coherence_block,
+    evolve_dense,
+    evolve_directsum,
+)
 
 MODELS = [adc, dpc, pdc]
 
@@ -122,7 +134,91 @@ class TestClosedForms:
         assert r.f_freq == pytest.approx(0.9**2 * r.f_phase, rel=1e-15)
 
 
+def full_eigh_sld(rho, drho):
+    """The SLD sum over one eigendecomposition of all of rho, with the dense
+    product vec^dagger drho vec and the oracle's eigenvalue cutoff."""
+    lam, vec = np.linalg.eigh(rho)
+    m = vec.conj().T @ drho @ vec
+    s = lam[:, None] + lam[None, :]
+    mask = s > SLD_EIGENVALUE_CUTOFF
+    return float(2.0 * np.sum(np.abs(m[mask]) ** 2 / s[mask]))
+
+
+def random_hermitian(rng, dim):
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return x + x.conj().T
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The shape of every matrix handed to np.linalg.eigh, in call order."""
+    shapes, real = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes
+
+
 class TestSldOracle:
+    def test_dense_rho_is_one_block(self, eigh_shapes):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho = x @ x.conj().T
+        rho /= np.trace(rho).real
+        drho = random_hermitian(rng, 16)
+        got = _sld_qfi(rho, drho)
+        assert eigh_shapes == [(16, 16)]
+        assert math.isclose(got, full_eigh_sld(rho, drho), rel_tol=1e-13)
+
+    def test_scattered_block_zero_row_and_zero_diagonal_row(self, eigh_shapes):
+        # rows 3, 6 and 11 carry a dense block, row 13 has a zero diagonal
+        # but couples to row 6, row 8 is zero and the rest are diagonal
+        rng = np.random.default_rng(4)
+        rho = np.diag(rng.uniform(0.01, 0.1, size=16)).astype(complex)
+        rho[8, 8] = rho[13, 13] = 0.0
+        block = np.ix_([3, 6, 11], [3, 6, 11])
+        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho[block] = 0.1 * x @ x.conj().T
+        rho[6, 13], rho[13, 6] = 0.02j, -0.02j
+        drho = random_hermitian(rng, 16)
+        got = _sld_qfi(rho, drho)
+        assert eigh_shapes == [(4, 4)]
+        assert math.isclose(got, full_eigh_sld(rho, drho), rel_tol=1e-13)
+
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    @pytest.mark.parametrize("make", MODELS)
+    def test_evolved_states_match_the_full_eigendecomposition(self, make, kind):
+        rng = np.random.default_rng(17)
+        for n in (1, 4, 8):
+            unit, _ = block_probe(kind, random_spec(rng, n, kind.default_ancillas))
+            t, omega = rng.uniform(0.05, 1.5), rng.uniform(-2.0, 2.0)
+            rho = evolve_dense(unit, params_at(make(1.0), t), omega, t).matrix
+            m = unit.n_probes
+            corners = (-1j * m * rho[0, -1], 1j * m * rho[-1, 0])
+            dense = np.zeros_like(rho)
+            dense[0, -1], dense[-1, 0] = corners
+            want = full_eigh_sld(rho, dense)
+            assert math.isclose(_sld_qfi(rho, corners), want, rel_tol=1e-13), (n, t, omega)
+            assert math.isclose(_sld_qfi(rho, dense), want, rel_tol=1e-13), (n, t, omega)
+
+    @pytest.mark.parametrize("spec,make", [
+        (ProbeSpec.balanced(10), dpc),
+        (ProbeSpec.balanced(6, 1), adc),
+        (ProbeSpec.balanced(6, 1), dpc),
+        (ProbeSpec.balanced(6, 1), pdc),
+    ], ids=["dpc-free-10", "adc-ancilla-6+1", "dpc-ancilla-6+1", "pdc-ancilla-6+1"])
+    def test_named_model_ghz_state_diagonalizes_one_pair(self, spec, make, eigh_shapes):
+        # phase-covariant noise leaves only the two GHZ corners off the diagonal
+        assert qfi_sld_oracle(spec, make(1.0), 0.3, 0.7).f_phase > 0.0
+        assert eigh_shapes == [(2, 2)]
+
+    def test_probe_without_coherence_diagonalizes_nothing(self, eigh_shapes):
+        assert qfi_sld_oracle(ProbeSpec(1.0, 0.0, 4), adc(1.0), 0.3, 0.7).f_phase == 0.0
+        assert eigh_shapes == []
+
     def test_pure_state_value(self):
         spec = ProbeSpec(0.48, math.sqrt(1 - 0.48**2), 3)
         w = 4.0 * abs(spec.c1 * spec.c2) ** 2

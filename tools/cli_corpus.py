@@ -9,7 +9,7 @@ every slice of a corpus is reproducible on its own. The runs cover
     c1 in [0, 1], every subset of the strategies, CSV and JSON;
   * random `qfi` points: model, strategy, ancilla count, gamma, t (mostly
     a decay N*gamma*t in [1e-4, 1e3]), N up to 10**12, c1, --c2-phase and
-    --omega, a few with --oracle at small N;
+    --omega, a few with --oracle at N up to 8 (10 qubits with two ancillas);
   * random `table1` ranges: model, gamma, a first N and t drawn as for
     `qfi` (the decay of the GHZ strategies), a range of up to 5 probe
     counts, CSV and JSON.
@@ -86,7 +86,7 @@ def _time(rng: random.Random, rate: float) -> float:
 def _qfi_argv(rng: random.Random) -> list[str]:
     strategy = rng.choice(STRATEGIES)
     oracle = rng.random() < 0.05
-    n = rng.randint(1, 5) if oracle else _n(rng)
+    n = rng.randint(1, 8) if oracle else _n(rng)  # up to 10 dense qubits with ancillas
     gamma = _log_uniform(rng, -300, 300)
     # the decay is N*gamma*t for a GHZ probe, else gamma*t
     t = _time(rng, gamma * (1 if strategy == "uncorrelated" else n))
