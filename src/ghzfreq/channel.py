@@ -356,9 +356,14 @@ def superoperator(params: ChannelParams, omega: float, t: float) -> np.ndarray:
 
     Block form [[1, 0], [c, A]], acting on (tr(rho), r); the one place the
     rotation is written out, used by ``affine_apply`` and, per qubit, by the
-    dense evolution.
+    dense evolution. Raises ValueError when the rotation angle is not finite.
     """
     th = params.theta_noise + omega * t
+    if not math.isfinite(th):  # math.cos would raise a bare "math domain error"
+        raise ValueError(
+            f"the rotation angle theta_noise + omega*t = {th!r} is not a finite double at "
+            f"theta_noise={params.theta_noise!r}, omega={omega!r}, t={t!r}"
+        )
     cth, sth = math.cos(th), math.sin(th)
     ep, el, ka = params.eta_perp, params.eta_par, params.kappa
     return np.array(

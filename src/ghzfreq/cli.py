@@ -211,7 +211,11 @@ def _cmd_qfi(ns: argparse.Namespace) -> tuple[str, int]:
         )
     model = _noise_model(ns)
     result = qfi_closed(strategy, spec, model, ns.t)
-    qcrb = ns.t / result.f_freq if result.f_freq > 0 else math.inf
+    if result.f_freq == 0.0:
+        raise NumericalFailure(
+            "F = 0, so the qcrb t/F is infinite: the probe has no phase coherence "
+            f"(|c1 c2|^2 is 0 in floating point) at c1={ns.c1!r} n={ns.n}")
+    qcrb = ns.t / result.f_freq
     if qcrb < _TINY:
         raise NumericalFailure(
             f"qcrb = {qcrb!r} underflows double precision, below the smallest normal double "

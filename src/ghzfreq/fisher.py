@@ -9,8 +9,8 @@ Two independent routes to the same number:
 
   * the closed form in the pole-population coefficients, one log-space
     expression for every strategy (`qfi_closed`, `log_qfi_phase`),
-  * a symmetric-logarithmic-derivative eigendecomposition of the full
-    density matrix (the oracle; shares no algebra with the closed forms).
+  * the symmetric-logarithmic-derivative sum over the coupled block of the
+    dense state (the oracle; shares no algebra with the closed forms).
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ def qfi_closed(
     All three are evaluated in log space (`log_qfi_phase`), and F as
     t (t F_phase). Raises ValueError when the spec's ancilla count does not
     fit the strategy, and when a positive F_phase or F is not a normal
-    double; a named model's gamma*t that overflows gives eta_perp =
-    exp(-inf) = 0, an underflow too.
+    double. A named model's F is positive whenever c1 c2 != 0, so a log
+    F_phase of -inf there (gamma*t or N*gamma*t overflowing, |c1 c2|^2
+    underflowing) is an underflow too.
     """
     f_phase, f_freq = _scaled(strategy, spec, model, t, 2)
     return QfiResult(f_phase, f_freq, strategy.route)
@@ -143,7 +144,7 @@ def _scaled(strategy, spec, model: NoiseModel, t, power: int) -> tuple[float, fl
     f_phase = scaled = math.exp(log_f)
     for _ in range(power):
         scaled = t * scaled if scaled else 0.0  # t may be inf
-    decayed = model.kind != "custom" and math.isinf(model.gamma * t) and spec.c1 and spec.c2
+    decayed = model.kind != "custom" and log_f == -math.inf and spec.c1 and spec.c2
     if decayed or (math.isfinite(log_f) and (f_phase < _TINY or (t > 0.0 and scaled < _TINY))):
         raise ValueError(
             f"information underflows double precision at t={t} (log F_phase = {log_f:.6g})"
@@ -154,41 +155,37 @@ def _scaled(strategy, spec, model: NoiseModel, t, power: int) -> tuple[float, fl
     return f_phase, scaled
 
 
-def _sld_qfi(rho: np.ndarray, drho) -> float:
+def _sld_qfi(rho: np.ndarray, n_probes: int) -> float:
     """2 * sum_{ij} |<i|drho|j>|^2 / (lam_i + lam_j) over pairs above SLD_EIGENVALUE_CUTOFF.
 
-    drho is a dense matrix, or the pair (drho[0, -1], drho[-1, 0]) when
-    those corners are its only nonzero entries; <i|drho|j> is then the
-    rank-2 sum conj(v_0i) drho[0, -1] v_-1j + conj(v_-1i) drho[-1, 0] v_0j
-    over the first and last rows of the eigenvectors, not a dense product.
-    A row whose one nonzero entry (exactly) is its diagonal is an eigenvector as
-    it stands; `eigh` diagonalizes the block of the other rows, wherever they sit.
+    drho = d rho/d phi has two nonzero entries, drho[0, -1] = -i N rho[0, -1]
+    and its conjugate, so <i|drho|j> = conj(v_0i) drho[0, -1] v_-1j +
+    conj(v_-1i) drho[-1, 0] v_0j. A row whose one nonzero entry (exactly) is
+    its diagonal is an eigenvector with no weight in rows 0 and -1, so the sum
+    runs over the block of the other rows alone, wherever they sit; rows 0
+    and -1 are its first and last. A zero corner gives drho = 0 and F = 0.
     """
+    if rho[0, -1] == 0:
+        return 0.0
     nonzero = rho != 0
     coupled = (nonzero.sum(axis=1) > nonzero.diagonal()).nonzero()[0]
-    lam, vec = rho.diagonal().real.copy(), np.eye(len(rho), dtype=rho.dtype)
-    if len(coupled):
-        rows = coupled[:, None]
-        lam[coupled], vec[rows, coupled] = np.linalg.eigh(rho[rows, coupled])
-    if isinstance(drho, tuple):
-        first, last = vec[0], vec[-1]
-        m = np.outer(first.conj(), drho[0] * last) + np.outer(last.conj(), drho[1] * first)
-    else:
-        m = vec.conj().T @ drho @ vec
+    lam, vec = np.linalg.eigh(rho[coupled[:, None], coupled])
+    first, last = vec[0], vec[-1]
+    m = (np.outer(first.conj(), -1j * n_probes * rho[0, -1] * last)
+         + np.outer(last.conj(), 1j * n_probes * rho[-1, 0] * first))
     s = lam[:, None] + lam[None, :]
     mask = s > SLD_EIGENVALUE_CUTOFF
     return float(2.0 * np.sum(np.abs(m[mask]) ** 2 / s[mask]))
 
 
 def qfi_sld_oracle(spec: ProbeSpec, model: NoiseModel, t: float, omega: float) -> QfiResult:
-    """Brute-force QFI from the full density matrix.
+    """Brute-force QFI from the dense density matrix.
 
-    Evolves the dense state, differentiates it analytically with respect to
-    the encoded phase, and evaluates the eigendecomposition form of the
-    symmetric-logarithmic-derivative information.
+    Evolves the dense state and evaluates the eigendecomposition form of the
+    symmetric-logarithmic-derivative information on it (`_sld_qfi`): d rho/d phi
+    from the state's two corners, eigenpairs from the block of rows that rho's
+    exact zeros leave coupled.
     """
     rho = evolve_dense(spec, params_at(model, t), omega, t).matrix
-    n = spec.n_probes
-    drho = (-1j * n * rho[0, -1], 1j * n * rho[-1, 0])
-    f_phase = _sld_qfi(rho, drho)
+    f_phase = _sld_qfi(rho, spec.n_probes)
     return QfiResult(f_phase, t * (t * f_phase), "sld_oracle")  # t^2 alone may underflow

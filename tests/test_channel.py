@@ -159,6 +159,14 @@ class TestAffineMap:
         with pytest.raises(ValueError):
             affine_apply(ChannelParams(0.0, 1.0, 0.0, 0.0), 0.0, 1.0, np.zeros(3))
 
+    @pytest.mark.parametrize("omega,t", [(1e308, 10.0), (-1.7e308, 1.7e308)])
+    def test_rotation_angle_overflow_is_named(self, omega, t):
+        # math.cos of the infinite angle would raise a bare "math domain error"
+        tail = re.escape(f" is not a finite double at theta_noise=0.0, omega={omega!r}, t={t!r}")
+        with pytest.raises(ValueError, match=r"^the rotation angle theta_noise \+ omega\*t = "
+                                             rf"-?inf{tail}$"):
+            affine_apply(params_at(adc(1.0), 0.5), omega, t, np.zeros(3))
+
     def test_unphysical_bloch_vector_rejected(self):
         p = params_at(adc(1.0), 0.5)
         with pytest.raises(ValueError):

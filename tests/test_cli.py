@@ -112,14 +112,34 @@ class TestQfi:
         )
         assert code == 2 and "no ancillas" in err
 
-    def test_degenerate_probe_fails_numerically(self, capsys):
-        # c1 = 1 has no coherence: F = 0 and the bound diverges
-        code, _, err = run_capture(
+    @pytest.mark.parametrize("c1", ["0", "1.0"])
+    def test_degenerate_probe_names_its_missing_coherence(self, c1, capsys, monkeypatch):
+        # c1 = 0 or 1 has no coherence: F = 0 and the bound diverges, named
+        # before the oracle evolves any dense state
+        evolved = []
+        monkeypatch.setattr("ghzfreq.fisher.evolve_dense", lambda *a: evolved.append(a))
+        code, out, err = run_capture(
             ["qfi", "--model", "adc", "--gamma", "1", "--n", "3", "--t", "0.5",
-             "--c1", "1.0"],
+             "--c1", c1, "--oracle"],
             capsys,
         )
-        assert code == 3 and "non-finite" in err
+        assert code == 3 and out == "" and evolved == []
+        assert err == (
+            "numerical failure: F = 0, so the qcrb t/F is infinite: the probe has no phase "
+            f"coherence (|c1 c2|^2 is 0 in floating point) at c1={float(c1)!r} n=3\n"
+        )
+
+    def test_oracle_rotation_overflow_is_named(self, capsys):
+        code, out, err = run_capture(
+            ["qfi", "--model", "adc", "--gamma", "1", "--n", "2", "--t", "10",
+             "--omega", "1e308", "--oracle"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            "numerical failure: the rotation angle theta_noise + omega*t = inf is not a finite "
+            "double at theta_noise=0.0, omega=1e+308, t=10.0\n"
+        )
 
 
 class TestSweep:

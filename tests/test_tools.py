@@ -38,6 +38,18 @@ def test_a_slice_is_deterministic():
     assert all("Warning" not in r["stderr"] for r in records)
 
 
+def test_qfi_omega_reaches_the_rotation_overflow():
+    tool = _load_tool()
+    argvs = [tool.corpus_argv(0, i) for i in range(4000)]
+    draws = [("--oracle" in a, float(a[a.index("--omega") + 1])) for a in argvs if a[0] == "qfi"]
+    huge = [w for _, w in draws if abs(w) >= 1e300]
+    assert 0.02 < len(huge) / len(draws) < 0.1
+    oracle = [abs(w) >= 1e300 for flag, w in draws if flag]
+    assert 0.1 < sum(oracle) / len(oracle) < 0.5
+    assert min(huge) < 0.0 < max(huge) and max(map(abs, huge)) < 1.71e308
+    assert all(abs(w) <= 1e3 for _, w in draws if abs(w) < 1e300)
+
+
 def _run(argv, code, stdout="", stderr=""):
     return {"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr}
 

@@ -9,7 +9,10 @@ every slice of a corpus is reproducible on its own. The runs cover
     c1 in [0, 1], every subset of the strategies, CSV and JSON;
   * random `qfi` points: model, strategy, ancilla count, gamma, t (mostly
     a decay N*gamma*t in [1e-4, 1e3]), N up to 10**12, c1, --c2-phase and
-    --omega, a few with --oracle at N up to 8 (10 qubits with two ancillas);
+    --omega, a few with --oracle at N up to 8 (10 qubits with two
+    ancillas). --omega is log-uniform in +-[1e300, 1.7e308] one time in 20,
+    and one time in 4 with --oracle, the one run whose output depends on
+    omega, so that its rotation angle omega*t can leave the doubles;
   * random `table1` ranges: model, gamma, a first N and t drawn as for
     `qfi` (the decay of the GHZ strategies), a range of up to 5 probe
     counts, CSV and JSON.
@@ -83,6 +86,13 @@ def _time(rng: random.Random, rate: float) -> float:
     return _log_uniform(rng, -4, 3) / rate if rng.random() < 0.7 else _log_uniform(rng, -300, 300)
 
 
+def _omega(rng: random.Random, huge: float) -> float:
+    """|omega| up to 1e3, or log-uniform in +-[1e300, 1.7e308] with probability `huge`."""
+    if rng.random() < huge:
+        return rng.choice((-1.0, 1.0)) * _log_uniform(rng, 300, math.log10(1.7e308))
+    return rng.uniform(-1e3, 1e3)
+
+
 def _qfi_argv(rng: random.Random) -> list[str]:
     strategy = rng.choice(STRATEGIES)
     oracle = rng.random() < 0.05
@@ -90,11 +100,12 @@ def _qfi_argv(rng: random.Random) -> list[str]:
     gamma = _log_uniform(rng, -300, 300)
     # the decay is N*gamma*t for a GHZ probe, else gamma*t
     t = _time(rng, gamma * (1 if strategy == "uncorrelated" else n))
+    omega = _omega(rng, 0.25 if oracle else 0.05)
     argv = [
         "qfi", "--model", rng.choice(MODELS), "--gamma", repr(gamma),
         "--t", repr(t), "--n", str(n), "--strategy", strategy,
         "--c1", repr(_c1(rng)), "--c2-phase", repr(rng.uniform(-10.0, 10.0)),
-        "--omega", repr(rng.uniform(-1e3, 1e3)), "--format", rng.choice(("csv", "json")),
+        "--omega", repr(omega), "--format", rng.choice(("csv", "json")),
     ]
     if strategy == "ghz-ancilla":
         argv += ["--n-ancillas", str(rng.randint(1, 2))]
