@@ -48,6 +48,21 @@ CP_TOL = 1e-12
 _TINY = sys.float_info.min  # smallest normal double; below it a result has underflowed
 
 
+def _check_normal(columns, where) -> None:
+    """Raise ValueError naming the first (name, value) of `columns`, scalars or arrays, that
+    is not a normal double, and `where(r)` it was computed: r = 0, or an array's failing row."""
+    for name, values in columns:
+        scalar = isinstance(values, (int, float))
+        if scalar and _TINY <= values <= sys.float_info.max:  # the one-probe fast path
+            continue
+        for r, value in enumerate((values,) if scalar else values.ravel().tolist()):
+            if not _TINY <= value <= sys.float_info.max:  # NaN fails; an int N may pass inf
+                cause = "overflows double precision" if value >= _TINY else (
+                    f"= {float(value)!r} underflows double precision, below the smallest "
+                    f"normal double {_TINY!r},")
+                raise ValueError(f"{name} {cause} at {where(r)}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Snapshot of the affine map at one instant.
@@ -219,14 +234,26 @@ class _FloatMath:
 
     A numpy call costs about a microsecond whatever its size, which would
     make a single-point evaluation several times slower than the array
-    evaluation of a whole scan step. `log` returns -inf at 0, `fmax`
-    ignores NaN, `minimum` propagates it and `divide` gives inf or NaN at a
-    zero divisor, as their numpy counterparts do under np.errstate, which
-    is a no-op here.
+    evaluation of a whole scan step. `exp` returns inf past the largest
+    double, `log` returns -inf at 0, `fmax` ignores NaN, `minimum`
+    propagates it, `divide` gives inf or NaN at a zero divisor and `where`
+    picks one of two values, as their numpy counterparts do under
+    np.errstate, which is a no-op here.
     """
 
-    exp, expm1, log1p, maximum, cos, sin = math.exp, math.expm1, math.log1p, max, math.cos, math.sin
+    expm1, log1p, maximum, cos, sin = math.expm1, math.log1p, max, math.cos, math.sin
     copysign, hypot, angle = math.copysign, math.hypot, cmath.phase
+
+    @staticmethod
+    def exp(value: float) -> float:
+        try:
+            return math.exp(value)
+        except OverflowError:  # math raises where numpy returns inf
+            return math.inf
+
+    @staticmethod
+    def where(condition: bool, a: float, b: float) -> float:
+        return a if condition else b
 
     @staticmethod
     def errstate(**_) -> contextlib.nullcontext:

@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import Callable
 
 from .channel import (
-    _TINY,
     NoiseModel,
+    _check_normal,
     _choi_spectrum,
     _FloatMath,
     a_coefficients,
@@ -216,10 +216,7 @@ def _cmd_qfi(ns: argparse.Namespace) -> tuple[str, int]:
             "F = 0, so the qcrb t/F is infinite: the probe has no phase coherence "
             f"(|c1 c2|^2 is 0 in floating point) at c1={ns.c1!r} n={ns.n}")
     qcrb = ns.t / result.f_freq
-    if qcrb < _TINY:
-        raise NumericalFailure(
-            f"qcrb = {qcrb!r} underflows double precision, below the smallest normal double "
-            f"{_TINY!r}, at gamma={ns.gamma!r} n={ns.n} t={ns.t!r}")
+    _check_normal([("qcrb", qcrb)], lambda _: f"gamma={ns.gamma!r} n={ns.n} t={ns.t!r}")
     record = {
         "model": ns.model,
         "strategy": strategy.value,

@@ -20,12 +20,13 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .channel import _TINY, NoiseModel, _FloatMath, _log_channel, params_at
+from .channel import NoiseModel, _check_normal, _FloatMath, _log_channel, params_at
 from .state import (
     ProbeSpec,
     StrategyKind,
     _block_log_terms,
     _probe,
+    _row_name,
     check_ancillas,
     evolve_dense,
 )
@@ -58,8 +59,8 @@ def _log_f_phase(probe, model: NoiseModel, t, xp, slope: bool):
     (log_eta, log_half, _, _), d_eta, d_half = _log_channel(model, t, xp, slope)
     d_f = None
     if slope and d_eta is not None:
-        d_f = 2.0 * power * d_eta + 0.0 * t  # shaped like t
-    log_f = xp.log(4.0 * probe.w[0] * probe.w[1] * n * power) + 2.0 * power * log_eta
+        d_f = power * (2.0 * d_eta) + 0.0 * t  # shaped like t; 2 P overflows from P = 9e307
+    log_f = probe.log_f0 + power * (2.0 * log_eta)
     if probe.terms:
         live, parts = _block_log_terms(probe, log_half)
         # a strategy whose every term drops out has r0 = 0, so log r0 = -inf
@@ -89,7 +90,8 @@ def log_qfi_phase(strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel, t)
     uncorrelated form is
     log(4 |c1 c2|^2 N) + 2 log|eta_perp|. Nothing is raised to the N-th
     power in linear space, so the value neither underflows nor loses
-    precision at large N*gamma*t. A vanishing numerator or block trace gives
+    precision at large N*gamma*t, nor leaves the doubles where 4 |c1 c2|^2 N^2
+    does (`state._log_noiseless`). A vanishing numerator or block trace gives
     -inf. The spec's ancilla count is not checked here; a custom model that
     is not finite or not CPTP at t raises ValueError.
 
@@ -127,31 +129,28 @@ def qfi_closed(
 
     All three are evaluated in log space (`log_qfi_phase`), and F as
     t (t F_phase). Raises ValueError when the spec's ancilla count does not
-    fit the strategy, and when a positive F_phase or F is not a normal
-    double. A named model's F is positive whenever c1 c2 != 0, so a log
-    F_phase of -inf there (gamma*t or N*gamma*t overflowing, |c1 c2|^2
-    underflowing) is an underflow too.
+    fit the strategy, and when F_phase or F is not a normal double
+    (`channel._check_normal`). A log F_phase of -inf is F = 0 only for a
+    probe without coherence (c1 c2 = 0) or a custom map that destroys it; for
+    a named model (gamma*t overflowing, |c1 c2|^2 underflowing) it underflows.
     """
     f_phase, f_freq = _scaled(strategy, spec, model, t, 2)
     return QfiResult(f_phase, f_freq, strategy.route)
 
 
 def _scaled(strategy, spec, model: NoiseModel, t, power: int) -> tuple[float, float]:
-    """(F_phase, t**power F_phase) at t, power 1 or 2, checked as `qfi_closed`
-    says; t^2 alone may leave the doubles first, so each factor t comes in alone."""
+    """(F_phase, t**power F_phase) at t, power 1 (F/t) or 2 (F), checked as `qfi_closed`
+    says (F = 0 at t = 0 is exact); t^2 alone may leave the doubles first, so each
+    factor t comes in alone."""
     check_ancillas(strategy, spec.n_ancillas)
     log_f = float(log_qfi_phase(strategy, spec, model, t))
-    f_phase = scaled = math.exp(log_f)
+    f_phase = scaled = _FloatMath.exp(log_f)
     for _ in range(power):
         scaled = t * scaled if scaled else 0.0  # t may be inf
-    decayed = model.kind != "custom" and log_f == -math.inf and spec.c1 and spec.c2
-    if decayed or (math.isfinite(log_f) and (f_phase < _TINY or (t > 0.0 and scaled < _TINY))):
-        raise ValueError(
-            f"information underflows double precision at t={t} (log F_phase = {log_f:.6g})"
-        )
-    if scaled == math.inf:
-        raise ValueError(f"information {('F/t = t', 'F = t^2')[power - 1]} F_phase overflows "
-                         f"double precision at t={t}")
+    if log_f != -math.inf or (model.kind != "custom" and spec.c1 and spec.c2):
+        columns = [("F_phase", f_phase), (("F/t", "F")[power - 1], scaled)]
+        _check_normal(columns if t else columns[:1], lambda _: (
+            f"gamma={model.gamma!r} t={t!r}: {_row_name(_probe(strategy, spec), 0, model)}"))
     return f_phase, scaled
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .channel import NoiseModel, _FloatMath, _log_channel
+from .channel import NoiseModel, _check_normal, _FloatMath, _log_channel
 from .fisher import _log_f_phase
 from .state import (
     DirectSumState,
@@ -151,14 +151,15 @@ def _saturation_gaps(probe, model: NoiseModel, t, log_f, omega: float, xp):
     `state._block` over the model's log-space record at t
     (`channel._log_channel`, the sign of eta_perp and theta_noise included);
     then the quadrature phase, the readout there (`_readout`) and gap =
-    variance * F_phase - 1, all shaped like t. The pass makes no CPTP check
-    of its own: every caller has already evaluated the record at the same
-    t, and `_log_channel` checks a custom model each time. Every check of
-    the readout is made per row, and a failure names the row's strategy and N.
+    variance * F_phase - 1, all shaped like t, from a positive F_phase that is
+    a normal double. The pass makes no CPTP check of its own: every caller has
+    already evaluated the record at the same t, and `_log_channel` checks a
+    custom model each time. Every check is made per row, and names the row.
     """
     f_phase = xp.exp(log_f)
     _raise_at(f_phase == 0.0, "quantum Fisher information vanishes; nothing to saturate",
               probe, model, xp)
+    _check_normal([("F_phase", f_phase)], lambda r: _row_name(probe, r, model))
     with xp.errstate(divide="ignore", invalid="ignore", over="ignore"):
         record, _, _ = _log_channel(model, t, xp, False)
         r00, r11, off, phase = _block(probe, record, omega, t, xp)
@@ -187,7 +188,8 @@ def saturation_check(
     (`fisher._log_f_phase`), and the gap is formed as the phase variance
     (<O^2> - <O>^2) / (d<O>/dphi)^2 times F_phase, minus 1. t cancels out
     of it, so the gap stays finite where F = t^2 F_phase under- or
-    overflows at an extreme t. Only the 2x2 coherence block's entries are
+    overflows at an extreme t; F_phase itself must be a normal double, or a
+    ValueError names it. Only the 2x2 coherence block's entries are
     built, from the same log-space terms as that closed form, so the cost
     does not grow with N and the gap stays at rounding level at any N. This
     is the one-row, float call of the batch pass that `sweep` makes for its

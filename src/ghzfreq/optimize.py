@@ -6,14 +6,14 @@ through x = gamma t (a custom rule is read at t = x / gamma), and
 F_omega/t = (x / gamma) F_phase(x). So the maximizer runs at unit rate on x
 (`_unit_rate`), on log(gamma F/t) = log x + log F_phase(x) throughout, and
 leaves both once: t_opt = x_opt / gamma and F/t = t_opt F_phase(x_opt),
-where the one range check names either when it is not a normal double. A
-batch of rows is maximized at once, one probe record
-(`state._probe_columns`): a strategy and an N column, and the amplitudes
-that all rows share. Each step evaluates the log-space closed form
-(`fisher._log_f_phase`) of every row in one array call, the record's
-(rows, 1) columns against a (rows, points) array of x. The GHZ strategies
-share a batch; a row gives a block term its strategy lacks the log weight
--inf.
+where the one range check (`channel._check_normal`) names either, or
+F_phase, when it is not a normal double. A batch of rows is maximized at
+once, one probe record (`state._probe_columns`): a strategy and an N
+column, and the amplitudes that all rows share. Each step evaluates the
+log-space closed form (`fisher._log_f_phase`) of every row in one array
+call, the record's (rows, 1) columns against a (rows, points) array of x.
+The GHZ strategies share a batch; a row gives a block term its strategy
+lacks the log weight -inf.
 
 Where d/dx log(F/t) is 1/x + r with r constant (`_constant_slope`, from the
 derivative record of `channel._log_channel`), x_opt = -1/r: every
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._numpy import np
-from .channel import _TINY, NoiseModel, _FloatMath, _log_channel
+from .channel import NoiseModel, _check_normal, _FloatMath, _log_channel
 from .fisher import _log_f_phase, _scaled
 from .measurement import _saturation_gaps, saturation_check
 from .state import (
@@ -296,19 +296,9 @@ def _check_profile(values, probe, model: NoiseModel, peak=None) -> None:
     )
 
 
-def _check_normal(columns, probe, model: NoiseModel) -> None:
-    """Raise ValueError naming the first row of the batch record `probe`
-    where the first of the (name, (rows,) array) `columns` that fails
-    overflows or falls below the smallest normal double."""
-    for name, values in columns:
-        normal = (values >= _TINY) & (values < math.inf)
-        if not normal.all():
-            r = int(np.argmin(normal))
-            value = float(values[r])
-            cause = ("overflows double precision" if value == math.inf else f"= {value!r} "
-                     f"underflows double precision, below the smallest normal double {_TINY!r},")
-            raise ValueError(
-                f"{name} {cause} at gamma={model.gamma!r}: {_row_name(probe, r, model)}")
+def _at_row(probe, model: NoiseModel) -> Callable[[int], str]:
+    """Where row r of the batch record `probe` was computed, for `_check_normal`."""
+    return lambda r: f"gamma={model.gamma!r}: {_row_name(probe, r, model)}"
 
 
 def _maximize_rows(probe, model: NoiseModel):
@@ -322,10 +312,10 @@ def _maximize_rows(probe, model: NoiseModel):
     SCAN_POINTS) call, and the slope search then follows each row's own
     bracket (`_slope_roots`). Either way log F_phase is evaluated once at
     x_opt and checked for coherence, and x is left once: t_opt = x_opt /
-    gamma and f_over_t_max = t_opt F_phase(x_opt), each checked to be a
-    normal double, the one range check. Every check is made per row, and a
-    failure names the row's strategy and N. The log F_phase at x_opt is
-    what `sweep` passes on to the saturation gap there.
+    gamma and f_over_t_max = t_opt F_phase(x_opt), each checked with F_phase
+    to be a normal double (`channel._check_normal`). Every check is made per
+    row, and a failure names the row's strategy and N. The log F_phase at
+    x_opt is what `sweep` passes on to the saturation gap there.
     """
     if model.gamma <= 0:
         raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
@@ -337,8 +327,9 @@ def _maximize_rows(probe, model: NoiseModel):
         log_f = f(x_opt[:, None])
         _check_profile(log_f, probe, model)
         t_opt = x_opt / model.gamma
-        best = t_opt * np.exp(log_f[:, 0])
-    _check_normal([("t_opt", t_opt), ("F/t", best)], probe, model)
+        f_phase = np.exp(log_f[:, 0])
+        best = t_opt * f_phase
+    _check_normal([("t_opt", t_opt), ("F_phase", f_phase), ("F/t", best)], _at_row(probe, model))
     return x_opt, t_opt, best, log_f[:, 0]
 
 
@@ -350,7 +341,7 @@ def _searched_optima(f, probe, model: NoiseModel) -> np.ndarray:
     if probe.terms:
         lo /= probe.n[:, 0]
     _check_normal([(f"the scan window's lower edge gamma*t = {SCAN_WINDOW[0]!r}/N", lo)],
-                  probe, model)
+                  _at_row(probe, model))
     log_lo = np.log(lo)
     step = (math.log(SCAN_WINDOW[1]) - log_lo) / (SCAN_POINTS - 1)
     log_grid = log_lo[:, None] + np.arange(float(SCAN_POINTS)) * step[:, None]
@@ -381,7 +372,7 @@ def maximize_f_over_t(
     single interior peak and never rises again, and unless the slope changes
     sign between the scan points either side of it. A ValueError is also
     raised when F/t is 0 at every time (a probe without phase coherence,
-    |c1 c2| = 0), and when t_opt or F/t is not a normal double.
+    |c1 c2| = 0), and when t_opt, F_phase or F/t is not a normal double.
     """
     check_ancillas(strategy, spec.n_ancillas)
     _, t_opt, best, _ = _maximize_rows(_probe_columns([strategy], [spec.n_probes], spec), model)
@@ -417,7 +408,9 @@ def sweep(
     rows are optimized in batches of at most BATCH_ROWS consecutive rows,
     each one record with a strategy and an N column (`_maximize_rows`),
     pdc's in closed form and the others by the scan and slope search; a
-    row's result does not depend on the batch it falls in. The saturation
+    row's result does not depend on the batch it falls in. N, each batch's
+    uncorrelated F/t and its ratios R are checked to be normal doubles
+    (`channel._check_normal`), so a failure names its row. The saturation
     gap is evaluated at the optimum x_opt = gamma t_opt as `_unit_rate`
     reads it, with the corner readout, for a whole batch at once; uncorrelated
     rows quote the single-probe gap (one `saturation_check` call per sweep)
@@ -425,14 +418,16 @@ def sweep(
     """
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad probe range {n_min}..{n_max}")
+    _check_normal([("N", n_max)], lambda _: f"n={n_max}")
     wanted = tuple(StrategyKind if strategies is None else strategies)
     chosen = [s for s in StrategyKind if s in wanted]
     if not chosen:
         raise ValueError("no strategies selected")
     c2 = math.sqrt(max(0.0, 1.0 - abs(c1) ** 2))
     single = ProbeSpec(c1, c2, 1)
+    uncorrelated = [StrategyKind.UNCORRELATED]
     x_unc, t_unc, best_single, _ = (float(v[0]) for v in _maximize_rows(
-        _probe_columns([StrategyKind.UNCORRELATED], [1], single), model))
+        _probe_columns(uncorrelated, [1], single), model))
     unit, divisor = _unit_rate(model)
     if StrategyKind.UNCORRELATED in chosen:
         _, _, gap_unc = saturation_check(single, unit, x_unc / divisor, omega=0.0)
@@ -447,17 +442,23 @@ def sweep(
             ns = [n for n in probes for _ in correlated]
             probe = _probe_columns(correlated * len(probes), ns, single)
             x_opt, t_opt, best, log_f = _maximize_rows(probe, model)
+        with np.errstate(over="ignore"):  # the uncorrelated F/t is N times one probe's
+            best_unc = np.array(probes, dtype=float) * best_single
+            ratio = best_unc.repeat(len(correlated)) / best if correlated else None
+        # a failing row is named from a record of its own, built only then
+        _check_normal([("F/t", best_unc)], lambda r: _at_row(
+            _probe_columns(uncorrelated, [probes[r]], single), model)(0))
+        if correlated:
+            _check_normal([("ratio_r", ratio)], _at_row(probe, model))
             at = x_opt[:, None] / divisor
             _, gaps = _saturation_gaps(probe, unit, at, log_f[:, None], 0.0, np)
-            optima = zip(t_opt.tolist(), best.tolist(), gaps[:, 0].tolist())
-        for n in probes:
-            best_unc = n * best_single
+            optima = zip(t_opt.tolist(), best.tolist(), ratio.tolist(), gaps[:, 0].tolist())
+        for n, best_n in zip(probes, best_unc.tolist()):
             for strategy in chosen:
                 if strategy is StrategyKind.UNCORRELATED:
-                    t_opt, best, ratio, gap = t_unc, best_unc, 1.0, gap_unc
+                    t_opt, best, ratio, gap = t_unc, best_n, 1.0, gap_unc
                 else:
-                    t_opt, best, gap = next(optima)
-                    ratio = best_unc / best
+                    t_opt, best, ratio, gap = next(optima)
                 rows.append(SweepRow(
                     n=n,
                     strategy=strategy,
@@ -486,7 +487,7 @@ def tabulated_f_over_t(
 
     for the free GHZ, ancilla and uncorrelated strategies. They are
     evaluated in log space, so deep decay gives the tiny value rather than 0;
-    a ValueError is raised if even that is below the smallest normal double.
+    a ValueError names N or the value (t > 0) when it is not a normal double.
     For the dephasing model the quoted GHZ expression carries an extra
     factor of two relative to the closed form this package derives; `table1`
     flags the discrepancy instead of hiding it.
@@ -497,6 +498,10 @@ def tabulated_f_over_t(
         raise ValueError("gamma and t must be nonnegative")
     if kind not in ("adc", "dpc", "pdc"):
         raise ValueError(f"no tabulated expressions for model kind {kind!r}")
+
+    def where(_):
+        return f"gamma={gamma!r} t={t!r}: strategy={strategy.value} model={kind} n={n}"
+    _check_normal([("N", n)], where)
     x = gamma * t
     log_t = math.log(t) if t > 0 else -math.inf
     log_1mg = math.log(-math.expm1(-x)) if x > 0 else -math.inf  # log(1 - g)
@@ -517,26 +522,25 @@ def tabulated_f_over_t(
             log_value = ghz - 2.0 * n * x - log_hi
     else:
         log_value = ghz - 2.0 * n * x
-    value = math.exp(log_value)
-    if math.isfinite(log_value) and value < _TINY:
-        raise ValueError(
-            f"tabulated F/t underflows double precision (log F/t = {log_value:.6g})"
-        )
+    value = _FloatMath.exp(log_value)
+    if t > 0:
+        _check_normal([("tabulated F/t", value)], where)
     return value
 
 
 def table1(model: NoiseModel, n: int, t: float) -> Table1Row:
     """Closed-form F_omega/t for all three strategies at one (N, t) point.
 
-    Each F/t is t F_phase, checked as `fisher.qfi_closed` checks F: F =
-    t^2 F_phase may underflow where F/t does not. Includes the tabulated
-    GHZ expression alongside the derived one; `literal_mismatch` is set
-    when the two disagree beyond rounding.
+    Each F/t is t F_phase, checked with F_phase as `fisher.qfi_closed` checks
+    F: F = t^2 F_phase may underflow where F/t does not. Includes the tabulated
+    GHZ expression alongside the derived one, checked as well; `literal_mismatch`
+    is set when the two disagree beyond rounding.
     """
     if t <= 0:
         raise ValueError(f"F/t needs t > 0, got {t}")
+    specs = [ProbeSpec.balanced(n, ancillas) for ancillas in (0, 1)]
     f_ghz, f_anc, f_unc = (
-        _scaled(kind, ProbeSpec.balanced(n, kind.default_ancillas), model, t, 1)[1]
+        _scaled(kind, specs[kind.default_ancillas], model, t, 1)[1]
         for kind in (StrategyKind.GHZ_FREE, StrategyKind.GHZ_ANCILLA, StrategyKind.UNCORRELATED)
     )
     literal = tabulated_f_over_t(model.kind, StrategyKind.GHZ_FREE, n, model.gamma, t)

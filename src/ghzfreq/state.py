@@ -26,6 +26,7 @@ from ._numpy import np
 from .channel import (
     ChannelParams,
     NoiseModel,
+    _check_normal,
     _FloatMath,
     _log_channel,
     _log_params,
@@ -128,7 +129,7 @@ class ProbeSpec:
     """Amplitudes and qubit counts of a generalized GHZ probe.
 
     n_probes qubits see the channel; n_ancillas are noise-free bystanders
-    entangled with them. |c1|^2 + |c2|^2 must be 1.
+    entangled with them. |c1|^2 + |c2|^2 must be 1 and n_probes a normal double.
     """
 
     c1: complex
@@ -139,6 +140,7 @@ class ProbeSpec:
     def __post_init__(self) -> None:
         if self.n_probes < 1:
             raise ValueError(f"need at least one probe qubit, got {self.n_probes}")
+        _check_normal([("N", self.n_probes)], lambda _: f"n={self.n_probes}")
         if self.n_ancillas < 0:
             raise ValueError(f"ancilla count must be >= 0, got {self.n_ancillas}")
         norm = abs(self.c1) ** 2 + abs(self.c2) ** 2
@@ -233,7 +235,7 @@ def ghz_state(spec: ProbeSpec) -> DenseState:
 class _Probe(NamedTuple):
     """What the coherence block and the closed form read of a probe: floats for
     one probe (`_probe`), or a batch (`_probe_columns`) with (rows, 1) columns
-    of log w and N, which broadcast against a (rows, points) array of times."""
+    of log w, N and log F0, which broadcast against a (rows, points) array of times."""
 
     kinds: Sequence[StrategyKind]  # the strategy of each row
     terms: tuple[tuple[int, int, int], ...]  # block terms (weight, pole, side), see StrategyKind
@@ -241,6 +243,20 @@ class _Probe(NamedTuple):
     log_w: tuple  # log w of each term, indexed as terms; -inf for a term w = 0 or absent
     n: int | np.ndarray  # the probe count N
     c12: complex  # c1 conj(c2)
+    log_f0: float | np.ndarray  # log F_phase of the noiseless probe, see `_log_noiseless`
+
+
+def _log_noiseless(w, n, power, xp):
+    """log F0 = log(4 |c1 c2|^2 N P), the information F_phase of a noiseless
+    probe with weights w = (|c1|^2, |c2|^2), P = N if its N probes share one
+    block, else 1. The product overflows from N P = 1.8e308; there its log is
+    log(4 |c1 c2|^2 N) + log P."""
+    prefactor = 4.0 * w[0] * w[1] * n
+    product = prefactor * power
+    fits = product < math.inf  # a bool for one probe, else an array
+    if fits is True or (fits is not False and fits.all()):
+        return xp.log(product)
+    return xp.where(fits, xp.log(product), xp.log(prefactor) + xp.log(power))
 
 
 def _log_weights(spec: ProbeSpec) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -254,7 +270,9 @@ def _probe(kind: StrategyKind, spec: ProbeSpec) -> _Probe:
     terms = kind.block_terms
     w, log_w = _log_weights(spec)
     log_w = tuple([log_w[weight] for weight, _, _ in terms])
-    return _Probe((kind,), terms, w, log_w, spec.n_probes, spec.c1 * spec.c2.conjugate())
+    n = spec.n_probes
+    return _Probe((kind,), terms, w, log_w, n, spec.c1 * spec.c2.conjugate(),
+                  _log_noiseless(w, n, n if terms else 1, _FloatMath))
 
 
 def _probe_columns(kinds: Sequence[StrategyKind], ns: Sequence[int], spec: ProbeSpec) -> _Probe:
@@ -276,7 +294,10 @@ def _probe_columns(kinds: Sequence[StrategyKind], ns: Sequence[int], spec: Probe
     )
     columns = table.T[:, [present.index(kind) for kind in kinds], None]
     n = np.array(ns, dtype=float)[:, None]
-    return _Probe(kinds, terms, w, tuple(columns), n, complex(spec.c1 * spec.c2.conjugate()))
+    with np.errstate(divide="ignore", over="ignore"):  # a zero weight, or N P past the doubles
+        log_f0 = _log_noiseless(w, n, n if terms else 1, np)
+    return _Probe(kinds, terms, w, tuple(columns), n, complex(spec.c1 * spec.c2.conjugate()),
+                  log_f0)
 
 
 def _block_log_terms(probe: _Probe, log_half) -> tuple[list, list]:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from ghzfreq.channel import (
     pdc,
     superoperator,
 )
-from ghzfreq.channel import _FloatMath, _jump_operators, _lindblad_rhs, _pauli_operators
+from ghzfreq.channel import (
+    _check_normal,
+    _FloatMath,
+    _jump_operators,
+    _lindblad_rhs,
+    _pauli_operators,
+)
 
 
 def bloch_of(rho):
@@ -65,6 +72,54 @@ class TestFloatMath:
         pairs[::11, 1] = -math.inf
         for a, b in pairs:
             assert _FloatMath.logaddexp(float(a), float(b)) == float(np.logaddexp(a, b))
+
+    def test_exp_matches_numpy(self):
+        # past log(largest double) = 709.78 math.exp raises, numpy returns inf
+        values = np.concatenate([np.random.default_rng(47).uniform(-800.0, 800.0, 2000),
+                                 [709.78, 709.79, 710.0, 1e308, math.inf, -math.inf, math.nan]])
+        with np.errstate(over="ignore"):
+            want = np.exp(values)
+        got = np.array([_FloatMath.exp(float(v)) for v in values])
+        # inf, 0 and NaN at the same inputs; the two libms may round a finite value apart
+        for same in (np.isposinf, np.isnan, lambda a: a == 0.0):
+            assert np.array_equal(same(got), same(want))
+        assert np.isposinf(want).sum() > 100
+        assert np.allclose(got, want, rtol=4.5e-16, atol=0.0, equal_nan=True)
+
+
+TINY = "below the smallest normal double 2.2250738585072014e-308"
+
+
+class TestCheckNormal:
+    """The one rule: a value that is not a normal double is named with where
+    it was computed, where(0) for a scalar or where(r) of an array's first
+    failing row r."""
+
+    @pytest.mark.parametrize("value", [1.0, sys.float_info.min, sys.float_info.max, 3, 10**308])
+    def test_normal_values_pass(self, value):
+        _check_normal([("x", value)], lambda _: "nowhere")
+
+    @pytest.mark.parametrize("value, message", [
+        (math.inf, "v overflows double precision at a=1"),
+        (10**309, "v overflows double precision at a=1"),
+        (1e-310, f"v = 1e-310 underflows double precision, {TINY}, at a=1"),
+        (0.0, f"v = 0.0 underflows double precision, {TINY}, at a=1"),
+        (0, f"v = 0.0 underflows double precision, {TINY}, at a=1"),
+        (math.nan, f"v = nan underflows double precision, {TINY}, at a=1"),
+    ])
+    def test_a_scalar_names_its_inputs(self, value, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            _check_normal([("u", 2.0), ("v", value)], lambda r: f"a={r + 1}")
+
+    def test_an_array_names_its_first_failing_row(self):
+        rows = []
+        with pytest.raises(ValueError, match=re.escape(
+                f"v = 1e-320 underflows double precision, {TINY}, at row 2") + "$"):
+            _check_normal([("u", np.ones(4)), ("v", np.array([1.0, 2.0, 1e-320, math.inf]))],
+                          lambda r: rows.append(r) or f"row {r}")
+        assert rows == [2]
+        with pytest.raises(ValueError, match=r"^v overflows double precision at row 1$"):
+            _check_normal([("v", np.array([[1.0], [math.inf]]))], lambda r: f"row {r}")
 
 
 class TestParamDictionaries:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -621,8 +622,10 @@ class TestTimesWhoseSquareLeavesTheDoubles:
             ["table1", "--model", "pdc", "--gamma", "3.7e-12", "--n", "1", "--t", "1e14"], capsys
         )
         assert code == 3 and out == ""
-        assert "information underflows double precision" in err
-        assert "log F_phase = -740" in err
+        assert err == (
+            "numerical failure: F_phase = 4.2e-322 underflows double precision, below the "
+            "smallest normal double 2.2250738585072014e-308, at gamma=3.7e-12 "
+            "t=100000000000000.0: strategy=ghz_free model=pdc n=1\n")
 
 
 class TestQcrbOutsideTheDoubles:
@@ -644,6 +647,115 @@ class TestQcrbOutsideTheDoubles:
             f"pdc,ghz_free,1e-300,{10**153},0,0.70710678118654746,0,0.5,0,"
             "2.5000000000000815e+305,5.000000000000163e+305,1.9999999999999349e-306\n"
         )
+
+
+BELOW = "underflows double precision, below the smallest normal double 2.2250738585072014e-308"
+HUGE_N = {"1.3e154": 13 * 10**153, "1e160": 10**160, "1e200": 10**200, "1e305": 10**305,
+          "9e307": 9 * 10**307, "1e400": 10**400}
+
+
+def _argv(words):
+    """The argv of `words`, with each HUGE_N key replaced by its integer."""
+    return [str(HUGE_N.get(word, word)) for word in words]
+
+
+# (argv words, stderr message) of a run for each value the range rule names; the
+# table1 F_phase underflow and the qfi F overflow are pinned in their own tests
+OUTSIDE = [
+    ("qfi --model pdc --gamma 1 --n 1e200 --t 1e-210",
+     "F_phase overflows double precision at gamma=1.0 t=1e-210: "
+     f"strategy=ghz_free model=pdc n={10**200}"),
+    ("sweep --model pdc --gamma 1e-300 --n 1 --c1 1e-160",
+     f"F_phase = 1.4713e-320 {BELOW}, at gamma=1e-300: strategy=uncorrelated model=pdc n=1"),
+    ("qfi --model dpc --gamma 1 --n 2 --t 1e-160",
+     f"F = 4e-320 {BELOW}, at gamma=1.0 t=1e-160: strategy=ghz_free model=dpc n=2"),
+    ("table1 --model pdc --gamma 1 --n 1 --t 1e-309",
+     f"F/t = 1e-309 {BELOW}, at gamma=1.0 t=1e-309: strategy=ghz_free model=pdc n=1"),
+    ("sweep --model pdc --gamma 1e-300 --n 1000000000 --strategy ghz-free",
+     "F/t overflows double precision at gamma=1e-300: strategy=ghz_free model=pdc "
+     "n=1000000000"),
+    ("sweep --model dpc --gamma 5.6e-307 --n 10815:10878 --strategy uncorrelated",
+     "F/t overflows double precision at gamma=5.6e-307: strategy=uncorrelated model=dpc "
+     "n=10815"),
+    # N F/t of one probe overflows from N = 548 on
+    ("sweep --model dpc --gamma 5.6e-307 --n 540:560 --strategy uncorrelated",
+     "F/t overflows double precision at gamma=5.6e-307: strategy=uncorrelated model=dpc "
+     "n=548"),
+    ("qfi --model pdc --gamma 1e-300 --t 0.5 --n 1.3e154",
+     f"qcrb = 1.1834319526627685e-308 {BELOW}, at gamma=1e-300 n={13 * 10**153} t=0.5"),
+    ("sweep --model pdc --gamma 1 --n 9e307 --strategy ghz-free",
+     f"t_opt = 5.555555555555554e-309 {BELOW}, at gamma=1.0: strategy=ghz_free model=pdc "
+     f"n={int(float(9 * 10**307))}"),
+    ("sweep --model adc --gamma 1e-320 --n 1 --c1 0.6",
+     "t_opt overflows double precision at gamma=1e-320: strategy=uncorrelated model=adc n=1"),
+    ("sweep --model adc --gamma 1 --n 1e305 --strategy ghz-ancilla",
+     f"the scan window's lower edge gamma*t = 0.0001/N = 1e-309 {BELOW}, at gamma=1.0: "
+     f"strategy=ghz_ancilla model=adc n={int(1e305)}"),
+    ("table1 --model dpc --gamma 0 --n 10000 --t 1.5e300",
+     "tabulated F/t overflows double precision at gamma=0.0 t=1.5e+300: "
+     "strategy=ghz_free model=dpc n=10000"),
+    ("qfi --model pdc --gamma 1 --n 1e400 --t 1", f"N overflows double precision at n={10**400}"),
+    ("table1 --model pdc --gamma 1 --n 1e400 --t 1",
+     f"N overflows double precision at n={10**400}"),
+    ("sweep --model pdc --gamma 1 --n 1e400", f"N overflows double precision at n={10**400}"),
+]
+
+
+class TestValuesOutsideTheDoubles:
+    """Each value that `channel._check_normal` names, pinned as the whole
+    stderr line: exit 3, nothing on stdout, no warning. A batch row at a
+    huge N is named from its float N column."""
+
+    @pytest.mark.parametrize("words, message", OUTSIDE, ids=[w for w, _ in OUTSIDE])
+    def test_exits_3_naming_the_value(self, words, message, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_capture(_argv(words.split()), capsys)
+        assert (code, out, caught) == (3, "", [])
+        assert err == f"numerical failure: {message}\n"
+
+    @pytest.mark.parametrize("model", ["adc", "dpc", "pdc"])
+    def test_sweep_past_the_f_phase_range_names_it(self, model, capsys):
+        # the profile has an interior peak at N = 1e200, where F_phase ~ N^2/e
+        # leaves the doubles; the scan used to miss the peak, as log F_phase was +inf
+        code, out, err = run_capture(_argv(["sweep", "--model", model, "--gamma", "1",
+                                            "--n", "1e200"]), capsys)
+        assert (code, out) == (3, "")
+        assert err == ("numerical failure: F_phase overflows double precision at gamma=1.0: "
+                       f"strategy=ghz_free model={model} n={int(1e200)}\n")
+
+
+class TestProductPastTheDoubles:
+    """4 |c1 c2|^2 N^2 leaves the doubles from N = 1.3e154, though F, F/t and
+    F_phase need not: against log space, with log F_phase = 2 log N - 2 N gamma t
+    for balanced pdc GHZ probes (block trace 1), and log N - 2 gamma t uncorrelated."""
+
+    N, T = 10**160, 2.5e-159
+
+    def test_qfi(self, capsys):
+        code, out, err = run_capture(_argv(
+            ["qfi", "--model", "pdc", "--gamma", "1", "--n", "1e160", "--t", str(self.T)]), capsys)
+        assert code == 0, err
+        row = parse_csv(out)[0]
+        log_f = 2.0 * math.log(self.N) - 2.0 * self.N * self.T
+        for column, want in (("f_freq", 2.0 * math.log(self.T) + log_f),
+                             ("f_over_t", math.log(self.T) + log_f),
+                             ("qcrb", -math.log(self.T) - log_f)):
+            assert math.isclose(float(row[column]), math.exp(want), rel_tol=1e-12), column
+
+    def test_table1(self, capsys):
+        code, out, err = run_capture(_argv(
+            ["table1", "--model", "pdc", "--gamma", "1", "--n", "1e160", "--t", str(self.T)]),
+            capsys)
+        assert code == 0, err
+        row = parse_csv(out)[0]
+        ghz = math.exp(math.log(self.T) + 2.0 * math.log(self.N) - 2.0 * self.N * self.T)
+        assert 4.8e139 < ghz < 4.9e139
+        unc = math.exp(math.log(self.T) + math.log(self.N) - 2.0 * self.T)
+        for column, want in (("f_ghz_over_t", ghz), ("f_ancilla_over_t", ghz),
+                             ("f_uncorrelated_over_t", unc), ("f_ghz_over_t_literal", ghz)):
+            assert math.isclose(float(row[column]), want, rel_tol=1e-12), column
+        assert row["literal_mismatch"] == "false"
 
 
 class TestChannel:

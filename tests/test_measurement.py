@@ -215,6 +215,13 @@ class TestSaturationCheck:
         ok, _, gap = saturation_check(spec, adc(1.0), 0.5, omega=0.3)
         assert ok and abs(gap) <= 1e-8
 
+    def test_f_phase_past_the_doubles_is_named(self):
+        # log F_phase = log N^2 - 2 N t = 921 - 2e-10; the gap used to be NaN
+        with pytest.raises(ValueError, match=re.escape(
+                f"F_phase overflows double precision at strategy=ghz_free model=pdc n={10**200}"
+        ) + "$"):
+            saturation_check(ProbeSpec.balanced(10**200), pdc(1.0), 1e-210, 0.0)
+
     def test_dead_probe_rejected(self):
         # c2 = 0 carries no coherence, so there is no information to saturate
         with pytest.raises(ValueError):

@@ -385,7 +385,13 @@ class TestTable1:
     (lambda: tabulated_f_over_t("adc", StrategyKind.GHZ_FREE, 2, 1.0, -0.5),
      "gamma and t must be nonnegative"),
     (lambda: table1(adc(1.0), 2, 0.0), "F/t needs t > 0, got 0.0"),
-], ids=["sweep_no_strategy", "tabulated_gamma", "tabulated_t", "table1_t"])
+    (lambda: sweep(adc(1.0), 1, 10**400), f"N overflows double precision at n={10**400}"),
+    (lambda: tabulated_f_over_t("adc", StrategyKind.GHZ_FREE, 10**400, 1.0, 0.5),
+     f"N overflows double precision at gamma=1.0 t=0.5: strategy=ghz_free model=adc "
+     f"n={10**400}"),
+    (lambda: table1(adc(1.0), 10**400, 0.5), f"N overflows double precision at n={10**400}"),
+], ids=["sweep_no_strategy", "tabulated_gamma", "tabulated_t", "table1_t", "sweep_n",
+        "tabulated_n", "table1_n"])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -355,12 +355,14 @@ def _short_residual():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: ProbeSpec(0.6, 0.8, 2, -1), "ancilla count must be >= 0, got -1"),
+    (lambda: ProbeSpec.balanced(10**400), f"N overflows double precision at n={10**400}"),
     (lambda: DenseState(np.eye(2) / 2, 2), "matrix shape (2, 2) does not match 2 qubits"),
     (lambda: DenseState(np.array([[0.5, 0.1], [0.0, 0.5]]), 1),
      "density matrix is not Hermitian within 1e-12"),
     (lambda: DenseState(np.eye(2), 1), "density matrix trace (2+0j) is not 1 within 1e-10"),
     (_short_residual, "residual entry count does not match the class layout"),
-], ids=["spec_ancillas", "dense_shape", "dense_hermitian", "dense_trace", "residual_count"])
+], ids=["spec_ancillas", "spec_n_beyond_the_doubles", "dense_shape", "dense_hermitian",
+        "dense_trace", "residual_count"])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

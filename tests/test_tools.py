@@ -50,6 +50,31 @@ def test_qfi_omega_reaches_the_rotation_overflow():
     assert all(abs(w) <= 1e3 for _, w in draws if abs(w) < 1e300)
 
 
+def test_argvs_reach_huge_n_and_a_zero_rate():
+    tool = _load_tool()
+    argvs = [tool.corpus_argv(0, i) for i in range(4000)]
+
+    def value(argv, flag):
+        return argv[argv.index(flag) + 1]
+
+    for command in ("qfi", "table1", "sweep"):
+        runs = [a for a in argvs if a[0] == command and "--oracle" not in a]
+        firsts = [int(value(a, "--n").split(":")[0]) for a in runs]
+        huge = [n for n in firsts if n > 10**12]
+        assert 0.02 < len(huge) / len(runs) < 0.1, command
+        assert 10**150 <= min(huge) and max(huge) <= 10**400
+        assert any(n > 10**308 for n in huge) and any(n < 10**308 for n in huge)
+        if command != "sweep":  # a rate beyond the doubles draws any time, never t = 0
+            assert all(float(value(a, "--t")) > 0.0 for a in runs)
+        zero = [a for a in runs if float(value(a, "--gamma")) == 0.0]
+        if command == "sweep":
+            assert zero == []
+        else:
+            assert 0.02 < len(zero) / len(runs) < 0.1, command
+            # with no rate to divide by, t is any time
+            assert all(0.0 < float(value(a, "--t")) < 1e301 for a in zero)
+
+
 def _run(argv, code, stdout="", stderr=""):
     return {"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr}
 

@@ -17,6 +17,14 @@ every slice of a corpus is reproducible on its own. The runs cover
     `qfi` (the decay of the GHZ strategies), a range of up to 5 probe
     counts, CSV and JSON.
 
+One time in 20 a `qfi` (without --oracle), `table1` or `sweep` run takes
+its first N log-uniform in [10**150, 10**400], where N*N and then N itself
+leave the doubles; and one time in 20 a `qfi` or `table1` run takes
+gamma = 0. Where gamma = 0, or the rate gamma*N is not a double, t is drawn
+as any time, since there is no rate to divide by. These two draws come
+from a second generator, so every other argv is the one the main draws
+alone give.
+
 The package is imported from the path, so a check of two source trees is
 two runs and a comparison:
 
@@ -65,9 +73,22 @@ def _c1(rng: random.Random) -> float:
     return rng.choice(C1_CHOICES) if draw < 0.7 else rng.random()
 
 
-def _sweep_argv(rng: random.Random) -> list[str]:
+def _huge_n(edge: random.Random, n: int) -> int:
+    """n, or one time in 20 an integer log-uniform in [10**150, 10**400]."""
+    if edge.random() >= 0.05:
+        return n
+    exponent = edge.uniform(150.0, 400.0)
+    return int(10.0 ** (exponent % 1.0 + 15.0)) * 10 ** (int(exponent) - 15)
+
+
+def _zero_rate(edge: random.Random, gamma: float) -> float:
+    """gamma, or one time in 20 the rate 0."""
+    return 0.0 if edge.random() < 0.05 else gamma
+
+
+def _sweep_argv(rng: random.Random, edge: random.Random) -> list[str]:
     gamma = rng.choice(GAMMA_EDGES) if rng.random() < 0.2 else _log_uniform(rng, -300, 308.2)
-    first = max(1, int(_log_uniform(rng, 0, 6)))
+    first = _huge_n(edge, max(1, int(_log_uniform(rng, 0, 6))))
     last = first + rng.choice(RANGE_LENGTHS) - 1
     chosen = [s for s in STRATEGIES if rng.random() < 0.6] or [rng.choice(STRATEGIES)]
     return [
@@ -81,9 +102,14 @@ def _n(rng: random.Random) -> int:
     return max(1, int(_log_uniform(rng, 0, 12)))
 
 
-def _time(rng: random.Random, rate: float) -> float:
-    """Mostly a decay rate*t between 1e-4 and 1e3, else any time at all."""
-    return _log_uniform(rng, -4, 3) / rate if rng.random() < 0.7 else _log_uniform(rng, -300, 300)
+def _time(rng: random.Random, gamma: float, decays: int) -> float:
+    """Mostly a decay gamma*decays*t between 1e-4 and 1e3, else any time at
+    all; always any time where the rate gamma*decays is 0 (gamma = 0) or
+    not a double, since there is no rate to divide by."""
+    rate = gamma * decays if decays <= sys.float_info.max else math.inf
+    if rng.random() < 0.7 and 0.0 < rate < math.inf:
+        return _log_uniform(rng, -4, 3) / rate
+    return _log_uniform(rng, -300, 300)
 
 
 def _omega(rng: random.Random, huge: float) -> float:
@@ -93,13 +119,13 @@ def _omega(rng: random.Random, huge: float) -> float:
     return rng.uniform(-1e3, 1e3)
 
 
-def _qfi_argv(rng: random.Random) -> list[str]:
+def _qfi_argv(rng: random.Random, edge: random.Random) -> list[str]:
     strategy = rng.choice(STRATEGIES)
     oracle = rng.random() < 0.05
-    n = rng.randint(1, 8) if oracle else _n(rng)  # up to 10 dense qubits with ancillas
-    gamma = _log_uniform(rng, -300, 300)
+    n = rng.randint(1, 8) if oracle else _huge_n(edge, _n(rng))  # up to 10 dense qubits
+    gamma = _zero_rate(edge, _log_uniform(rng, -300, 300))
     # the decay is N*gamma*t for a GHZ probe, else gamma*t
-    t = _time(rng, gamma * (1 if strategy == "uncorrelated" else n))
+    t = _time(rng, gamma, 1 if strategy == "uncorrelated" else n)
     omega = _omega(rng, 0.25 if oracle else 0.05)
     argv = [
         "qfi", "--model", rng.choice(MODELS), "--gamma", repr(gamma),
@@ -112,10 +138,10 @@ def _qfi_argv(rng: random.Random) -> list[str]:
     return argv + ["--oracle"] if oracle else argv
 
 
-def _table1_argv(rng: random.Random) -> list[str]:
-    n = _n(rng)
-    gamma = _log_uniform(rng, -300, 300)
-    t = _time(rng, gamma * n)
+def _table1_argv(rng: random.Random, edge: random.Random) -> list[str]:
+    n = _huge_n(edge, _n(rng))
+    gamma = _zero_rate(edge, _log_uniform(rng, -300, 300))
+    t = _time(rng, gamma, n)
     return [
         "table1", "--model", rng.choice(MODELS), "--gamma", repr(gamma), "--t", repr(t),
         "--n", f"{n}:{n + rng.choice(TABLE1_LENGTHS) - 1}",
@@ -125,12 +151,14 @@ def _table1_argv(rng: random.Random) -> list[str]:
 
 def corpus_argv(seed: int, index: int) -> list[str]:
     """The argv of run `index` of the corpus with `seed`: a sweep 3 times in 5,
-    else a `qfi` or a `table1` run, as often as each other."""
+    else a `qfi` or a `table1` run, as often as each other. `edge` draws the
+    huge N and the zero rate, apart from the main draws."""
     rng = random.Random(f"{seed}:{index}")
+    edge = random.Random(f"{seed}:{index}:edge")
     draw = rng.random()
     if draw < 0.6:
-        return _sweep_argv(rng)
-    return _qfi_argv(rng) if draw < 0.8 else _table1_argv(rng)
+        return _sweep_argv(rng, edge)
+    return _qfi_argv(rng, edge) if draw < 0.8 else _table1_argv(rng, edge)
 
 
 def run_one(argv: list[str]) -> dict:
