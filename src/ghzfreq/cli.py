@@ -256,8 +256,7 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
     results = run_verification(nmax=ns.nmax, seed=ns.seed)
     failed = [r for r in results if not r.passed]
     if ns.format == "json":
-        records = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-        text = _render(records, "json")
+        text = _render([r.as_dict() for r in results], "json")
     else:
         lines = [
             f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}" for r in results

@@ -36,6 +36,7 @@ from .channel import (
 )
 from .fisher import qfi_closed, qfi_sld_oracle
 from .measurement import (
+    SATURATION_REL_TOL,
     GhzObservable,
     _readout,
     error_propagation_sensitivity,
@@ -56,17 +57,41 @@ from .state import (
 __all__ = ["CheckResult", "run_verification"]
 
 _MODELS = (adc, dpc, pdc)
+# shared bounds: closed form vs SLD oracle (relative), rounding alone, an
+# exact ratio, and a limit reached to within an approximation
+_ORACLE_TOL = 1e-7
+_ROUNDING = 1e-12
+_RATIO_TOL = 1e-9
+_LIMIT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+    """A check's criteria, each a (label, value, low, high) tuple where a bound
+    of None is absent. It passes when every value is finite and within its
+    bounds. A value over draws is folded with np.max or np.min, which
+    propagate NaN, so a NaN in any draw fails the check."""
 
-    def __post_init__(self) -> None:
-        # comparisons against numpy scalars yield np.bool_, which JSON rejects
-        object.__setattr__(self, "passed", bool(self.passed))
+    name: str
+    criteria: tuple[tuple[str, float, float | None, float | None], ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(math.isfinite(value) and (low is None or low <= value)
+                   and (high is None or value <= high) for _, value, low, high in self.criteria)
+
+    @property
+    def detail(self) -> str:
+        return "; ".join(f"{label} {value:.3e}" + "".join(
+            f" ({sign} {bound!r})" for sign, bound in ((">=", low), ("<=", high)) if bound is not None
+        ) for label, value, low, high in self.criteria)
+
+    def as_dict(self) -> dict:
+        """The JSON record; a value that is not finite is written as null."""
+        criteria = [{"label": label, "value": float(value) if math.isfinite(value) else None,
+                     "low": low, "high": high} for label, value, low, high in self.criteria]
+        return {"name": self.name, "passed": self.passed, "detail": self.detail,
+                "criteria": criteria}
 
 
 def _random_spec(rng: np.random.Generator, n: int, n_anc: int) -> ProbeSpec:
@@ -78,7 +103,7 @@ def _random_spec(rng: np.random.Generator, n: int, n_anc: int) -> ProbeSpec:
 
 
 def _check_route_agreement(rng: np.random.Generator, nmax: int) -> CheckResult:
-    worst = 0.0
+    devs = []
     for make in _MODELS:
         model = make(1.0)
         for n in range(1, nmax + 1):
@@ -96,17 +121,14 @@ def _check_route_agreement(rng: np.random.Generator, nmax: int) -> CheckResult:
                     closed = qfi_closed(kind, spec, model, t).f_freq
                     unit, copies = block_probe(kind, spec)
                     oracle = copies * qfi_sld_oracle(unit, model, t, omega).f_freq
-                    worst = max(worst, abs(closed - oracle) / max(oracle, 1e-300))
-    return CheckResult(
-        "route_agreement",
-        worst <= 1e-7,
-        f"closed vs SLD oracle, max rel dev {worst:.3e} (tol 1e-7)",
-    )
+                    devs.append(abs(closed - oracle) / max(oracle, 1e-300))
+    return CheckResult("route_agreement", (
+        ("closed vs SLD oracle, max rel dev", np.max(devs), None, _ORACLE_TOL),
+    ))
 
 
 def _check_uncorrelated_denominator(rng: np.random.Generator, nmax: int) -> CheckResult:
-    worst_ok = 0.0
-    variant_dev = 0.0
+    devs, variant_devs = [], []
     for make in _MODELS:
         model = make(1.0)
         for n in range(2, max(nmax, 3) + 1):
@@ -116,7 +138,7 @@ def _check_uncorrelated_denominator(rng: np.random.Generator, nmax: int) -> Chec
             unit, copies = block_probe(StrategyKind.UNCORRELATED, spec)
             oracle = copies * qfi_sld_oracle(unit, model, t, omega).f_freq
             closed = qfi_closed(StrategyKind.UNCORRELATED, spec, model, t).f_freq
-            worst_ok = max(worst_ok, abs(closed - oracle) / max(oracle, 1e-300))
+            devs.append(abs(closed - oracle) / max(oracle, 1e-300))
             # the rejected variant raises the block weights to the N-th power
             a = a_coefficients(params_at(model, t))
             w1, w2 = abs(spec.c1) ** 2, abs(spec.c2) ** 2
@@ -128,19 +150,17 @@ def _check_uncorrelated_denominator(rng: np.random.Generator, nmax: int) -> Chec
             )
             eta_perp = params_at(model, t).eta_perp
             variant = 4.0 * w1 * w2 * n * eta_perp**2 * t**2 / r0_n
-            variant_dev = max(variant_dev, abs(variant - oracle) / max(oracle, 1e-300))
-    passed = worst_ok <= 1e-7 and variant_dev > 1e-4
-    return CheckResult(
-        "uncorrelated_denominator",
-        passed,
-        f"per-qubit form within {worst_ok:.3e} of oracle; "
-        f"power-N variant off by up to {variant_dev:.3e}",
-    )
+            variant_devs.append(abs(variant - oracle) / max(oracle, 1e-300))
+    return CheckResult("uncorrelated_denominator", (
+        ("per-qubit form vs oracle, max rel dev", np.max(devs), None, _ORACLE_TOL),
+        # the variant must be off by more than 1e-4 on some draw
+        ("power-N variant vs oracle, max rel dev", np.max(variant_devs),
+         math.nextafter(1e-4, math.inf), None),
+    ))
 
 
 def _check_tabulated_forms(rng: np.random.Generator, nmax: int) -> CheckResult:
-    worst_match = 0.0
-    ratio_dev = 0.0
+    devs, ratio_devs = [], []
     for kind, make in (("adc", adc), ("dpc", dpc), ("pdc", pdc)):
         model = make(1.0)
         for _ in range(10):
@@ -150,43 +170,37 @@ def _check_tabulated_forms(rng: np.random.Generator, nmax: int) -> CheckResult:
             closed = qfi_closed(StrategyKind.GHZ_FREE, spec, model, t).f_freq / t
             lit = tabulated_f_over_t(kind, StrategyKind.GHZ_FREE, n, 1.0, t)
             if kind == "dpc":
-                ratio_dev = max(ratio_dev, abs(lit / closed - 2.0))
+                ratio_devs.append(abs(lit / closed - 2.0))
             else:
-                worst_match = max(worst_match, abs(lit - closed) / closed)
+                devs.append(abs(lit - closed) / closed)
             for strat in (StrategyKind.GHZ_ANCILLA, StrategyKind.UNCORRELATED):
                 probe = ProbeSpec.balanced(n, strat.default_ancillas)
                 f = qfi_closed(strat, probe, model, t).f_freq / t
                 lit = tabulated_f_over_t(kind, strat, n, 1.0, t)
-                worst_match = max(worst_match, abs(lit - f) / f)
-    passed = worst_match <= 1e-12 and ratio_dev <= 1e-9
-    return CheckResult(
-        "tabulated_forms",
-        passed,
-        f"matching entries within {worst_match:.3e}; "
-        f"dephasing GHZ entry = 2x closed form within {ratio_dev:.3e}",
-    )
+                devs.append(abs(lit - f) / f)
+    return CheckResult("tabulated_forms", (
+        ("matching entries, max rel dev", np.max(devs), None, _ROUNDING),
+        ("dephasing GHZ entry / closed form - 2, max |dev|", np.max(ratio_devs),
+         None, _RATIO_TOL),
+    ))
 
 
 def _check_cp_boundary(rng: np.random.Generator) -> CheckResult:
     draws = 2000
     maps = [ChannelParams(*row) for row in rng.uniform(-1.5, 1.5, size=(draws, 4))]
     numeric = np.linalg.eigvalsh(np.stack([choi_matrix(p) for p in maps]))[:, 0]
-    disagreements = 0
-    worst = 0.0
+    disagreements, devs = 0, []
     for params, lowest in zip(maps, numeric.tolist()):
-        worst = max(worst, abs(choi_min_eigenvalue(params) - lowest))
-        if is_cptp(params) != (lowest >= -1e-12):
-            disagreements += 1
-    return CheckResult(
-        "cp_boundary",
-        disagreements == 0,
-        f"{draws} random maps, {disagreements} predicate disagreements, "
-        f"min-eigenvalue routes within {worst:.3e}",
-    )
+        devs.append(abs(choi_min_eigenvalue(params) - lowest))
+        disagreements += is_cptp(params) != (lowest >= -_ROUNDING)
+    return CheckResult("cp_boundary", (
+        (f"predicate disagreements in {draws} random maps", disagreements, None, 0),
+        ("min-eigenvalue routes, max dev", np.max(devs), None, None),
+    ))
 
 
 def _check_master_equation(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    devs = []
     for make in _MODELS:
         model = make(1.0)
         t = rng.uniform(1.0, 2.0)
@@ -204,17 +218,13 @@ def _check_master_equation(rng: np.random.Generator) -> CheckResult:
             [[v[0] + v[3], v[1] - 1j * v[2]], [v[1] + 1j * v[2], v[0] - v[3]]],
             dtype=complex,
         )
-        worst = max(worst, float(np.max(np.abs(rho_ode - rho_map))))
-    return CheckResult(
-        "master_equation",
-        worst <= 1e-6,
-        f"RK4 (1e4 steps) vs affine map, max entry dev {worst:.3e} (tol 1e-6)",
-    )
+        devs.append(np.max(np.abs(rho_ode - rho_map)))
+    return CheckResult("master_equation", (
+        ("RK4 (1e4 steps) vs affine map, max entry dev", np.max(devs), None, _LIMIT_TOL),
+    ))
 
 
 def _check_directsum_consistency(rng: np.random.Generator, nmax: int) -> CheckResult:
-    # every deviation is kept and folded with np.max/np.min, which propagate
-    # NaN, so a NaN fails the check instead of being skipped by max()
     dense_devs, trace_devs, moment_devs, eigs = [], [], [], []
     for make in _MODELS:
         model = make(1.0)
@@ -228,27 +238,19 @@ def _check_directsum_consistency(rng: np.random.Generator, nmax: int) -> CheckRe
             dense = evolve_dense(spec, params, omega, t)
             dense_devs.append(assert_consistency(ds, dense))
             trace_devs.append(abs(ds.block_trace() + ds.residual_mass() - 1.0))
-            eigs.append(float(np.linalg.eigvalsh(ds.block)[0]))
+            eigs.append(np.linalg.eigvalsh(ds.block)[0])
             obs = GhzObservable(ds.n_total, rng.uniform(0.0, 2.0 * math.pi))
             mean, second = expectation_moments(ds, obs)
             o = obs.dense_matrix()
             mean_dense = float(np.trace(o @ dense.matrix).real)
             second_dense = float(np.trace(o @ o @ dense.matrix).real)
             moment_devs += [abs(mean - mean_dense), abs(second - second_dense)]
-    worst, trace_dev, moment_dev = (float(np.max(d)) for d in (dense_devs, trace_devs, moment_devs))
-    min_eig = float(np.min(eigs))
-    passed = (
-        worst <= 1e-12
-        and trace_dev <= 1e-12
-        and min_eig >= -1e-12
-        and moment_dev <= 1e-12
-    )
-    return CheckResult(
-        "directsum_consistency",
-        passed,
-        f"dense dev {worst:.3e}, trace closure {trace_dev:.3e}, "
-        f"block min eig {min_eig:.3e}, moment dev {moment_dev:.3e}",
-    )
+    return CheckResult("directsum_consistency", (
+        ("dense dev", np.max(dense_devs), None, _ROUNDING),
+        ("trace closure", np.max(trace_devs), None, _ROUNDING),
+        ("block min eig", np.min(eigs), -_ROUNDING, None),
+        ("moment dev", np.max(moment_devs), None, _ROUNDING),
+    ))
 
 
 SCAN_PHASES = 720
@@ -265,17 +267,14 @@ def _check_saturation(rng: np.random.Generator) -> CheckResult:
     of a grid phase's variance over the quadrature variance (about 0 when a
     grid phase lands on quadrature, negative if one did better).
     """
-    worst = 0.0
-    margin = math.inf
-    all_ok = True
+    gaps, margins = [], []
     for make in _MODELS:
         model = make(1.0)
         for spec in (ProbeSpec.balanced(3, 0), ProbeSpec.balanced(2, 1)):
             t = rng.uniform(0.3, 1.0)
             omega = rng.uniform(-2.0, 2.0)
-            ok, delta, gap = saturation_check(spec, model, t, omega)
-            all_ok = all_ok and ok
-            worst = max(worst, abs(gap))
+            _, delta, gap = saturation_check(spec, model, t, omega)
+            gaps.append(abs(gap))
             n_total = spec.n_total
             quad = error_propagation_sensitivity(spec, model, t, omega, GhzObservable(n_total, delta))
             block, _ = coherence_block(spec, model, omega, t)
@@ -284,13 +283,13 @@ def _check_saturation(rng: np.random.Generator) -> CheckResult:
                 _, variance, flat = _readout(
                     block[0, 0].real + block[1, 1].real, block[0, 1], spec.n_probes, phases, np
                 )
-            margin = float(np.min(variance[~flat] / t / quad - 1.0, initial=margin))
-    return CheckResult(
-        "readout_saturation",
-        all_ok and margin >= -1e-12,
-        f"corner readout at quadrature vs t/F, max |gap| {worst:.3e} (tol 1e-8); "
-        f"best of {SCAN_PHASES} grid phases {margin:.3e} above quadrature (tol -1e-12)",
-    )
+            margins.append(np.min(variance[~flat] / t / quad - 1.0, initial=math.inf))
+    return CheckResult("readout_saturation", (
+        ("corner readout at quadrature vs t/F, max |gap|", np.max(gaps),
+         None, SATURATION_REL_TOL),
+        (f"best of {SCAN_PHASES} grid phases above quadrature", np.min(margins),
+         -_ROUNDING, None),
+    ))
 
 
 def _check_time_optima(rng: np.random.Generator) -> CheckResult:
@@ -322,35 +321,29 @@ def _check_time_optima(rng: np.random.Generator) -> CheckResult:
     r_pdc = sensitivity_ratio(ProbeSpec.balanced(4, 0), pdc(1.0), StrategyKind.GHZ_FREE)
     r_a = sensitivity_ratio(ProbeSpec.balanced(3, 0), adc(1.0), StrategyKind.GHZ_FREE)
     r_b = sensitivity_ratio(ProbeSpec.balanced(3, 0), adc(2.7), StrategyKind.GHZ_FREE)
-    gamma_inv = abs(r_a - r_b)
-    t_dev = max(devs)
-    passed = t_dev <= 1e-8 and abs(r_pdc - 1.0) <= 1e-6 and gamma_inv <= 1e-9
-    return CheckResult(
-        "time_optima",
-        passed,
-        f"analytic optima dev {t_dev:.3e}, dephasing-limit ratio |R-1| "
-        f"{abs(r_pdc - 1.0):.3e}, gamma invariance {gamma_inv:.3e}",
-    )
+    return CheckResult("time_optima", (
+        ("analytic optima, max rel dev", np.max(devs), None, 1e-8),
+        ("dephasing-limit ratio |R-1|", abs(r_pdc - 1.0), None, _LIMIT_TOL),
+        ("gamma invariance of R", abs(r_a - r_b), None, _RATIO_TOL),
+    ))
 
 
 def _check_noiseless_limit(nmax: int) -> CheckResult:
-    worst = 0.0
+    devs = []
     model = pdc(0.0)
     for n in range(1, nmax + 1):
         for t in (0.3, 1.7):
             oracle = qfi_sld_oracle(ProbeSpec.balanced(n), model, t, 0.7).f_freq
-            worst = max(worst, abs(oracle - n**2 * t**2))
+            devs.append(abs(oracle - n**2 * t**2))
             for kind, law in (
                 (StrategyKind.GHZ_FREE, n**2), (StrategyKind.GHZ_ANCILLA, n**2),
                 (StrategyKind.UNCORRELATED, n),
             ):
                 probe = ProbeSpec.balanced(n, kind.default_ancillas)
-                worst = max(worst, abs(qfi_closed(kind, probe, model, t).f_freq - law * t**2))
-    return CheckResult(
-        "noiseless_limit",
-        worst <= 1e-12,
-        f"gamma=0 information vs N^2 t^2 and N t^2, max dev {worst:.3e}",
-    )
+                devs.append(abs(qfi_closed(kind, probe, model, t).f_freq - law * t**2))
+    return CheckResult("noiseless_limit", (
+        ("gamma=0 information vs N^2 t^2 and N t^2, max dev", np.max(devs), None, _ROUNDING),
+    ))
 
 
 def run_verification(nmax: int = 5, seed: int = 7) -> list[CheckResult]:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -419,12 +420,39 @@ class TestRender:
         assert code == 0 and err == ""
         assert out == _reference_csv(records)
 
-    def test_verify_json_bytes(self, capsys):
+    @pytest.mark.parametrize("poisoned", [False, True])
+    def test_verify_json_bytes(self, poisoned, monkeypatch, capsys):
+        # a NaN criterion value is written as null, never as JSON's invalid NaN
+        if poisoned:
+            from ghzfreq import verify
+
+            real, calls = verify.qfi_closed, []
+
+            def nan_second_call(*args):
+                calls.append(None)
+                result = real(*args)
+                return dataclasses.replace(result, f_freq=math.nan) if len(calls) == 2 else result
+
+            monkeypatch.setattr(verify, "qfi_closed", nan_second_call)
         code, out, err = run_capture(["verify", "--nmax", "2", "--format", "json"], capsys)
-        assert code == 0 and err == ""
-        records = json.loads(out)
+        assert (code, err) == (4 if poisoned else 0, "")
+
+        def reject(constant):
+            raise ValueError(f"invalid JSON constant {constant}")
+
+        records = json.loads(out, parse_constant=reject)
         assert {type(r["passed"]) for r in records} == {bool}
         assert out == json.dumps(records, indent=2) + "\n"
+        for record in records:
+            assert record["criteria"]
+            for criterion in record["criteria"]:
+                assert list(criterion) == ["label", "value", "low", "high"]
+        route = records[0]
+        assert route["name"] == "route_agreement" and route["passed"] is not poisoned
+        assert route["criteria"] == [{"label": "closed vs SLD oracle, max rel dev",
+                                      "value": None if poisoned else route["criteria"][0]["value"],
+                                      "low": None, "high": 1e-7}]
+        assert [r["passed"] for r in records[1:]] == [True] * 8
 
     @pytest.mark.parametrize("field", ["f_ghz_over_t", "f_ancilla_over_t",
                                        "f_uncorrelated_over_t", "f_ghz_over_t_literal"])
@@ -795,26 +823,114 @@ class TestChannel:
         assert np.max(np.abs(np.array(cells) - numeric)) <= 1e-15
 
 
+def _qfi_times(factor, add=0.0):
+    """A QfiResult poison: f_freq * factor + add."""
+    return lambda r: dataclasses.replace(r, f_freq=r.f_freq * factor + add)
+
+
+def _add_to_entry(delta):
+    """A density-matrix poison: delta added to the (0, 0) entry."""
+    return lambda rho: rho + np.array([[delta, 0.0], [0.0, 0.0]])
+
+
+# check, the verify name patched, the poison that makes the second call's
+# value NaN, and the one that moves it just past the check's bound. The
+# second: builtin max keeps a NaN that comes first, and drops one after it.
+VERIFY_POISONS = {
+    "route_agreement": ("qfi_closed", _qfi_times(math.nan), _qfi_times(1.0 + 1.01e-7)),
+    "uncorrelated_denominator": ("qfi_closed", _qfi_times(math.nan), _qfi_times(1.0 + 1.01e-7)),
+    "tabulated_forms": ("tabulated_f_over_t", lambda lit: math.nan,
+                        lambda lit: lit * (1.0 + 1.01e-12)),
+    # the min-eigenvalue deviation has no bound, but a NaN in it still fails;
+    # the predicate's bound is no disagreement at all
+    "cp_boundary": ("choi_min_eigenvalue", lambda e: math.nan, None),
+    "master_equation": ("integrate_master_equation", _add_to_entry(math.nan),
+                        _add_to_entry(1.01e-6)),
+    "directsum_consistency": ("assert_consistency", lambda dev: math.nan,
+                              lambda dev: math.nextafter(1e-12, math.inf)),
+    # the verdict reads the gap itself, not the flag saturation_check returns
+    "readout_saturation": ("saturation_check", lambda r: (*r[:2], math.nan),
+                           lambda r: (*r[:2], math.nextafter(1e-8, math.inf))),
+    "time_optima": ("maximize_f_over_t", lambda r: (math.nan, r[1]),
+                    lambda r: (r[0] * (1.0 + 1.01e-8), r[1])),
+    "noiseless_limit": ("qfi_sld_oracle", _qfi_times(math.nan), _qfi_times(1.0, 1.01e-12)),
+}
+
+
 class TestVerify:
-    def test_nan_direct_sum_fails_the_consistency_check(self, monkeypatch):
-        # max(dev, nan) keeps dev, so the folds must not be Python max/min
+    @staticmethod
+    def _check(name, monkeypatch, target=None, poison=None):
+        """verify's check `name` at nmax 2, seed 3, with only the second call
+        of `target` passed through `poison`."""
         from ghzfreq import verify
 
-        build = verify.evolve_directsum
+        if target is not None:
+            real = getattr(verify, target)
+            calls = []
 
-        def nan_residual(*args):
-            ds = build(*args)
-            return ds.__class__(ds.block, ds.residual * np.nan, ds.phase_total,
-                                ds.n_probes, ds.n_ancillas)
+            def patched(*args, **kwargs):
+                calls.append(None)
+                result = real(*args, **kwargs)
+                return poison(result) if len(calls) == 2 else result
 
+            monkeypatch.setattr(verify, target, patched)
+        check = getattr(verify, "_check_" + name.removeprefix("readout_"))
+        params = inspect.signature(check).parameters
         rng = np.random.default_rng(3)
-        assert verify._check_directsum_consistency(rng, 3).passed
-        monkeypatch.setattr(verify, "evolve_directsum", nan_residual)
-        with np.errstate(invalid="ignore"):  # logaddexp.reduce over the NaN residual
-            assert not verify._check_directsum_consistency(rng, 3).passed
-        monkeypatch.undo()
-        monkeypatch.setattr(verify, "assert_consistency", lambda ds, dense: math.nan)
-        assert not verify._check_directsum_consistency(rng, 3).passed
+        result = check(*[{"rng": rng, "nmax": 2}[p] for p in params])
+        assert result.name == name
+        return result
+
+    @pytest.mark.parametrize("name", VERIFY_POISONS)
+    def test_nan_in_one_draw_fails_the_check(self, name, monkeypatch):
+        # builtin max(dev, nan) keeps dev, so a fold that used it would pass
+        assert self._check(name, monkeypatch).passed
+        target, nan, _ = VERIFY_POISONS[name]
+        result = self._check(name, monkeypatch, target, nan)
+        assert not result.passed
+        assert any(math.isnan(value) for _, value, _, _ in result.criteria)
+        assert "nan" in result.detail
+
+    @pytest.mark.parametrize("name", VERIFY_POISONS)
+    def test_value_just_past_its_bound_fails_the_check(self, name, monkeypatch):
+        target, _, past = VERIFY_POISONS[name]
+        if name == "cp_boundary":  # flip the predicate on the second map
+            target, past = "is_cptp", lambda ok: not ok
+        result = self._check(name, monkeypatch, target, past)
+        assert not result.passed
+        (label, value, low, high), = [c for c in result.criteria
+                                      if not (c[3] is None or c[1] <= c[3])]
+        assert high < value <= max(1.02 * high, 1)  # just past, not far past
+
+    def test_bounds_and_their_strictness(self):
+        """Each criterion's bounds, pinned; a value at a bound passes and the
+        next double past it fails."""
+        from ghzfreq.measurement import SATURATION_REL_TOL
+
+        above_1e4 = math.nextafter(1e-4, math.inf)
+        want = {
+            "route_agreement": [(None, 1e-7)],
+            "uncorrelated_denominator": [(None, 1e-7), (above_1e4, None)],
+            "tabulated_forms": [(None, 1e-12), (None, 1e-9)],
+            "cp_boundary": [(None, 0), (None, None)],
+            "master_equation": [(None, 1e-6)],
+            "directsum_consistency": [(None, 1e-12), (None, 1e-12), (-1e-12, None),
+                                      (None, 1e-12)],
+            "readout_saturation": [(None, SATURATION_REL_TOL), (-1e-12, None)],
+            "time_optima": [(None, 1e-8), (None, 1e-6), (None, 1e-9)],
+            "noiseless_limit": [(None, 1e-12)],
+        }
+        results = ghzfreq.run_verification(nmax=1, seed=3)
+        assert {r.name: [c[2:] for c in r.criteria] for r in results} == want
+        for result in results:
+            for i, (label, _, low, high) in enumerate(result.criteria):
+                for bound, past in ((low, -math.inf), (high, math.inf)):
+                    if bound is None:
+                        continue
+                    for value, passes in ((bound, True), (math.nextafter(bound, past), False)):
+                        criteria = list(result.criteria)
+                        criteria[i] = (label, value, low, high)
+                        assert dataclasses.replace(result, criteria=criteria).passed == passes
 
     @pytest.mark.parametrize("nmax, message", [
         (0, "nmax must be >= 1, got 0"),
@@ -837,6 +953,19 @@ class TestVerify:
         assert all(r["passed"] for r in records)
         names = {r["name"] for r in records}
         assert "route_agreement" in names and "cp_boundary" in names
+        code, text, _ = run_capture(["verify", "--nmax", "2"], capsys)
+        lines = text.splitlines()
+        assert code == 0 and lines[-1] == "9/9 checks passed"
+        for record, line in zip(records, lines):
+            # each criterion's value lies within its bounds, and the text
+            # line reads `label value (<= high)` for it
+            assert line == f"[PASS] {record['name']}: {record['detail']}"
+            for c, part in zip(record["criteria"], record["detail"].split("; ")):
+                assert (c["low"] is None or c["low"] <= c["value"]) and (
+                    c["high"] is None or c["value"] <= c["high"])
+                bounds = "".join(f" ({sign} {bound!r})" for sign, bound in
+                                 ((">=", c["low"]), ("<=", c["high"])) if bound is not None)
+                assert part == f"{c['label']} {c['value']:.3e}{bounds}"
 
 
 class TestRepeatedCalls:
