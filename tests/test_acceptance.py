@@ -2,7 +2,9 @@
 
 Each test prints a single [PASS] line with its measured worst-case numbers;
 run with -v for the per-criterion verdict or -s to see the margins. Random
-draws are seeded so reruns check the same points.
+draws are seeded so reruns check the same points. Each worst case is folded
+with np.max or np.min, which propagate NaN, so a NaN in any draw fails its
+bound (builtin max drops a NaN that is not first).
 """
 
 import math
@@ -42,8 +44,7 @@ def test_criterion_1_route_agreement():
     """Closed forms track the dense SLD oracle to 1e-7 for every strategy."""
     start = time.monotonic()
     rng = np.random.default_rng(101)
-    worst = 0.0
-    cases = 0
+    devs = []
     for make in MODELS.values():
         model = make(1.0)
         for strategy, anc_counts in (
@@ -66,9 +67,9 @@ def test_criterion_1_route_agreement():
                         else:
                             closed = closed_f(spec, model, gt)
                             oracle = qfi_sld_oracle(spec, model, gt, omega).f_freq
-                        worst = max(worst, abs(closed - oracle) / max(oracle, 1e-300))
-                        cases += 1
+                        devs.append(abs(closed - oracle) / max(oracle, 1e-300))
     elapsed = time.monotonic() - start
+    worst, cases = np.max(devs), len(devs)
     assert worst <= 1e-7, f"worst relative deviation {worst:.3e}"
     assert elapsed <= 60.0, f"took {elapsed:.1f}s, budget 60s"
     print(f"[PASS] criterion 1: {cases} cases, worst rel dev {worst:.3e}, {elapsed:.1f}s")
@@ -77,9 +78,7 @@ def test_criterion_1_route_agreement():
 def test_criterion_2_tabulated_forms():
     """Tabulated F/t entries match evaluation; dephasing GHZ entry is 2x off."""
     rng = np.random.default_rng(102)
-    worst_match = 0.0
-    worst_factor = 0.0
-    worst_oracle = 0.0
+    match_devs, factor_devs, oracle_devs = [], [], []
     for _ in range(50):
         n = int(rng.integers(1, 11))
         gt = rng.uniform(0.05, 2.0)
@@ -93,20 +92,17 @@ def test_criterion_2_tabulated_forms():
             lit_anc = tabulated_f_over_t(kind, StrategyKind.GHZ_ANCILLA, n, 1.0, gt)
             lit_unc = tabulated_f_over_t(kind, StrategyKind.UNCORRELATED, n, 1.0, gt)
             lit_ghz = tabulated_f_over_t(kind, StrategyKind.GHZ_FREE, n, 1.0, gt)
-            worst_match = max(
-                worst_match,
-                abs(lit_anc - f_anc) / f_anc,
-                abs(lit_unc - f_unc) / f_unc,
-            )
+            match_devs += [abs(lit_anc - f_anc) / f_anc, abs(lit_unc - f_unc) / f_unc]
             if kind == "dpc":
-                worst_factor = max(worst_factor, abs(lit_ghz / f_ghz - 2.0))
+                factor_devs.append(abs(lit_ghz / f_ghz - 2.0))
                 n_small = min(n, 5)
                 small = ProbeSpec.balanced(n_small)
                 oracle = qfi_sld_oracle(small, model, gt, 0.3).f_freq
                 derived = qfi_closed(StrategyKind.GHZ_FREE, small, model, gt).f_freq
-                worst_oracle = max(worst_oracle, abs(derived - oracle) / oracle)
+                oracle_devs.append(abs(derived - oracle) / oracle)
             else:
-                worst_match = max(worst_match, abs(lit_ghz - f_ghz) / f_ghz)
+                match_devs.append(abs(lit_ghz - f_ghz) / f_ghz)
+    worst_match, worst_factor, worst_oracle = map(np.max, (match_devs, factor_devs, oracle_devs))
     assert worst_match <= 1e-12, f"tabulated-vs-closed rel dev {worst_match:.3e}"
     assert worst_factor <= 1e-9, f"dephasing factor dev {worst_factor:.3e}"
     assert worst_oracle <= 1e-7, f"dephasing closed-vs-oracle dev {worst_oracle:.3e}"
@@ -153,7 +149,7 @@ def test_criterion_3_ratio_plateaus():
 
 def test_criterion_4_analytic_optima():
     """Numeric maxima land on the known closed-form optima."""
-    worst_t = worst_v = 0.0
+    t_devs, v_devs = [], []
     for gamma in (1.0, 0.37):
         for make, t_star_scale, v_scale in (
             (adc, 1.0, 1.0 / math.e),
@@ -165,15 +161,16 @@ def test_criterion_4_analytic_optima():
             t_opt, best = maximize_f_over_t(
                 StrategyKind.UNCORRELATED, spec, make(gamma)
             )
-            worst_t = max(worst_t, abs(t_opt - t_star_scale / gamma) * gamma / t_star_scale)
-            worst_v = max(worst_v, abs(best - n * v_scale / gamma) * gamma / (n * v_scale))
+            t_devs.append(abs(t_opt - t_star_scale / gamma) * gamma / t_star_scale)
+            v_devs.append(abs(best - n * v_scale / gamma) * gamma / (n * v_scale))
         for n in (1, 2, 5):
             spec = ProbeSpec.balanced(n)
             t_opt, best = maximize_f_over_t(StrategyKind.GHZ_FREE, spec, pdc(gamma))
             t_star = 1.0 / (2.0 * n * gamma)
             v_star = n / (2.0 * math.e * gamma)
-            worst_t = max(worst_t, abs(t_opt - t_star) / t_star)
-            worst_v = max(worst_v, abs(best - v_star) / v_star)
+            t_devs.append(abs(t_opt - t_star) / t_star)
+            v_devs.append(abs(best - v_star) / v_star)
+    worst_t, worst_v = np.max(t_devs), np.max(v_devs)
     r = sensitivity_ratio(ProbeSpec.balanced(4), pdc(1.0), StrategyKind.GHZ_FREE)
     assert worst_t <= 1e-8, f"worst t_opt rel dev {worst_t:.3e}"
     assert worst_v <= 1e-10, f"worst peak-value rel dev {worst_v:.3e}"
@@ -187,8 +184,7 @@ def test_criterion_4_analytic_optima():
 def test_criterion_5_readout_saturation():
     """Phase-optimized corner readout reaches t/F at a quadrature point."""
     rng = np.random.default_rng(105)
-    worst_gap = worst_quad = 0.0
-    cases = 0
+    gaps, quad_devs = [], []
     for make in MODELS.values():
         model = make(1.0)
         for n in range(1, 5):
@@ -201,10 +197,9 @@ def test_criterion_5_readout_saturation():
                     assert ok, (make.__name__, n, n_anc, t, gap)
                     params = params_at(model, t)
                     ds = evolve_directsum(ghz_strategy(n_anc), spec, params, omega, t)
-                    quad_dev = abs(math.cos(ds.phase_total - delta))
-                    worst_gap = max(worst_gap, abs(gap))
-                    worst_quad = max(worst_quad, quad_dev)
-                    cases += 1
+                    gaps.append(abs(gap))
+                    quad_devs.append(abs(math.cos(ds.phase_total - delta)))
+    worst_gap, worst_quad, cases = np.max(gaps), np.max(quad_devs), len(gaps)
     assert worst_gap <= 1e-8, f"worst saturation gap {worst_gap:.3e}"
     assert worst_quad <= 1e-6, f"working point off quadrature by {worst_quad:.3e}"
     print(
@@ -215,7 +210,7 @@ def test_criterion_5_readout_saturation():
 
 def test_criterion_6_noiseless_limits():
     """gamma = 0 recovers N^2 t^2 (GHZ) and N t^2 (uncorrelated) on all routes."""
-    worst = 0.0
+    devs = []
     for make in MODELS.values():
         model = make(0.0)
         for n in range(1, 6):
@@ -229,10 +224,10 @@ def test_criterion_6_noiseless_limits():
                     qfi_sld_oracle(spec, model, t, 0.9).f_freq,
                     qfi_sld_oracle(anc, model, t, 0.9).f_freq,
                 ]
-                for f in routes:
-                    worst = max(worst, abs(f - target) / target)
+                devs += [abs(f - target) / target for f in routes]
                 f_unc = qfi_closed(StrategyKind.UNCORRELATED, spec, model, t).f_freq
-                worst = max(worst, abs(f_unc - n * t * t) / (n * t * t))
+                devs.append(abs(f_unc - n * t * t) / (n * t * t))
+    worst = np.max(devs)
     assert worst <= 1e-12, f"worst noiseless deviation {worst:.3e}"
     print(f"[PASS] criterion 6: all routes within {worst:.3e} of the noiseless laws")
 
@@ -248,7 +243,7 @@ def test_criterion_7_channel_validity():
             disagreements += 1
     assert disagreements == 0, f"{disagreements} CP disagreements"
 
-    worst = 0.0
+    devs = []
     for make in MODELS.values():
         model = make(1.0)
         for t in (rng.uniform(0.1, 2.0), 2.0):
@@ -264,7 +259,8 @@ def test_criterion_7_channel_validity():
                 [[v[0] + v[3], v[1] - 1j * v[2]], [v[1] + 1j * v[2], v[0] - v[3]]],
                 dtype=complex,
             )
-            worst = max(worst, float(np.max(np.abs(rho_ode - rho_map))))
+            devs.append(np.max(np.abs(rho_ode - rho_map)))
+    worst = np.max(devs)
     assert worst <= 1e-6, f"integrator deviation {worst:.3e}"
     print(
         "[PASS] criterion 7: 10000 CP draws, 0 disagreements; "
@@ -276,8 +272,7 @@ def test_criterion_8_structural_invariants():
     """Trace closure, block positivity, ancilla-count independence, never-hurts,
     gamma invariance."""
     rng = np.random.default_rng(108)
-    worst_trace = 0.0
-    min_eig = math.inf
+    trace_devs, eigs = [], []
     for make in MODELS.values():
         for _ in range(10):
             n = int(rng.integers(1, 7))
@@ -288,16 +283,15 @@ def test_criterion_8_structural_invariants():
             for n_anc in (0, 2):
                 spec = spec_from_amplitude(c1, n, n_anc)
                 ds = evolve_directsum(ghz_strategy(n_anc), spec, params, omega, gt)
-                worst_trace = max(
-                    worst_trace, abs(ds.block_trace() + ds.residual_mass() - 1.0)
-                )
-                min_eig = min(min_eig, float(np.linalg.eigvalsh(ds.block)[0]))
+                trace_devs.append(abs(ds.block_trace() + ds.residual_mass() - 1.0))
+                eigs.append(np.linalg.eigvalsh(ds.block)[0])
+    worst_trace, min_eig = np.max(trace_devs), np.min(eigs)
     assert worst_trace <= 1e-12, f"trace closure dev {worst_trace:.3e}"
     assert min_eig >= -1e-12, f"block eigenvalue {min_eig:.3e}"
 
     # ancilla count must be irrelevant: bitwise for the closed form, 1e-9 for
     # the oracle route
-    worst_oracle_anc = 0.0
+    oracle_anc_devs = []
     for make in MODELS.values():
         model = make(1.0)
         for _ in range(3):
@@ -315,9 +309,8 @@ def test_criterion_8_structural_invariants():
                 qfi_sld_oracle(spec_from_amplitude(c1, n, k), model, gt, 0.4).f_freq
                 for k in (1, 2)
             ]
-            worst_oracle_anc = max(
-                worst_oracle_anc, abs(oracle[0] - oracle[1]) / oracle[0]
-            )
+            oracle_anc_devs.append(abs(oracle[0] - oracle[1]) / oracle[0])
+    worst_oracle_anc = np.max(oracle_anc_devs)
     assert worst_oracle_anc <= 1e-9, f"oracle ancilla dependence {worst_oracle_anc:.3e}"
 
     # an ancilla can never reduce the information
@@ -336,7 +329,7 @@ def test_criterion_8_structural_invariants():
             assert f_anc >= f_free * (1.0 - 1e-12), (make.__name__, n, c1, gt)
 
     # R is a pure function of the model shape, not of the decay rate
-    worst_gamma = 0.0
+    gamma_devs = []
     for make, strategy, n_anc in (
         (adc, StrategyKind.GHZ_FREE, 0),
         (adc, StrategyKind.GHZ_ANCILLA, 1),
@@ -347,7 +340,8 @@ def test_criterion_8_structural_invariants():
         spec = ProbeSpec.balanced(3, n_anc)
         r1 = sensitivity_ratio(spec, make(1.0), strategy)
         r2 = sensitivity_ratio(spec, make(2.7), strategy)
-        worst_gamma = max(worst_gamma, abs(r1 - r2) / r1)
+        gamma_devs.append(abs(r1 - r2) / r1)
+    worst_gamma = np.max(gamma_devs)
     assert worst_gamma <= 1e-9, f"gamma dependence of R {worst_gamma:.3e}"
     print(
         f"[PASS] criterion 8: trace closure {worst_trace:.3e}, block min eig "
