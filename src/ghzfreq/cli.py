@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable
@@ -228,7 +229,7 @@ def _cmd_qfi(ns: argparse.Namespace) -> tuple[str, int]:
         "t": ns.t,
         "omega": ns.omega,
         "f_freq": result.f_freq,
-        "f_over_t": result.f_freq / ns.t,
+        "f_over_t": ns.t * result.f_phase,  # as t * (t * F_phase) forms F
         "qcrb": qcrb,
     }
     if ns.oracle:
@@ -300,10 +301,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "phase-covariant noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse reads an argument as a negative number, and so as a value, only
+    # if it matches its `_negative_number_matcher`, which has no exponent:
+    # `--omega -1e-5` would be a flag. This one takes every negative float.
+    negative_number = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
     def command(name: str, handler, summary: str, rate=_RATE) -> argparse.ArgumentParser:
         """A subcommand run by `handler`; `rate` is the type of --gamma, None for no model."""
         p = sub.add_parser(name, help=summary)
+        p._negative_number_matcher = negative_number
         p.set_defaults(handler=handler)
         if rate is not None:
             p.add_argument("--model", choices=sorted(_MODEL_FACTORIES), required=True)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import inspect
@@ -90,6 +91,28 @@ class TestQfi:
         assert record["f_over_t"] == pytest.approx(
             4 * 0.3 * math.exp(-2 * 0.8 * 0.3), rel=1e-12
         )
+
+    @pytest.mark.parametrize("model", ["adc", "dpc", "pdc"])
+    def test_f_over_t_prints_the_table1_bytes(self, model, monkeypatch, capsys):
+        # qfi's F/t is t F_phase, as table1 forms it, not F / t, which is
+        # (t (t F_phase)) / t and an ulp off one draw in ten. table1 is taken
+        # at qfi's own probe: c2 = sqrt(1 - c1^2) is not balanced's 1/sqrt(2).
+        c1 = 1.0 / math.sqrt(2.0)
+        qfi_probe = ProbeSpec(complex(c1), complex(math.sqrt(1.0 - c1**2)), 1)
+        monkeypatch.setattr(ProbeSpec, "balanced", staticmethod(
+            lambda n, ancillas=0: dataclasses.replace(qfi_probe, n_probes=n, n_ancillas=ancillas)))
+        columns = {"ghz-free": "f_ghz_over_t", "ghz-ancilla": "f_ancilla_over_t",
+                   "uncorrelated": "f_uncorrelated_over_t"}
+        rng = np.random.default_rng(11)
+        for n, t in zip(rng.integers(1, 40, size=20), 10.0 ** rng.uniform(-3.0, 0.5, size=20)):
+            point = ["--model", model, "--gamma", "1", "--n", str(n), "--t", repr(float(t))]
+            code, out, _ = run_capture(["table1", *point], capsys)
+            table = parse_csv(out)[0]
+            for strategy, column in columns.items():
+                code, out, _ = run_capture(["qfi", *point, "--strategy", strategy], capsys)
+                row = parse_csv(out)[0]
+                assert code == 0 and row["f_over_t"] == table[column], (strategy, n, t)
+                assert float(row["f_freq"]) == float(t) * float(row["f_over_t"])
 
     def test_seventeen_digit_cells_round_trip(self, capsys):
         args = ["qfi", "--model", "adc", "--gamma", "1", "--n", "3", "--t", "0.7"]
@@ -1046,6 +1069,36 @@ SPEC_FILE_ERRORS = {
     "null value": (json.dumps({"command": "qfi", "t": None}), "t"),
     "not JSON": ("{'command': 'qfi'}", "JSON"),
 }
+
+
+class TestNegativeFloatFlags:
+    """argparse reads an argument as a value only if its negative-number
+    matcher (`_negative_number_matcher`, a private attribute) matches it; the
+    parser replaces it on every subcommand, so a negative float written with
+    an exponent is a value, not a flag."""
+
+    QFI = ["qfi", "--model", "adc", "--gamma", "1", "--n", "2", "--t", "0.5"]
+
+    def test_the_argparse_internal_is_still_there(self):
+        assert argparse.ArgumentParser()._negative_number_matcher.match("-1") is not None
+        for name, parser in cli._build_parser()._subparsers._group_actions[0].choices.items():
+            assert parser._negative_number_matcher.match("-1e-5") is not None, name
+
+    @pytest.mark.parametrize("flag, column", [("--omega", "omega"), ("--c2-phase", "c2_phase")])
+    @pytest.mark.parametrize("value", ["-1e-5", "-1.7e308", "-2.5E+3", "-.5e1", "-3."])
+    def test_a_separate_negative_value_is_read(self, flag, column, value, capsys):
+        code, out, err = run_capture([*self.QFI, flag, value], capsys)
+        assert (code, err) == (0, "")
+        assert float(parse_csv(out)[0][column]) == float(value)
+        code, same, _ = run_capture([*self.QFI, f"{flag}={value}"], capsys)
+        assert (code, same) == (0, out)
+
+    def test_a_negative_rate_is_named_by_its_check(self, capsys):
+        code, _, err = run_capture(["qfi", *self.QFI[1:3], "--gamma", "-1e-5", *self.QFI[5:]],
+                                   capsys)
+        assert code == 2
+        assert "argument --gamma: need a finite rate >= 0, got -1e-5" in err
+        assert "expected one argument" not in err
 
 
 class TestUsageErrors:
