@@ -447,16 +447,7 @@ class TestRender:
     def test_verify_json_bytes(self, poisoned, monkeypatch, capsys):
         # a NaN criterion value is written as null, never as JSON's invalid NaN
         if poisoned:
-            from ghzfreq import verify
-
-            real, calls = verify.qfi_closed, []
-
-            def nan_second_call(*args):
-                calls.append(None)
-                result = real(*args)
-                return dataclasses.replace(result, f_freq=math.nan) if len(calls) == 2 else result
-
-            monkeypatch.setattr(verify, "qfi_closed", nan_second_call)
+            _poison_second_call(monkeypatch, *VERIFY_POISONS["route_agreement"][:2])
         code, out, err = run_capture(["verify", "--nmax", "2", "--format", "json"], capsys)
         assert (code, err) == (4 if poisoned else 0, "")
 
@@ -880,6 +871,20 @@ VERIFY_POISONS = {
 }
 
 
+def _poison_second_call(monkeypatch, target, poison):
+    """Pass only the second call of verify's `target` through `poison`."""
+    from ghzfreq import verify
+
+    real, calls = getattr(verify, target), []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        result = real(*args, **kwargs)
+        return poison(result) if len(calls) == 2 else result
+
+    monkeypatch.setattr(verify, target, patched)
+
+
 class TestVerify:
     @staticmethod
     def _check(name, monkeypatch, target=None, poison=None):
@@ -888,15 +893,8 @@ class TestVerify:
         from ghzfreq import verify
 
         if target is not None:
-            real = getattr(verify, target)
-            calls = []
-
-            def patched(*args, **kwargs):
-                calls.append(None)
-                result = real(*args, **kwargs)
-                return poison(result) if len(calls) == 2 else result
-
-            monkeypatch.setattr(verify, target, patched)
+            _poison_second_call(monkeypatch, target, poison)
+        # `_check_saturation` reports as readout_saturation
         check = getattr(verify, "_check_" + name.removeprefix("readout_"))
         params = inspect.signature(check).parameters
         rng = np.random.default_rng(3)
