@@ -107,6 +107,7 @@ class TestQfi:
         for n, t in zip(rng.integers(1, 40, size=20), 10.0 ** rng.uniform(-3.0, 0.5, size=20)):
             point = ["--model", model, "--gamma", "1", "--n", str(n), "--t", repr(float(t))]
             code, out, _ = run_capture(["table1", *point], capsys)
+            assert code == 0
             table = parse_csv(out)[0]
             for strategy, column in columns.items():
                 code, out, _ = run_capture(["qfi", *point, "--strategy", strategy], capsys)
