@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .channel import (
+    CP_TOL,
     ChannelParams,
     a_coefficients,
     adc,
@@ -82,13 +83,14 @@ class CheckResult:
 
     @property
     def detail(self) -> str:
-        return "; ".join(f"{label} {value:.3e}" + "".join(
+        # a count, such as cp_boundary's disagreements, prints as an integer
+        return "; ".join(f"{label} {value:{'d' if isinstance(value, int) else '.3e'}}" + "".join(
             f" ({sign} {bound!r})" for sign, bound in ((">=", low), ("<=", high)) if bound is not None
         ) for label, value, low, high in self.criteria)
 
     def as_dict(self) -> dict:
         """The JSON record; a value that is not finite is written as null."""
-        criteria = [{"label": label, "value": float(value) if math.isfinite(value) else None,
+        criteria = [{"label": label, "value": value if math.isfinite(value) else None,
                      "low": low, "high": high} for label, value, low, high in self.criteria]
         return {"name": self.name, "passed": self.passed, "detail": self.detail,
                 "criteria": criteria}
@@ -192,7 +194,7 @@ def _check_cp_boundary(rng: np.random.Generator) -> CheckResult:
     disagreements, devs = 0, []
     for params, lowest in zip(maps, numeric.tolist()):
         devs.append(abs(choi_min_eigenvalue(params) - lowest))
-        disagreements += is_cptp(params) != (lowest >= -_ROUNDING)
+        disagreements += is_cptp(params) != (lowest >= -CP_TOL)
     return CheckResult("cp_boundary", (
         (f"predicate disagreements in {draws} random maps", disagreements, None, 0),
         ("min-eigenvalue routes, max dev", np.max(devs), None, None),

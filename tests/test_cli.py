@@ -913,6 +913,18 @@ class TestVerify:
         assert any(math.isnan(value) for _, value, _, _ in result.criteria)
         assert "nan" in result.detail
 
+    def test_nan_residual_fails_the_trace_closure(self, monkeypatch):
+        # the residual reaches the verdict through state's residual_mass, so
+        # a NaN-skipping sum there would let this draw pass
+        def nan_residual(ds):
+            return dataclasses.replace(ds, residual=ds.residual * math.nan)
+
+        with np.errstate(invalid="ignore"):  # logaddexp.reduce over the NaN residual
+            result = self._check("directsum_consistency", monkeypatch, "evolve_directsum",
+                                 nan_residual)
+        assert not result.passed
+        assert math.isnan(dict((c[0], c[1]) for c in result.criteria)["trace closure"])
+
     @pytest.mark.parametrize("name", VERIFY_POISONS)
     def test_value_just_past_its_bound_fails_the_check(self, name, monkeypatch):
         target, _, past = VERIFY_POISONS[name]
@@ -978,6 +990,10 @@ class TestVerify:
         code, text, _ = run_capture(["verify", "--nmax", "2"], capsys)
         lines = text.splitlines()
         assert code == 0 and lines[-1] == "9/9 checks passed"
+        # a count prints, and is written to JSON, as an integer
+        assert "cp_boundary: predicate disagreements in 2000 random maps 0 (<= 0);" in text
+        assert records[3]["name"] == "cp_boundary"
+        assert type(records[3]["criteria"][0]["value"]) is int
         for record, line in zip(records, lines):
             # each criterion's value lies within its bounds, and the text
             # line reads `label value (<= high)` for it
@@ -987,7 +1003,8 @@ class TestVerify:
                     c["high"] is None or c["value"] <= c["high"])
                 bounds = "".join(f" ({sign} {bound!r})" for sign, bound in
                                  ((">=", c["low"]), ("<=", c["high"])) if bound is not None)
-                assert part == f"{c['label']} {c['value']:.3e}{bounds}"
+                shown = "d" if isinstance(c["value"], int) else ".3e"  # a count as itself
+                assert part == f"{c['label']} {c['value']:{shown}}{bounds}"
 
 
 class TestRepeatedCalls:
