@@ -439,6 +439,18 @@ def _jump_operators(model: NoiseModel) -> list[np.ndarray]:
     raise ValueError(f"model kind {model.kind!r} has no Lindblad form")
 
 
+def _check_density(rho: np.ndarray, name: str) -> None:
+    """Raise ValueError, naming the matrix `name`, unless the square matrix `rho`
+    is Hermitian and of unit trace: every entry of rho - rho^H within 1e-12
+    and tr(rho) within 1e-10 of 1. A NaN entry fails."""
+    hermitian, trace = 1e-12, 1e-10
+    if not np.abs(rho - rho.conj().T).max() <= hermitian:
+        raise ValueError(f"{name} is not Hermitian within {hermitian!r}")
+    tr = complex(np.trace(rho))
+    if not abs(tr - 1.0) <= trace:
+        raise ValueError(f"{name} trace {tr} is not 1 within {trace!r}")
+
+
 def integrate_master_equation(
     model: NoiseModel,
     omega: float,
@@ -464,10 +476,7 @@ def integrate_master_equation(
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise ValueError(f"rho0 must be 2x2, got shape {rho0.shape}")
-    if abs(rho0[0, 1] - np.conj(rho0[1, 0])) > 1e-12 or abs(rho0[0, 0].imag) > 1e-12:
-        raise ValueError("rho0 is not Hermitian")
-    if abs(np.trace(rho0) - 1.0) > 1e-10:
-        raise ValueError(f"rho0 trace {np.trace(rho0)} is not 1")
+    _check_density(rho0, "rho0")
     jumps = _jump_operators(model)
     h = 0.5 * omega * _pauli_operators()[2]
     dt = t / steps

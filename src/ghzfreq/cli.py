@@ -275,18 +275,9 @@ def _cmd_channel(ns: argparse.Namespace) -> tuple[str, int]:
         "model": ns.model,
         "gamma": ns.gamma,
         "t": ns.t,
-        "theta_noise": params.theta_noise,
-        "eta_perp": params.eta_perp,
-        "eta_par": params.eta_par,
-        "kappa": params.kappa,
-        "a_pp": a.a_pp,
-        "a_pm": a.a_pm,
-        "a_mp": a.a_mp,
-        "a_mm": a.a_mm,
-        "choi_eig_0": eigs[0],
-        "choi_eig_1": eigs[1],
-        "choi_eig_2": eigs[2],
-        "choi_eig_3": eigs[3],
+        **vars(params),
+        **vars(a),
+        **{f"choi_eig_{i}": eig for i, eig in enumerate(eigs)},
         "cptp": is_cptp(params),
     }
     return _render([record], ns.format), 0

@@ -52,10 +52,10 @@ class QfiResult:
 def _log_f_phase(probe, model: NoiseModel, t, xp, slope: bool):
     """(log F_phase, d/dt log F_phase or None) at t of the probe record
     `probe` (`state._Probe`): floats for one probe at a float or an array t,
-    or (rows, 1) columns against a (rows, points) t, one row per probe. The
-    slope reads again each block term (`state._block_log_terms`) of log r0."""
-    n = probe.n
-    power = n if probe.terms else 1
+    or (rows, 1) columns against a (rows, points) t, one row per probe. P, the
+    record's `power`, multiplies 2 log|eta_perp| and its slope. The slope
+    reads again each block term (`state._block_log_terms`) of log r0."""
+    n, power = probe.n, probe.power
     (log_eta, log_half, _, _), d_eta, d_half = _log_channel(model, t, xp, slope)
     d_f = None
     if slope and d_eta is not None:

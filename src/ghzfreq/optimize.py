@@ -85,8 +85,8 @@ __all__ = [
 ]
 
 SCAN_POINTS = 200
-# the scan window in x = gamma t; for the GHZ strategies the lower edge is
-# also divided by N, since their optimum sits near x = 1/N
+# the scan window in x = gamma t; its lower edge is divided by the record's P,
+# N for the GHZ strategies, since their optimum sits near x = 1/N
 SCAN_WINDOW = (1e-4, 1e2)
 GUESS_REL_WIDTH = 6e-3  # half-width, relative, of the first slope window
 REFINE_REL_WIDTH = 1e-8  # bracket width, relative, at which the slope is interpolated
@@ -247,7 +247,7 @@ def _constant_slope(probe, model: NoiseModel):
     That is so when the derivative record of `channel._log_channel` at unit
     rate has a constant d/dx log|eta_perp| and a d/dx log(A/2) of exactly
     0.0 for every live block term (`state._block_log_terms`): then r = 2 P
-    d/dx log|eta_perp|, with P = N for a GHZ row and 1 otherwise, as
+    d/dx log|eta_perp|, with the record's P (N for a GHZ row, 1 otherwise), as
     `fisher._log_f_phase` writes the slope: r = -1 (adc) or -2 (dpc, pdc)
     for an uncorrelated row and -2N for a pdc GHZ row. x_opt is formed as
     -0.5 / (P d/dx log|eta_perp|), so 2N never overflows. The record is
@@ -260,8 +260,7 @@ def _constant_slope(probe, model: NoiseModel):
     live, _ = _block_log_terms(probe, log_half)
     if not all(isinstance(d_half[pole], float) and d_half[pole] == 0.0 for pole, _, _ in live):
         return None
-    power = probe.n[:, 0] if probe.terms else np.ones(len(probe.n))
-    return -0.5 / (power * d_eta)
+    return -0.5 / (probe.power[:, 0] * d_eta)
 
 
 def _check_profile(values, probe, model: NoiseModel, peak=None) -> None:
@@ -337,9 +336,7 @@ def _searched_optima(f, probe, model: NoiseModel) -> np.ndarray:
     """x_opt of each row by the geometric scan of log(gamma F/t) = log x + f(x)
     over its window in x = gamma t, checked by `_check_profile`, and the slope
     search between the scan points either side of the peak (`_slope_roots`)."""
-    lo = np.full(len(probe.kinds), SCAN_WINDOW[0])
-    if probe.terms:
-        lo /= probe.n[:, 0]
+    lo = SCAN_WINDOW[0] / probe.power[:, 0]
     _check_normal([(f"the scan window's lower edge gamma*t = {SCAN_WINDOW[0]!r}/N", lo)],
                   _at_row(probe, model))
     log_lo = np.log(lo)
@@ -379,14 +376,31 @@ def maximize_f_over_t(
     return float(t_opt[0]), float(best[0])
 
 
+def _uncorrelated_f_over_t(probes: Sequence[int], best_single: float, single: ProbeSpec,
+                           model: NoiseModel) -> np.ndarray:
+    """The uncorrelated F/t = N (F/t)_1 of each N of `probes`, from the one-probe
+    optimum of the probe `single`, checked to be normal doubles; a failing row
+    is named from a record of its own, built only then."""
+    with np.errstate(over="ignore"):
+        best_unc = np.array(probes, dtype=float) * best_single
+    _check_normal([("F/t", best_unc)], lambda r: _at_row(
+        _probe_columns([StrategyKind.UNCORRELATED], [probes[r]], single), model)(0))
+    return best_unc
+
+
 def sensitivity_ratio(
     spec: ProbeSpec, model: NoiseModel, strategy: StrategyKind
 ) -> float:
-    """R = max_t(F_uncorrelated/t) / max_t(F_strategy/t) at equal probe count."""
+    """R = max_t(F_uncorrelated/t) / max_t(F_strategy/t) at equal probe count N.
+
+    The uncorrelated maximum is N times that of one probe, formed as N (F/t)_1
+    / (F/t) from the one-probe optimum, the `ratio_r` of `sweep` to the bit.
+    """
     if strategy is StrategyKind.UNCORRELATED:
         raise ValueError("compare a correlated strategy against the uncorrelated one")
-    unc_spec = ProbeSpec(spec.c1, spec.c2, spec.n_probes)
-    _, best_unc = maximize_f_over_t(StrategyKind.UNCORRELATED, unc_spec, model)
+    single = ProbeSpec(spec.c1, spec.c2, 1)
+    _, best_single = maximize_f_over_t(StrategyKind.UNCORRELATED, single, model)
+    (best_unc,) = _uncorrelated_f_over_t([spec.n_probes], best_single, single, model).tolist()
     _, best = maximize_f_over_t(strategy, spec, model)
     return best_unc / best
 
@@ -408,7 +422,8 @@ def sweep(
     rows are optimized in batches of at most BATCH_ROWS consecutive rows,
     each one record with a strategy and an N column (`_maximize_rows`),
     pdc's in closed form and the others by the scan and slope search; a
-    row's result does not depend on the batch it falls in. N, each batch's
+    row's result does not depend on the batch it falls in. Each GHZ row's R is
+    N (F/t)_1 / (F/t), what `sensitivity_ratio` gives to the bit. N, each batch's
     uncorrelated F/t and its ratios R are checked to be normal doubles
     (`channel._check_normal`), so a failure names its row. The saturation
     gap is evaluated at the optimum x_opt = gamma t_opt as `_unit_rate`
@@ -425,50 +440,39 @@ def sweep(
         raise ValueError("no strategies selected")
     c2 = math.sqrt(max(0.0, 1.0 - abs(c1) ** 2))
     single = ProbeSpec(c1, c2, 1)
-    uncorrelated = [StrategyKind.UNCORRELATED]
     x_unc, t_unc, best_single, _ = (float(v[0]) for v in _maximize_rows(
-        _probe_columns(uncorrelated, [1], single), model))
+        _probe_columns([StrategyKind.UNCORRELATED], [1], single), model))
     unit, divisor = _unit_rate(model)
     if StrategyKind.UNCORRELATED in chosen:
         _, _, gap_unc = saturation_check(single, unit, x_unc / divisor, omega=0.0)
     correlated = [s for s in chosen if s.correlated]
-    per_chunk = max(1, BATCH_ROWS // max(1, len(correlated)))
+    k = len(correlated)
+    per_chunk = max(1, BATCH_ROWS // max(1, k))
     rows = []
     for first in range(n_min, n_max + 1, per_chunk):
         probes = range(first, min(first + per_chunk, n_max + 1))
-        optima = iter(())
         if correlated:
             # N ascending, the strategies of each N in declaration order
             ns = [n for n in probes for _ in correlated]
             probe = _probe_columns(correlated * len(probes), ns, single)
             x_opt, t_opt, best, log_f = _maximize_rows(probe, model)
-        with np.errstate(over="ignore"):  # the uncorrelated F/t is N times one probe's
-            best_unc = np.array(probes, dtype=float) * best_single
-            ratio = best_unc.repeat(len(correlated)) / best if correlated else None
-        # a failing row is named from a record of its own, built only then
-        _check_normal([("F/t", best_unc)], lambda r: _at_row(
-            _probe_columns(uncorrelated, [probes[r]], single), model)(0))
+        best_unc = _uncorrelated_f_over_t(probes, best_single, single, model)
+        optima = []  # (t_opt, F/t, R, gap) of each GHZ row, in the batch's order
         if correlated:
+            with np.errstate(over="ignore"):
+                ratio = best_unc.repeat(k) / best
             _check_normal([("ratio_r", ratio)], _at_row(probe, model))
             at = x_opt[:, None] / divisor
             _, gaps = _saturation_gaps(probe, unit, at, log_f[:, None], 0.0, np)
-            optima = zip(t_opt.tolist(), best.tolist(), ratio.tolist(), gaps[:, 0].tolist())
-        for n, best_n in zip(probes, best_unc.tolist()):
-            for strategy in chosen:
-                if strategy is StrategyKind.UNCORRELATED:
-                    t_opt, best, ratio, gap = t_unc, best_n, 1.0, gap_unc
-                else:
-                    t_opt, best, ratio, gap = next(optima)
-                rows.append(SweepRow(
-                    n=n,
-                    strategy=strategy,
-                    model=model.kind,
-                    gamma=model.gamma,
-                    t_opt=t_opt,
-                    f_over_t_max=best,
-                    ratio_r=ratio,
-                    saturation_gap=gap,
-                ))
+            optima = list(zip(t_opt.tolist(), best.tolist(), ratio.tolist(), gaps[:, 0].tolist()))
+        # one (t_opt, F/t, R, gap) column per chosen strategy, one entry per N
+        columns = [
+            optima[correlated.index(strategy)::k] if strategy.correlated
+            else [(t_unc, best_n, 1.0, gap_unc) for best_n in best_unc.tolist()]
+            for strategy in chosen
+        ]
+        rows += [SweepRow(n, strategy, model.kind, model.gamma, *column[i])
+                 for i, n in enumerate(probes) for strategy, column in zip(chosen, columns)]
     return rows
 
 

@@ -7,8 +7,10 @@ Each `StrategyKind` member is the one place that says what its strategy
 is: its data lives on the member. From it, `_probe` builds the one record
 of a probe that the closed form, the optimizer and the readout read, and
 `_probe_columns` the record of a batch: a strategy and an N column, one
-row each, and the amplitudes that all rows share. A failing row is named
-from its record (`_row_name`). Read from a record are the coherence block
+row each, and the amplitudes that all rows share. The record is the one
+place that decides P, the noiseless information being 4 |c1 c2|^2 N P: N
+where the N probes share one coherence block, else 1. A failing row is
+named from its record (`_row_name`). Read from a record are the coherence block
 alone (`coherence_block`, O(1) in N) and the whole direct sum of either GHZ
 strategy (`evolve_directsum(kind, ...)`). A full density-matrix evolution
 (the oracle route, which reads no strategy data) and a comparator between
@@ -26,6 +28,7 @@ from ._numpy import np
 from .channel import (
     ChannelParams,
     NoiseModel,
+    _check_density,
     _check_normal,
     _FloatMath,
     _log_channel,
@@ -208,11 +211,7 @@ class DenseState:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match {self.n_qubits} qubits"
             )
-        if np.abs(self.matrix - self.matrix.conj().T).max() > 1e-12:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = complex(np.trace(self.matrix))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {tr} is not 1 within 1e-10")
+        _check_density(self.matrix, "density matrix")
 
 
 def _check_cap(n_qubits: int) -> None:
@@ -235,13 +234,14 @@ def ghz_state(spec: ProbeSpec) -> DenseState:
 class _Probe(NamedTuple):
     """What the coherence block and the closed form read of a probe: floats for
     one probe (`_probe`), or a batch (`_probe_columns`) with (rows, 1) columns
-    of log w, N and log F0, which broadcast against a (rows, points) array of times."""
+    of log w, N, P and log F0, which broadcast against a (rows, points) array of times."""
 
     kinds: Sequence[StrategyKind]  # the strategy of each row
     terms: tuple[tuple[int, int, int], ...]  # block terms (weight, pole, side), see StrategyKind
     w: tuple[float, float]  # (|c1|^2, |c2|^2)
     log_w: tuple  # log w of each term, indexed as terms; -inf for a term w = 0 or absent
     n: int | np.ndarray  # the probe count N
+    power: int | np.ndarray  # P: N if the N probes share one block (block terms), else 1
     c12: complex  # c1 conj(c2)
     log_f0: float | np.ndarray  # log F_phase of the noiseless probe, see `_log_noiseless`
 
@@ -271,8 +271,9 @@ def _probe(kind: StrategyKind, spec: ProbeSpec) -> _Probe:
     w, log_w = _log_weights(spec)
     log_w = tuple([log_w[weight] for weight, _, _ in terms])
     n = spec.n_probes
-    return _Probe((kind,), terms, w, log_w, n, spec.c1 * spec.c2.conjugate(),
-                  _log_noiseless(w, n, n if terms else 1, _FloatMath))
+    power = n if terms else 1
+    return _Probe((kind,), terms, w, log_w, n, power, spec.c1 * spec.c2.conjugate(),
+                  _log_noiseless(w, n, power, _FloatMath))
 
 
 def _probe_columns(kinds: Sequence[StrategyKind], ns: Sequence[int], spec: ProbeSpec) -> _Probe:
@@ -294,10 +295,11 @@ def _probe_columns(kinds: Sequence[StrategyKind], ns: Sequence[int], spec: Probe
     )
     columns = table.T[:, [present.index(kind) for kind in kinds], None]
     n = np.array(ns, dtype=float)[:, None]
+    power = n if terms else np.ones_like(n)
     with np.errstate(divide="ignore", over="ignore"):  # a zero weight, or N P past the doubles
-        log_f0 = _log_noiseless(w, n, n if terms else 1, np)
-    return _Probe(kinds, terms, w, tuple(columns), n, complex(spec.c1 * spec.c2.conjugate()),
-                  log_f0)
+        log_f0 = _log_noiseless(w, n, power, np)
+    return _Probe(kinds, terms, w, tuple(columns), n, power,
+                  complex(spec.c1 * spec.c2.conjugate()), log_f0)
 
 
 def _block_log_terms(probe: _Probe, log_half) -> tuple[list, list]:

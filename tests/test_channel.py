@@ -377,8 +377,16 @@ class TestMasterEquation:
      "rho0 must be 2x2, got shape (3, 3)"),
     (lambda: integrate_master_equation(adc(1.0), 0.0, 1.0, np.eye(2), 10),
      "rho0 trace (2+0j) is not 1"),
+    # the trace is within 1e-10 of 1, but the diagonal is not real
+    (lambda: integrate_master_equation(
+        adc(1.0), 0.0, 1.0, np.array([[0.5, 0.0], [0.0, 0.5 + 5e-11j]]), 10),
+     "rho0 is not Hermitian within 1e-12"),
+    (lambda: integrate_master_equation(
+        adc(1.0), 0.0, 1.0, np.array([[math.nan, 0.0], [0.0, 0.5]]), 10),
+     "rho0 is not Hermitian within 1e-12"),
 ], ids=["model_kind", "model_gamma_inf", "model_gamma_negative", "bloch_shape",
-        "master_equation_t", "master_equation_shape", "master_equation_trace"])
+        "master_equation_t", "master_equation_shape", "master_equation_trace",
+        "master_equation_hermitian", "master_equation_nan"])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

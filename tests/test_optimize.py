@@ -288,6 +288,13 @@ class TestSensitivityRatio:
         b = sensitivity_ratio(ProbeSpec.balanced(3), dpc(2.9), StrategyKind.GHZ_FREE)
         assert a == pytest.approx(b, rel=1e-9)
 
+    def test_uncorrelated_overflow_is_named(self):
+        # N (F/t)_1 leaves the doubles though one probe's F/t does not
+        with pytest.raises(ValueError, match=re.escape(
+                "F/t overflows double precision at gamma=5.6e-307: "
+                "strategy=uncorrelated model=dpc n=10815")):
+            sensitivity_ratio(ProbeSpec.balanced(10815), dpc(5.6e-307), StrategyKind.GHZ_FREE)
+
     def test_uncorrelated_compared_to_itself_rejected(self):
         with pytest.raises(ValueError):
             sensitivity_ratio(ProbeSpec.balanced(2), adc(1.0), StrategyKind.UNCORRELATED)
@@ -548,8 +555,9 @@ class TestBatch:
 )
 def test_sweep_rows_equal_the_one_row_calls(make, log_gamma, c1, n_min, width):
     """Every `sweep` row is the one-row `maximize_f_over_t` and, at its
-    t_opt, `saturation_check`; the uncorrelated rows quote one probe's,
-    whose gap is formed at x = gamma t_opt and so is that of gamma = 1."""
+    t_opt, `saturation_check`, and its R is `sensitivity_ratio` to the bit;
+    the uncorrelated rows quote one probe's, whose gap is formed at
+    x = gamma t_opt and so is that of gamma = 1."""
     model = make(10.0**log_gamma)
     c2 = math.sqrt(1.0 - c1 * c1)
     single = ProbeSpec(c1, c2, 1)
@@ -563,9 +571,24 @@ def test_sweep_rows_equal_the_one_row_calls(make, log_gamma, c1, n_min, width):
         spec = ProbeSpec(c1, c2, row.n, row.strategy.default_ancillas)
         t_opt, best = maximize_f_over_t(row.strategy, spec, model)
         assert (row.t_opt, row.f_over_t_max) == (t_opt, best)
-        assert row.ratio_r == row.n * best_single / best
+        assert row.ratio_r == sensitivity_ratio(spec, model, row.strategy)
         _, _, gap = saturation_check(spec, model, t_opt, 0.0)
         assert abs(row.saturation_gap - gap) <= 2e-15
+
+
+@pytest.mark.parametrize("make", [adc, dpc, pdc])
+def test_custom_wrapper_ratios_are_sensitivity_ratio(make):
+    # a custom model takes the searched route for every row, the uncorrelated
+    # one-probe optimum included
+    named = make(1.3)
+    wrapped = custom(lambda t: params_at(named, t), named.gamma)
+    c1 = 0.6
+    c2 = math.sqrt(1.0 - c1 * c1)
+    for row in sweep(wrapped, 1, 16, c1=c1):
+        if row.strategy.correlated:
+            spec = ProbeSpec(c1, c2, row.n, row.strategy.default_ancillas)
+            assert row.ratio_r == sensitivity_ratio(spec, wrapped, row.strategy), row.n
+
 
 @pytest.mark.parametrize("make", [adc, dpc])
 @pytest.mark.parametrize("c1", [1e-6, 0.05, 0.999])

@@ -360,9 +360,11 @@ def _short_residual():
     (lambda: DenseState(np.array([[0.5, 0.1], [0.0, 0.5]]), 1),
      "density matrix is not Hermitian within 1e-12"),
     (lambda: DenseState(np.eye(2), 1), "density matrix trace (2+0j) is not 1 within 1e-10"),
+    (lambda: DenseState(np.diag([math.nan, 0.5]), 1),
+     "density matrix is not Hermitian within 1e-12"),
     (_short_residual, "residual entry count does not match the class layout"),
 ], ids=["spec_ancillas", "spec_n_beyond_the_doubles", "dense_shape", "dense_hermitian",
-        "dense_trace", "residual_count"])
+        "dense_trace", "dense_nan", "residual_count"])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -429,11 +431,11 @@ _GHZ_KINDS = [kind for kind in StrategyKind if kind.correlated]
 def test_batch_record_rows_are_the_one_probe_records(rows, c1, phase):
     """Row r of `_probe_columns(kinds, ns, spec)` is the one-probe `_probe` of
     its strategy on ns[r] probes, bit for bit, with log weight -inf for a
-    term of the batch that its strategy lacks."""
+    term of the batch that its strategy lacks; P is N or 1 as the record says."""
     kinds, ns = [kind for kind, _ in rows], [n for _, n in rows]
     c2 = math.sqrt(1.0 - c1 * c1) * complex(math.cos(phase), math.sin(phase))
     record = state._probe_columns(kinds, ns, ProbeSpec(c1, c2, 1))
-    assert record.n.shape == (len(rows), 1)
+    assert record.n.shape == record.power.shape == (len(rows), 1)
     assert all(column.shape == (len(rows), 1) for column in record.log_w)
     for r, (kind, n) in enumerate(rows):
         one = state._probe(kind, ProbeSpec(c1, c2, n, kind.default_ancillas))
@@ -441,6 +443,7 @@ def test_batch_record_rows_are_the_one_probe_records(rows, c1, phase):
         assert set(one.terms) <= set(record.terms)
         assert record.w == one.w and record.c12 == one.c12
         assert record.n[r, 0] == one.n
+        assert record.power[r, 0] == one.power == (n if kind.correlated else 1)
         own = dict(zip(one.terms, one.log_w))
         for term, column in zip(record.terms, record.log_w):
             assert column[r, 0] == own.get(term, -math.inf), (r, term)

@@ -3,6 +3,8 @@
 import importlib.util
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_corpus.py"
@@ -116,7 +118,7 @@ def test_compare_summarizes_two_corpora(tmp_path, capsys):
     for name, corpus in (("old", old), ("new", new)):
         paths.append(tmp_path / f"{name}.jsonl")
         paths[-1].write_text("".join(json.dumps(run) + "\n" for run in corpus))
-    tool.main(["--compare", *map(str, paths)])
+    assert tool.main(["--compare", *map(str, paths)]) == 1
     report = capsys.readouterr().out
     assert report.startswith("1 of 6 runs identical\n")
     assert "exit-code changes: 1\n  0 -> 3: sweep" in report
@@ -132,3 +134,20 @@ def test_compare_groups_table1_rows_by_model():
     new = [_run(argv, 0, header + "dpc,2,2.5\n")]
     assert tool.compare(old, new)["moves"] == {
         ("table1", "f_ghz_over_t", "dpc"): [0.25, " ".join(argv), 0.5, " ".join(argv)]}
+
+
+def test_compare_exit_code_says_whether_every_run_is_identical(tmp_path):
+    # the process exit code alone gates a "bytes unchanged" claim
+    argv = ["qfi", "--model", "adc", "--gamma", "1", "--n", "2", "--t", "0.3"]
+    corpora = {"old": [_run(argv, 0, "f\n1\n")], "same": [_run(argv, 0, "f\n1\n")],
+               "moved": [_run(argv, 0, "f\n1.0000000000000002\n")]}
+    for name, corpus in corpora.items():
+        (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in corpus))
+
+    def compare(new):
+        return subprocess.run([sys.executable, str(TOOL), "--compare", str(tmp_path / "old.jsonl"),
+                               str(tmp_path / f"{new}.jsonl")], capture_output=True, text=True)
+
+    same, moved = compare("same"), compare("moved")
+    assert (same.returncode, same.stdout.splitlines()[0]) == (0, "1 of 1 runs identical")
+    assert (moved.returncode, moved.stdout.splitlines()[0]) == (1, "0 of 1 runs identical")

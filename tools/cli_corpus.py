@@ -32,7 +32,9 @@ two runs and a comparison:
     PYTHONPATH=new/src python tools/cli_corpus.py --out new.jsonl
     python tools/cli_corpus.py --compare old.jsonl new.jsonl
 
-`--compare` summarizes two corpora of the same argvs: how many runs are
+`--compare` exits 1 when any run differs and 0 when every run is
+identical, so it alone decides whether two trees print the same bytes. It
+summarizes two corpora of the same argvs: how many runs are
 identical, each exit-code change with its argv, the stderr-only changes
 grouped by message (numbers read as #), and the largest relative and
 absolute move of each numeric column per command and strategy (per model
@@ -273,7 +275,9 @@ def _load(path: str) -> list[dict]:
         return [json.loads(line) for line in stream]
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None) -> int:
+    """Run the command line; the exit code is 1 when `--compare` finds a run that
+    differs, else 0."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--start", type=int, default=0, help="index of the first run")
@@ -283,14 +287,16 @@ def main(argv: list[str] | None = None) -> None:
                         help="summarize two corpora instead of writing one")
     ns = parser.parse_args(argv)
     if ns.compare:
-        _report(compare(*map(_load, ns.compare)), sys.stdout)
-        return
+        summary = compare(*map(_load, ns.compare))
+        _report(summary, sys.stdout)
+        return int(summary["identical"] != summary["runs"])
     if ns.out is None:
         write_corpus(ns.seed, ns.start, ns.runs, sys.stdout)
-        return
+        return 0
     with open(ns.out, "w") as stream:
         write_corpus(ns.seed, ns.start, ns.runs, stream)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
