@@ -442,9 +442,14 @@ def _jump_operators(model: NoiseModel) -> list[np.ndarray]:
 def _check_density(rho: np.ndarray, name: str) -> None:
     """Raise ValueError, naming the matrix `name`, unless the square matrix `rho`
     is Hermitian and of unit trace: every entry of rho - rho^H within 1e-12
-    and tr(rho) within 1e-10 of 1. A NaN entry fails."""
+    and tr(rho) within 1e-10 of 1. A NaN entry fails. rho - rho^H is formed
+    one block of rows at a time, about 2^16 entries each, so the check of a
+    large matrix allocates no temporary of its size."""
     hermitian, trace = 1e-12, 1e-10
-    if not np.abs(rho - rho.conj().T).max() <= hermitian:
+    rows = max(1, 2**16 // len(rho))
+    worst = np.max([np.abs(rho[i:i + rows] - rho[:, i:i + rows].conj().T).max()
+                    for i in range(0, len(rho), rows)])
+    if not worst <= hermitian:
         raise ValueError(f"{name} is not Hermitian within {hermitian!r}")
     tr = complex(np.trace(rho))
     if not abs(tr - 1.0) <= trace:

@@ -363,7 +363,14 @@ def run(argv: list[str] | None = None) -> int:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader is gone; the run's exit code still stands
+            import os  # needed on this path only
+
+            # the interpreter flushes stdout again at exit, so point it at devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

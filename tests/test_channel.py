@@ -23,6 +23,7 @@ from ghzfreq.channel import (
     superoperator,
 )
 from ghzfreq.channel import (
+    _check_density,
     _check_normal,
     _FloatMath,
     _jump_operators,
@@ -390,3 +391,50 @@ class TestMasterEquation:
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def _hermitian_1024():
+    """A 2^10 x 2^10 matrix of unit trace, exactly Hermitian, with every
+    off-diagonal entry nonzero."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+    np.fill_diagonal(a, 0.0)
+    return np.eye(1024) / 1024 + 1e-5 * (a + a.conj().T)
+
+
+def _changed(*changes):
+    """`_hermitian_1024()` with each (index, change) added."""
+    rho = _hermitian_1024()
+    for index, change in changes:
+        rho[index] += change
+    return rho
+
+
+_NOT_HERMITIAN = "density matrix is not Hermitian within 1e-12"
+
+
+class TestDensityCheckOfALargeMatrix:
+    """`_check_density` forms rho - rho^H a block of rows at a time; each
+    verdict and message is the one of the whole-matrix difference."""
+
+    @pytest.mark.parametrize("rho, message", [
+        # an anti-Hermitian pair in the last row block: |rho - rho^H| = 2e-12, then 5e-13
+        (lambda: _changed(((-1, -2), 1e-12), ((-2, -1), -1e-12)), _NOT_HERMITIAN),
+        (lambda: _changed(((-1, -2), 2.5e-13), ((-2, -1), -2.5e-13)), None),
+        # a NaN whose row and column both lie in the first, a middle, the last row block
+        (lambda: _changed(((0, 1), math.nan)), _NOT_HERMITIAN),
+        (lambda: _changed(((512, 513), math.nan)), _NOT_HERMITIAN),
+        (lambda: _changed(((-1, -2), math.nan)), _NOT_HERMITIAN),
+        (lambda: _changed(((0, 0), 2e-10)),
+         "density matrix trace (1.0000000002+0j) is not 1 within 1e-10"),
+        (_hermitian_1024, None),
+    ], ids=["defect_2e-12", "defect_5e-13", "nan_first_block", "nan_middle_block",
+            "nan_last_block", "trace", "hermitian"])
+    def test_verdict_and_message(self, rho, message):
+        matrix = rho()
+        if message is None:
+            _check_density(matrix, "density matrix")
+            return
+        with pytest.raises(ValueError) as raised:
+            _check_density(matrix, "density matrix")
+        assert str(raised.value) == message

@@ -1246,6 +1246,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
 
+    def test_closed_stdout_keeps_the_exit_code(self):
+        # `ghzfreq qfi ... | true`: the reader is gone before the first write
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ghzfreq", "qfi", "--model", "adc", "--gamma", "1",
+                 "--n", "3", "--t", "0.2"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=module_env(),
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
 
 # Runs each argv of the JSON list in argv[1] through `cli.run` in this one
 # process and prints, as JSON, whether numpy's core was loaded after the

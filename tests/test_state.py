@@ -1,6 +1,7 @@
 import collections
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,7 +229,55 @@ def pauli_round_trip(rho, n, qubit, s):
     return out.reshape(rho.shape)
 
 
+def einsum_evolution(spec, params, omega, t):
+    """The channel on each probe qubit as one einsum over the matrix's row and
+    column index of that qubit: the contraction that `evolve_dense` reorders."""
+    n = spec.n_total
+    k = state._liouville_tensor(superoperator(params, omega, t))
+    rho = ghz_state(spec).matrix
+    for q in range(spec.n_probes):
+        view = (2**q, 2, 2 ** (n - q - 1))
+        rho = np.einsum("ijkl,akbcld->aibcjd", k, rho.reshape(view + view), optimize=True)
+        rho = rho.reshape(2**n, 2**n)
+    return rho
+
+
 class TestDenseEvolution:
+    # the one case whose entries are not bit-identical to the einsum's, with
+    # its measured max |delta|: a different order of the same four products
+    EINSUM_MOVES = {("dpc", 1, 0, 0.6): 1.1102230246251565e-16}
+
+    @pytest.mark.parametrize("name, make", [
+        ("adc", adc), ("dpc", dpc), ("pdc", pdc), ("custom", lambda g: custom(_rotating_rule, g)),
+    ], ids=["adc", "dpc", "pdc", "custom"])
+    def test_matches_the_einsum_contraction(self, name, make):
+        t = 0.3
+        params = params_at(make(1.0), t)
+        for n, n_anc in [(10, 0), (9, 1), (2, 2), (8, 0), (6, 1), (1, 0), (3, 4), (5, 0)]:
+            for c1 in (0.6, 0.35):
+                spec = ProbeSpec(c1, math.sqrt(1.0 - c1 * c1), n, n_anc)
+                got = evolve_dense(spec, params, 0.4, t).matrix
+                want = einsum_evolution(spec, params, 0.4, t)
+                dev = np.max(np.abs(got - want))
+                assert dev <= 1e-15
+                assert np.array_equal(got == 0.0, want == 0.0)
+                moved = self.EINSUM_MOVES.get((name, n, n_anc, c1))
+                if moved is None:
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                else:
+                    assert dev == moved
+
+    def test_peak_memory_is_two_buffers(self):
+        # one 2^10 x 2^10 complex matrix is 16 MiB; the two buffers are the whole peak
+        spec, params = ProbeSpec.balanced(10), params_at(dpc(1.0), 0.3)
+        tracemalloc.start()
+        try:
+            evolve_dense(spec, params, 0.7, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 16 * 2**20
+
     @pytest.mark.parametrize("make", [adc, dpc, pdc])
     def test_matches_pauli_round_trip(self, make):
         rng = np.random.default_rng(17)

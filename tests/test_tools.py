@@ -3,6 +3,7 @@
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -151,3 +152,21 @@ def test_compare_exit_code_says_whether_every_run_is_identical(tmp_path):
     same, moved = compare("same"), compare("moved")
     assert (same.returncode, same.stdout.splitlines()[0]) == (0, "1 of 1 runs identical")
     assert (moved.returncode, moved.stdout.splitlines()[0]) == (1, "0 of 1 runs identical")
+
+
+def test_compare_into_a_closed_stdout_keeps_its_verdict(tmp_path):
+    # under `pipefail`, `--compare A A | true` must still say "identical"
+    argv = ["qfi", "--model", "adc", "--gamma", "1", "--n", "2", "--t", "0.3"]
+    for name, stdout in [("old", "f\n1\n"), ("same", "f\n1\n"), ("moved", "f\n2\n")]:
+        (tmp_path / f"{name}.jsonl").write_text(json.dumps(_run(argv, 0, stdout)) + "\n")
+    for new, code in [("same", 0), ("moved", 1)]:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, str(TOOL), "--compare", str(tmp_path / "old.jsonl"),
+                 str(tmp_path / f"{new}.jsonl")],
+                stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, "")

@@ -50,6 +50,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -275,6 +276,17 @@ def _load(path: str) -> list[dict]:
         return [json.loads(line) for line in stream]
 
 
+def _to_stdout(write) -> None:
+    """Call write(sys.stdout) and flush. A reader that closed the pipe ends the
+    output there; the interpreter's flush at exit then goes to os.devnull, so
+    the exit code stays the command's own."""
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the command line; the exit code is 1 when `--compare` finds a run that
     differs, else 0."""
@@ -288,10 +300,10 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     if ns.compare:
         summary = compare(*map(_load, ns.compare))
-        _report(summary, sys.stdout)
+        _to_stdout(lambda out: _report(summary, out))
         return int(summary["identical"] != summary["runs"])
     if ns.out is None:
-        write_corpus(ns.seed, ns.start, ns.runs, sys.stdout)
+        _to_stdout(lambda out: write_corpus(ns.seed, ns.start, ns.runs, out))
         return 0
     with open(ns.out, "w") as stream:
         write_corpus(ns.seed, ns.start, ns.runs, stream)
