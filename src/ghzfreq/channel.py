@@ -18,7 +18,6 @@ custom, enters the log-space closed forms and the coherence block.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -238,7 +237,7 @@ class _FloatMath:
     double, `log` returns -inf at 0, `fmax` ignores NaN, `minimum`
     propagates it, `divide` gives inf or NaN at a zero divisor and `where`
     picks one of two values, as their numpy counterparts do under
-    np.errstate, which is a no-op here.
+    np.errstate; none warns, so a float caller enters no errstate.
     """
 
     expm1, log1p, maximum, cos, sin = math.expm1, math.log1p, max, math.cos, math.sin
@@ -254,10 +253,6 @@ class _FloatMath:
     @staticmethod
     def where(condition: bool, a: float, b: float) -> float:
         return a if condition else b
-
-    @staticmethod
-    def errstate(**_) -> contextlib.nullcontext:
-        return contextlib.nullcontext()
 
     @staticmethod
     def flatnonzero(value: bool) -> list[int]:

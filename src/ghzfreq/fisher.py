@@ -150,7 +150,7 @@ def _scaled(strategy, spec, model: NoiseModel, t, power: int) -> tuple[float, fl
     if log_f != -math.inf or (model.kind != "custom" and spec.c1 and spec.c2):
         columns = [("F_phase", f_phase), (("F/t", "F")[power - 1], scaled)]
         _check_normal(columns if t else columns[:1], lambda _: (
-            f"gamma={model.gamma!r} t={t!r}: {_row_name(_probe(strategy, spec), 0, model)}"))
+            f"gamma={model.gamma!r} t={t!r}: {_row_name(strategy, spec.n_probes, model.kind)}"))
     return f_phase, scaled
 
 

@@ -15,7 +15,7 @@ Every readout quantity, the mean, its phase slope and the phase variance,
 comes from one formula (`_readout`) on floats or arrays. The saturation-gap
 pass `_saturation_gaps` reads a probe record (`state._Probe`):
 `saturation_check` runs it on one probe's floats, and `optimize.sweep` on
-each batch's columns, with the record and log F_phase its optimizer has.
+each batch's columns, with the record and F_phase its optimizer checked.
 """
 
 from __future__ import annotations
@@ -134,40 +134,31 @@ def error_propagation_sensitivity(
     return variance / t
 
 
-def _raise_at(failed, message: str, probe, model: NoiseModel, xp) -> None:
-    """Raise ValueError(message) naming the first row of `probe` where `failed` holds."""
-    first = xp.flatnonzero(failed)
-    if len(first):
-        raise ValueError(f"{message}: {_row_name(probe, int(first[0]), model)}")
-
-
-def _saturation_gaps(probe, model: NoiseModel, t, log_f, omega: float, xp):
+def _saturation_gaps(probe, model: NoiseModel, t, f_phase, omega: float, xp):
     """(quad, gap) of each GHZ row of the probe record `probe` (`state._Probe`)
     at its time t, all rows in one pass.
 
-    log_f is each row's log F_phase at its t: floats for one probe
+    f_phase is each row's F_phase at its t: floats for one probe
     (`state._probe`, xp = `channel._FloatMath`), or (rows, 1) columns for a
     batch (`state._probe_columns`, xp = numpy). The block entries come from
     `state._block` over the model's log-space record at t
     (`channel._log_channel`, the sign of eta_perp and theta_noise included);
     then the quadrature phase, the readout there (`_readout`) and gap =
-    variance * F_phase - 1, all shaped like t, from a positive F_phase that is
-    a normal double. The pass makes no CPTP check of its own: every caller has
-    already evaluated the record at the same t, and `_log_channel` checks a
-    custom model each time. Every check is made per row, and names the row.
+    variance * F_phase - 1, all shaped like t. Its one check is the
+    readout's, a slope at quadrature that does not vanish; every caller has
+    checked the rest at the same t (F_phase positive and normal, and the CPTP
+    record of a custom model). It enters no errstate: a numpy caller does.
     """
-    f_phase = xp.exp(log_f)
-    _raise_at(f_phase == 0.0, "quantum Fisher information vanishes; nothing to saturate",
-              probe, model, xp)
-    _check_normal([("F_phase", f_phase)], lambda r: _row_name(probe, r, model))
-    with xp.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        record, _, _ = _log_channel(model, t, xp, False)
-        r00, r11, off, phase = _block(probe, record, omega, t, xp)
-        # quadrature condition: phase_total - delta - arg(c1 conj(c2)) = pi/2 (mod pi)
-        quad = (phase - xp.angle(probe.c12) - 0.5 * math.pi) % math.pi
-        _, variance, flat = _readout(r00 + r11, off, probe.n, quad, xp)
-        _raise_at(flat, "the readout has no phase response at quadrature", probe, model, xp)
-        return quad, variance * f_phase - 1.0
+    record, _, _ = _log_channel(model, t, xp, False)
+    r00, r11, off, phase = _block(probe, record, omega, t, xp)
+    # quadrature condition: phase_total - delta - arg(c1 conj(c2)) = pi/2 (mod pi)
+    quad = (phase - xp.angle(probe.c12) - 0.5 * math.pi) % math.pi
+    _, variance, flat = _readout(r00 + r11, off, probe.n, quad, xp)
+    first = xp.flatnonzero(flat)
+    if len(first):
+        raise ValueError("the readout has no phase response at quadrature: "
+                         f"{_row_name(*probe.rows[int(first[0])], model.kind)}")
+    return quad, variance * f_phase - 1.0
 
 
 def saturation_check(
@@ -201,6 +192,10 @@ def saturation_check(
     if t < 0.0:
         raise ValueError(f"interrogation time must be >= 0, got {t}")
     probe = _probe(ghz_strategy(spec.n_ancillas), spec)
-    log_f = _log_f_phase(probe, model, t, _FloatMath, False)[0]
-    quad, gap = _saturation_gaps(probe, model, t, log_f, omega, _FloatMath)
+    f_phase = _FloatMath.exp(_log_f_phase(probe, model, t, _FloatMath, False)[0])
+    name = _row_name(*probe.rows[0], model.kind)
+    if f_phase == 0.0:
+        raise ValueError(f"quantum Fisher information vanishes; nothing to saturate: {name}")
+    _check_normal([("F_phase", f_phase)], lambda _: name)
+    quad, gap = _saturation_gaps(probe, model, t, f_phase, omega, _FloatMath)
     return abs(gap) <= SATURATION_REL_TOL, float(quad), float(gap)

@@ -8,10 +8,11 @@ F_omega/t = (x / gamma) F_phase(x). So the maximizer runs at unit rate on x
 leaves both once: t_opt = x_opt / gamma and F/t = t_opt F_phase(x_opt),
 where the one range check (`channel._check_normal`) names either, or
 F_phase, when it is not a normal double. A batch of rows is maximized at
-once, one probe record (`state._probe_columns`): a strategy and an N
-column, and the amplitudes that all rows share. Each step evaluates the
-log-space closed form (`fisher._log_f_phase`) of every row in one array
-call, the record's (rows, 1) columns against a (rows, points) array of x.
+once, one probe record (`state._probe_columns`): each row's (strategy, N)
+as given, an N column and the amplitudes that all rows share. Each step
+evaluates the log-space closed form (`fisher._log_f_phase`) of every row
+in one array call, the record's (rows, 1) columns against a (rows, points)
+array of x.
 The GHZ strategies share a batch; a row gives a block term its strategy
 lacks the log weight -inf.
 
@@ -40,8 +41,8 @@ other batch (adc and dpc GHZ rows, custom models) is searched in two stages:
 Either way the peak is one objective call at x_opt, checked for coherence.
 A row is frozen once its bracket is narrow enough, so its result is the same
 to the bit whichever rows share its batch; `maximize_f_over_t` is the
-one-row batch. A failed check names the row's strategy and N
-(`state._row_name`) and reports times in t. The slope's sign stays
+one-row batch. A failed check names the row's strategy and the N it was
+given (`state._row_name`), and reports times in t. The slope's sign stays
 resolvable down to a few ulps of the optimum, where a value-based search
 stops at about sqrt(eps) because the profile is flat to second order there.
 
@@ -50,8 +51,9 @@ does not grow with the probe range, and packages the optimal time, peak
 value, ratio against the best uncorrelated scheme and readout saturation
 gap of each N into rows. The gaps of a batch are one array pass
 (`measurement._saturation_gaps`) at x_opt as `_unit_rate` reads it, from the
-record and that log F_phase; `measurement.saturation_check` runs the same
-pass on one probe's floats.
+record and the F_phase there that the maximizer has checked, so the pass
+repeats none of its checks; `measurement.saturation_check` makes them on one
+probe's floats and runs the same pass.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def _slope_roots(probe, model, a, b, guess) -> np.ndarray:
             "the slope of log(F/t) does not change sign inside the scan bracket "
             f"[{float(a[r] / gamma)!r}, {float(b[r] / gamma)!r}] (slopes "
             f"{float(values[r, 0] * gamma)!r}, {float(values[r, -1] * gamma)!r}): "
-            f"{_row_name(probe, r, model)}"
+            f"{_row_name(*probe.rows[r], model.kind)}"
         )
     roots = np.empty(len(a))
     frozen = np.zeros(len(a), dtype=bool)
@@ -279,29 +281,28 @@ def _check_profile(values, probe, model: NoiseModel, peak=None) -> None:
     if passed.all():
         return
     r = int(np.argmin(passed))
+    name = _row_name(*probe.rows[r], model.kind)
     if not coherent[r]:
         raise ValueError(
-            "F/t is 0 at every scanned time: the probe has no phase coherence "
-            "(|c1 c2|^2 is 0 in floating point), so there is no optimal time: "
-            f"{_row_name(probe, r, model)}"
+            f"F/t is 0{'' if peak is None else ' at every scanned time'}: the probe has no "
+            "phase coherence (|c1 c2|^2 is 0 in floating point), so there is no optimal "
+            f"time: {name}"
         )
     if not inside[r]:
         raise ValueError(
             f"profile peaks at the scan boundary (index {peak[r]}); "
-            f"the optimum lies outside SCAN_WINDOW: {_row_name(probe, r, model)}"
+            f"the optimum lies outside SCAN_WINDOW: {name}"
         )
-    raise ValueError(
-        f"sampled profile is not unimodal over the scan window: {_row_name(probe, r, model)}"
-    )
+    raise ValueError(f"sampled profile is not unimodal over the scan window: {name}")
 
 
-def _at_row(probe, model: NoiseModel) -> Callable[[int], str]:
-    """Where row r of the batch record `probe` was computed, for `_check_normal`."""
-    return lambda r: f"gamma={model.gamma!r}: {_row_name(probe, r, model)}"
+def _at_row(rows, model: NoiseModel) -> Callable[[int], str]:
+    """Where row r of `rows` (`state._Probe.rows`) was computed, for `_check_normal`."""
+    return lambda r: f"gamma={model.gamma!r}: {_row_name(*rows[r], model.kind)}"
 
 
 def _maximize_rows(probe, model: NoiseModel):
-    """(x_opt, t_opt, f_over_t_max, log F_phase at x_opt) of each row of the
+    """(x_opt, t_opt, f_over_t_max, F_phase at x_opt) of each row of the
     batch record `probe` (`state._probe_columns`) as (rows,) arrays.
 
     The rows are either all correlated (GHZ) or all uncorrelated, and one
@@ -313,8 +314,8 @@ def _maximize_rows(probe, model: NoiseModel):
     x_opt and checked for coherence, and x is left once: t_opt = x_opt /
     gamma and f_over_t_max = t_opt F_phase(x_opt), each checked with F_phase
     to be a normal double (`channel._check_normal`). Every check is made per
-    row, and a failure names the row's strategy and N. The log F_phase at
-    x_opt is what `sweep` passes on to the saturation gap there.
+    row, and a failure names the row's strategy and N. The F_phase at x_opt
+    is what `sweep` passes on to the saturation gap there, checked.
     """
     if model.gamma <= 0:
         raise ValueError("time optimization needs gamma > 0; the noiseless profile is unbounded")
@@ -328,8 +329,9 @@ def _maximize_rows(probe, model: NoiseModel):
         t_opt = x_opt / model.gamma
         f_phase = np.exp(log_f[:, 0])
         best = t_opt * f_phase
-    _check_normal([("t_opt", t_opt), ("F_phase", f_phase), ("F/t", best)], _at_row(probe, model))
-    return x_opt, t_opt, best, log_f[:, 0]
+    _check_normal([("t_opt", t_opt), ("F_phase", f_phase), ("F/t", best)],
+                  _at_row(probe.rows, model))
+    return x_opt, t_opt, best, f_phase
 
 
 def _searched_optima(f, probe, model: NoiseModel) -> np.ndarray:
@@ -338,7 +340,7 @@ def _searched_optima(f, probe, model: NoiseModel) -> np.ndarray:
     search between the scan points either side of the peak (`_slope_roots`)."""
     lo = SCAN_WINDOW[0] / probe.power[:, 0]
     _check_normal([(f"the scan window's lower edge gamma*t = {SCAN_WINDOW[0]!r}/N", lo)],
-                  _at_row(probe, model))
+                  _at_row(probe.rows, model))
     log_lo = np.log(lo)
     step = (math.log(SCAN_WINDOW[1]) - log_lo) / (SCAN_POINTS - 1)
     log_grid = log_lo[:, None] + np.arange(float(SCAN_POINTS)) * step[:, None]
@@ -372,19 +374,19 @@ def maximize_f_over_t(
     |c1 c2| = 0), and when t_opt, F_phase or F/t is not a normal double.
     """
     check_ancillas(strategy, spec.n_ancillas)
-    _, t_opt, best, _ = _maximize_rows(_probe_columns([strategy], [spec.n_probes], spec), model)
+    _, t_opt, best, _ = _maximize_rows(_probe_columns([(strategy, spec.n_probes)], spec), model)
     return float(t_opt[0]), float(best[0])
 
 
-def _uncorrelated_f_over_t(probes: Sequence[int], best_single: float, single: ProbeSpec,
+def _uncorrelated_f_over_t(probes: Sequence[int], best_single: float,
                            model: NoiseModel) -> np.ndarray:
     """The uncorrelated F/t = N (F/t)_1 of each N of `probes`, from the one-probe
-    optimum of the probe `single`, checked to be normal doubles; a failing row
-    is named from a record of its own, built only then."""
+    optimum best_single, checked to be normal doubles; a failing row is named
+    by the N it was given."""
     with np.errstate(over="ignore"):
         best_unc = np.array(probes, dtype=float) * best_single
-    _check_normal([("F/t", best_unc)], lambda r: _at_row(
-        _probe_columns([StrategyKind.UNCORRELATED], [probes[r]], single), model)(0))
+    _check_normal([("F/t", best_unc)],
+                  _at_row([(StrategyKind.UNCORRELATED, n) for n in probes], model))
     return best_unc
 
 
@@ -400,7 +402,7 @@ def sensitivity_ratio(
         raise ValueError("compare a correlated strategy against the uncorrelated one")
     single = ProbeSpec(spec.c1, spec.c2, 1)
     _, best_single = maximize_f_over_t(StrategyKind.UNCORRELATED, single, model)
-    (best_unc,) = _uncorrelated_f_over_t([spec.n_probes], best_single, single, model).tolist()
+    (best_unc,) = _uncorrelated_f_over_t([spec.n_probes], best_single, model).tolist()
     _, best = maximize_f_over_t(strategy, spec, model)
     return best_unc / best
 
@@ -415,21 +417,23 @@ def sweep(
     """Optimal-time summary rows for N = n_min..n_max, one per strategy.
 
     Rows come out with N ascending and strategies in declaration order.
-    The amplitudes are checked once, in the single-probe spec. The
-    uncorrelated optimum is computed once, for one probe: its time does not
-    depend on N and its F/t is N times the single-probe value; for a named
-    model it is the closed form, t = 1/gamma (adc) or 1/(2 gamma). The GHZ
-    rows are optimized in batches of at most BATCH_ROWS consecutive rows,
-    each one record with a strategy and an N column (`_maximize_rows`),
-    pdc's in closed form and the others by the scan and slope search; a
-    row's result does not depend on the batch it falls in. Each GHZ row's R is
-    N (F/t)_1 / (F/t), what `sensitivity_ratio` gives to the bit. N, each batch's
-    uncorrelated F/t and its ratios R are checked to be normal doubles
+    The amplitudes are checked once, in the single-probe spec; where |c1
+    c2|^2 is 0 in floating point, no row of any strategy has phase
+    coherence, and a ValueError names c1. The uncorrelated optimum is
+    computed once, for one probe: its time does not depend on N and its F/t
+    is N times the single-probe value; for a named model it is the closed
+    form, t = 1/gamma (adc) or 1/(2 gamma). The GHZ rows are optimized in
+    batches of at most BATCH_ROWS consecutive rows, each one record of
+    (strategy, N) rows (`_maximize_rows`), pdc's in closed form and the
+    others by the scan and slope search; a row's result does not depend on
+    the batch it falls in. Each GHZ row's R is N (F/t)_1 / (F/t), what
+    `sensitivity_ratio` gives to the bit. N, each batch's uncorrelated F/t
+    and its ratios R are checked to be normal doubles
     (`channel._check_normal`), so a failure names its row. The saturation
     gap is evaluated at the optimum x_opt = gamma t_opt as `_unit_rate`
-    reads it, with the corner readout, for a whole batch at once; uncorrelated
-    rows quote the single-probe gap (one `saturation_check` call per sweep)
-    since that strategy is measured qubit by qubit.
+    reads it, with the corner readout, for a whole batch at once;
+    uncorrelated rows quote the single-probe gap (one `saturation_check`
+    call per sweep) since that strategy is measured qubit by qubit.
     """
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad probe range {n_min}..{n_max}")
@@ -440,8 +444,11 @@ def sweep(
         raise ValueError("no strategies selected")
     c2 = math.sqrt(max(0.0, 1.0 - abs(c1) ** 2))
     single = ProbeSpec(c1, c2, 1)
+    if abs(c1) ** 2 * c2 * c2 == 0.0:
+        raise ValueError(f"the probe has no phase coherence at c1={c1!r} (|c1 c2|^2 is 0 in "
+                         "floating point), so F/t is 0 at every time and there is no optimal time")
     x_unc, t_unc, best_single, _ = (float(v[0]) for v in _maximize_rows(
-        _probe_columns([StrategyKind.UNCORRELATED], [1], single), model))
+        _probe_columns([(StrategyKind.UNCORRELATED, 1)], single), model))
     unit, divisor = _unit_rate(model)
     if StrategyKind.UNCORRELATED in chosen:
         _, _, gap_unc = saturation_check(single, unit, x_unc / divisor, omega=0.0)
@@ -453,17 +460,16 @@ def sweep(
         probes = range(first, min(first + per_chunk, n_max + 1))
         if correlated:
             # N ascending, the strategies of each N in declaration order
-            ns = [n for n in probes for _ in correlated]
-            probe = _probe_columns(correlated * len(probes), ns, single)
-            x_opt, t_opt, best, log_f = _maximize_rows(probe, model)
-        best_unc = _uncorrelated_f_over_t(probes, best_single, single, model)
+            probe = _probe_columns([(s, n) for n in probes for s in correlated], single)
+            x_opt, t_opt, best, f_phase = _maximize_rows(probe, model)
+        best_unc = _uncorrelated_f_over_t(probes, best_single, model)
         optima = []  # (t_opt, F/t, R, gap) of each GHZ row, in the batch's order
         if correlated:
-            with np.errstate(over="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 ratio = best_unc.repeat(k) / best
-            _check_normal([("ratio_r", ratio)], _at_row(probe, model))
-            at = x_opt[:, None] / divisor
-            _, gaps = _saturation_gaps(probe, unit, at, log_f[:, None], 0.0, np)
+                _check_normal([("ratio_r", ratio)], _at_row(probe.rows, model))
+                _, gaps = _saturation_gaps(probe, unit, x_opt[:, None] / divisor,
+                                           f_phase[:, None], 0.0, np)
             optima = list(zip(t_opt.tolist(), best.tolist(), ratio.tolist(), gaps[:, 0].tolist()))
         # one (t_opt, F/t, R, gap) column per chosen strategy, one entry per N
         columns = [
@@ -504,7 +510,7 @@ def tabulated_f_over_t(
         raise ValueError(f"no tabulated expressions for model kind {kind!r}")
 
     def where(_):
-        return f"gamma={gamma!r} t={t!r}: strategy={strategy.value} model={kind} n={n}"
+        return f"gamma={gamma!r} t={t!r}: {_row_name(strategy, n, kind)}"
     _check_normal([("N", n)], where)
     x = gamma * t
     log_t = math.log(t) if t > 0 else -math.inf

@@ -6,15 +6,15 @@ diagonal in the computational basis and degenerate within Hamming classes.
 Each `StrategyKind` member is the one place that says what its strategy
 is: its data lives on the member. From it, `_probe` builds the one record
 of a probe that the closed form, the optimizer and the readout read, and
-`_probe_columns` the record of a batch: a strategy and an N column, one
-row each, and the amplitudes that all rows share. The record is the one
+`_probe_columns` the record of a batch: an N column and the amplitudes
+that all rows share. A record carries each row's (strategy, N) as the
+caller gave it, which names a failing row (`_row_name`). It is the one
 place that decides P, the noiseless information being 4 |c1 c2|^2 N P: N
-where the N probes share one coherence block, else 1. A failing row is
-named from its record (`_row_name`). Read from a record are the coherence block
-alone (`coherence_block`, O(1) in N) and the whole direct sum of either GHZ
-strategy (`evolve_directsum(kind, ...)`). A full density-matrix evolution
-(the oracle route, which reads no strategy data) and a comparator between
-the two are also provided.
+where the N probes share one coherence block, else 1. Read from a record
+are the coherence block alone (`coherence_block`, O(1) in N) and the whole
+direct sum of either GHZ strategy (`evolve_directsum(kind, ...)`). A full
+density-matrix evolution (the oracle route, which reads no strategy data)
+and a comparator between the two are also provided.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ class _Probe(NamedTuple):
     one probe (`_probe`), or a batch (`_probe_columns`) with (rows, 1) columns
     of log w, N, P and log F0, which broadcast against a (rows, points) array of times."""
 
-    kinds: Sequence[StrategyKind]  # the strategy of each row
+    rows: Sequence[tuple[StrategyKind, int]]  # (strategy, N) of each row, N as given
     terms: tuple[tuple[int, int, int], ...]  # block terms (weight, pole, side), see StrategyKind
     w: tuple[float, float]  # (|c1|^2, |c2|^2)
     log_w: tuple  # log w of each term, indexed as terms; -inf for a term w = 0 or absent
@@ -272,21 +272,20 @@ def _probe(kind: StrategyKind, spec: ProbeSpec) -> _Probe:
     log_w = tuple([log_w[weight] for weight, _, _ in terms])
     n = spec.n_probes
     power = n if terms else 1
-    return _Probe((kind,), terms, w, log_w, n, power, spec.c1 * spec.c2.conjugate(),
+    return _Probe(((kind, n),), terms, w, log_w, n, power, spec.c1 * spec.c2.conjugate(),
                   _log_noiseless(w, n, power, _FloatMath))
 
 
-def _probe_columns(kinds: Sequence[StrategyKind], ns: Sequence[int], spec: ProbeSpec) -> _Probe:
-    """The record of a batch whose row r is strategy kinds[r] on ns[r] probes
+def _probe_columns(rows: Sequence[tuple[StrategyKind, int]], spec: ProbeSpec) -> _Probe:
+    """The record of a batch whose row r is rows[r] = (strategy, N), N probes
     with the amplitudes of `spec`: each row's `_probe` over the block terms
     of all the batch's strategies, joined in declaration order, where a
     term the row's strategy lacks gets the log weight -inf. A batch holds
     either correlated or uncorrelated rows: an uncorrelated row has no block
     term to join.
     """
+    kinds = [kind for kind, _ in rows]
     present = [kind for kind in StrategyKind if kind in kinds]
-    if len({kind.correlated for kind in present}) > 1:
-        raise ValueError("a batch holds either correlated or uncorrelated rows, not both")
     terms = tuple(dict.fromkeys(term for kind in present for term in kind.block_terms))
     w, log_w = _log_weights(spec)
     # log w of each term (column) under each strategy (row) of the batch
@@ -294,11 +293,11 @@ def _probe_columns(kinds: Sequence[StrategyKind], ns: Sequence[int], spec: Probe
         [[log_w[t[0]] if t in kind.block_terms else -math.inf for t in terms] for kind in present]
     )
     columns = table.T[:, [present.index(kind) for kind in kinds], None]
-    n = np.array(ns, dtype=float)[:, None]
+    n = np.array([count for _, count in rows], dtype=float)[:, None]
     power = n if terms else np.ones_like(n)
     with np.errstate(divide="ignore", over="ignore"):  # a zero weight, or N P past the doubles
         log_f0 = _log_noiseless(w, n, power, np)
-    return _Probe(kinds, terms, w, tuple(columns), n, power,
+    return _Probe(rows, terms, w, tuple(columns), n, power,
                   complex(spec.c1 * spec.c2.conjugate()), log_f0)
 
 
@@ -318,10 +317,9 @@ def _block_log_terms(probe: _Probe, log_half) -> tuple[list, list]:
     return live, [log_w + n * log_half[pole] for pole, _, log_w in live]
 
 
-def _row_name(probe: _Probe, r: int, model: NoiseModel) -> str:
-    """Which row of the record `probe` failed, for an error message."""
-    n = probe.n if isinstance(probe.n, int) else int(probe.n[r, 0])
-    return f"strategy={probe.kinds[r].value} model={model.kind} n={n}"
+def _row_name(strategy: StrategyKind, n: int, kind: str) -> str:
+    """The name of a failing row (`_Probe.rows`) under the model of `kind`, for an error."""
+    return f"strategy={strategy.value} model={kind} n={n}"
 
 
 def _block(probe: _Probe, record, omega, t, xp):

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import lambertw
 
 import ghzfreq
@@ -219,6 +222,18 @@ class TestSweep:
         )
         assert code == 3 and out == ""
         assert "no phase coherence" in err
+
+    @pytest.mark.parametrize("model", ["adc", "dpc", "pdc"])
+    @pytest.mark.parametrize("c1", ["0.0", "1.0"])
+    def test_probe_without_coherence_names_its_amplitude(self, model, c1, capsys):
+        # no row of any strategy has coherence; the hidden one-probe optimum is
+        # neither asked for nor scanned
+        code, out, err = run_capture(
+            ["sweep", "--model", model, "--gamma", "1", "--n", "2:3", "--strategy", "ghz-free",
+             "--c1", c1], capsys)
+        assert (code, out) == (3, "")
+        assert f"c1={c1}" in err and "no phase coherence" in err
+        assert "strategy=uncorrelated" not in err and "scanned" not in err
 
     @pytest.mark.parametrize("model", ["adc", "dpc", "pdc"])
     def test_tiny_rate(self, model, capsys):
@@ -728,12 +743,12 @@ OUTSIDE = [
      f"qcrb = 1.1834319526627685e-308 {BELOW}, at gamma=1e-300 n={13 * 10**153} t=0.5"),
     ("sweep --model pdc --gamma 1 --n 9e307 --strategy ghz-free",
      f"t_opt = 5.555555555555554e-309 {BELOW}, at gamma=1.0: strategy=ghz_free model=pdc "
-     f"n={int(float(9 * 10**307))}"),
+     f"n={9 * 10**307}"),
     ("sweep --model adc --gamma 1e-320 --n 1 --c1 0.6",
      "t_opt overflows double precision at gamma=1e-320: strategy=uncorrelated model=adc n=1"),
     ("sweep --model adc --gamma 1 --n 1e305 --strategy ghz-ancilla",
      f"the scan window's lower edge gamma*t = 0.0001/N = 1e-309 {BELOW}, at gamma=1.0: "
-     f"strategy=ghz_ancilla model=adc n={int(1e305)}"),
+     f"strategy=ghz_ancilla model=adc n={10**305}"),
     ("table1 --model dpc --gamma 0 --n 10000 --t 1.5e300",
      "tabulated F/t overflows double precision at gamma=0.0 t=1.5e+300: "
      "strategy=ghz_free model=dpc n=10000"),
@@ -747,7 +762,7 @@ OUTSIDE = [
 class TestValuesOutsideTheDoubles:
     """Each value that `channel._check_normal` names, pinned as the whole
     stderr line: exit 3, nothing on stdout, no warning. A batch row at a
-    huge N is named from its float N column."""
+    huge N is named by the N it was given, not by its float."""
 
     @pytest.mark.parametrize("words, message", OUTSIDE, ids=[w for w, _ in OUTSIDE])
     def test_exits_3_naming_the_value(self, words, message, capsys):
@@ -765,7 +780,19 @@ class TestValuesOutsideTheDoubles:
                                             "--n", "1e200"]), capsys)
         assert (code, out) == (3, "")
         assert err == ("numerical failure: F_phase overflows double precision at gamma=1.0: "
-                       f"strategy=ghz_free model={model} n={int(1e200)}\n")
+                       f"strategy=ghz_free model={model} n={10**200}\n")
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--model", "adc", "--gamma", "1", "--n", str(10**200), "--strategy", "ghz-free"],
+         [10**200]),
+        # F/t overflows on every row; every N's float, 7899999999999999706398720, is below them
+        (["--model", "dpc", "--gamma", "1e-300", "--n", f"{79 * 10**23 + 1}:{79 * 10**23 + 5}"],
+         range(79 * 10**23 + 1, 79 * 10**23 + 6)),
+    ], ids=["1e200", "7.9e24 range"])
+    def test_a_failing_batch_row_names_the_n_it_was_given(self, argv, named, capsys):
+        code, out, err = run_capture(["sweep", *argv], capsys)
+        assert (code, out) == (3, "")
+        assert int(re.fullmatch(r"numerical failure: .* n=(\d+)\n", err)[1]) in named
 
 
 class TestProductPastTheDoubles:
@@ -1152,6 +1179,49 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "command" in err and "nosuch" in err
+
+
+_EXPONENT = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)  # log-uniform in [1e-300, 1e300]
+_FINITE_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_STRATEGY_FLAGS = ("uncorrelated", "ghz-free", "ghz-ancilla")
+
+
+@st.composite
+def _accepted_argv(draw):
+    """A `qfi`, `table1` or `sweep` argv that the parser accepts, apart from rules
+    that join flags (a strategy's ancilla count, a rate of 0 for `sweep`)."""
+    command = draw(st.sampled_from(["qfi", "table1", "sweep"]))
+    gamma = draw(st.one_of(st.just(0.0), _EXPONENT))
+    argv = [command, "--model", draw(st.sampled_from(["adc", "dpc", "pdc"])),
+            "--gamma", repr(gamma), "--format", draw(st.sampled_from(["csv", "json"]))]
+    n = draw(st.integers(1, 10**18))
+    c1 = repr(draw(st.floats(0.0, 1.0)))
+    if command == "qfi":
+        return argv + [
+            "--n", str(n), "--t", repr(draw(_EXPONENT)),
+            "--strategy", draw(st.sampled_from(_STRATEGY_FLAGS)),
+            "--n-ancillas", str(draw(st.integers(0, 3))), "--c1", c1,
+            "--c2-phase", repr(draw(_FINITE_FLOAT)), "--omega", repr(draw(_FINITE_FLOAT))]
+    argv += ["--n", f"{n}:{n + draw(st.integers(0, 39))}"]
+    if command == "table1":
+        return argv + ["--t", repr(draw(_EXPONENT))]
+    strategies = draw(st.lists(st.sampled_from(_STRATEGY_FLAGS), min_size=1, unique=True))
+    return argv + ["--strategy", ",".join(strategies), "--c1", c1]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(argv=_accepted_argv())
+def test_every_accepted_input_exits_0_2_or_3(argv):
+    """Every input that the parser accepts gives rows (0), a usage error (2) or
+    a named numerical failure (3): no traceback, and no warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (out.getvalue() != "") == (err.getvalue() == ""), err.getvalue()
 
 
 class TestSpecFile:

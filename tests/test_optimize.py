@@ -732,6 +732,18 @@ class TestSaturationGap:
             post_init(spec)
 
         monkeypatch.setattr(ProbeSpec, "__post_init__", counted_spec)
+
+        def counted_check(module):
+            original = module._check_normal
+
+            def wrapper(columns, where):
+                calls["F_phase"] += any(name == "F_phase" for name, _ in columns)
+                return original(columns, where)
+
+            monkeypatch.setattr(module, "_check_normal", wrapper)
+
+        counted_check(optimize)
+        counted_check(measurement)
         assert len(sweep(adc(1.3), 1, 30)) == 90
         assert calls["saturation_check"] <= 1
         assert calls["_log_f_phase"] <= 1
@@ -743,3 +755,7 @@ class TestSaturationGap:
         assert calls["_probe"] == 1
         assert calls["ProbeSpec"] == 1
         assert calls["_block"] <= 3
+        # F_phase is range-checked once per optimum (the one-probe uncorrelated
+        # one and two batches) and once by the one-probe saturation check; the
+        # gap pass of a batch repeats none of the maximizer's checks
+        assert calls["F_phase"] == 4

@@ -478,17 +478,17 @@ _GHZ_KINDS = [kind for kind in StrategyKind if kind.correlated]
     phase=st.floats(-math.pi, math.pi),
 )
 def test_batch_record_rows_are_the_one_probe_records(rows, c1, phase):
-    """Row r of `_probe_columns(kinds, ns, spec)` is the one-probe `_probe` of
-    its strategy on ns[r] probes, bit for bit, with log weight -inf for a
-    term of the batch that its strategy lacks; P is N or 1 as the record says."""
-    kinds, ns = [kind for kind, _ in rows], [n for _, n in rows]
+    """Row r of `_probe_columns(rows, spec)` is the one-probe `_probe` of
+    strategy rows[r][0] on rows[r][1] probes, bit for bit, with log weight
+    -inf for a term of the batch that its strategy lacks; P is N or 1 as the
+    record says. Both carry the row's identity, (strategy, N) as given."""
     c2 = math.sqrt(1.0 - c1 * c1) * complex(math.cos(phase), math.sin(phase))
-    record = state._probe_columns(kinds, ns, ProbeSpec(c1, c2, 1))
+    record = state._probe_columns(rows, ProbeSpec(c1, c2, 1))
     assert record.n.shape == record.power.shape == (len(rows), 1)
     assert all(column.shape == (len(rows), 1) for column in record.log_w)
     for r, (kind, n) in enumerate(rows):
         one = state._probe(kind, ProbeSpec(c1, c2, n, kind.default_ancillas))
-        assert record.kinds[r] is kind
+        assert record.rows[r] == one.rows[0] == (kind, n) and one.rows[0][1] is n
         assert set(one.terms) <= set(record.terms)
         assert record.w == one.w and record.c12 == one.c12
         assert record.n[r, 0] == one.n

@@ -123,8 +123,26 @@ def test_compare_summarizes_two_corpora(tmp_path, capsys):
     report = capsys.readouterr().out
     assert report.startswith("1 of 6 runs identical\n")
     assert "exit-code changes: 1\n  0 -> 3: sweep" in report
-    assert "stderr-only changes: 2\n  2 x\n" in report
+    assert "stderr-only changes: 2\n  2 x\n" in report and "e.g." not in report
     assert "sweep t_opt uncorrelated: relative 0.25" in report
+
+
+def test_compare_shows_a_run_where_only_numbers_moved():
+    # the masked messages read alike, so the report adds one run as written
+    tool = _load_tool()
+    argv = ["sweep", "--model", "adc", "--gamma", "1", "--n", "12345:12349"]
+    old = [_run(argv, 3, stderr="numerical failure: F/t overflows at n=12344\n")]
+    new = [_run(argv, 3, stderr="numerical failure: F/t overflows at n=12345\n")]
+    summary = tool.compare(old, new)
+    key = ("numerical failure: F/t overflows at n=#",) * 2
+    assert summary["stderr_changes"] == {key: 1}
+    assert summary["stderr_examples"] == {key: (" ".join(argv), old[0]["stderr"].strip(),
+                                                new[0]["stderr"].strip())}
+    stream = io.StringIO()
+    tool._report(summary, stream)
+    assert (f"  1 x\n    old: {key[0]}\n    new: {key[1]}\n    e.g. {' '.join(argv)}\n"
+            "      old: numerical failure: F/t overflows at n=12344\n"
+            "      new: numerical failure: F/t overflows at n=12345\n") in stream.getvalue()
 
 
 def test_compare_groups_table1_rows_by_model():

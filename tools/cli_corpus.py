@@ -34,9 +34,10 @@ two runs and a comparison:
 
 `--compare` exits 1 when any run differs and 0 when every run is
 identical, so it alone decides whether two trees print the same bytes. It
-summarizes two corpora of the same argvs: how many runs are
-identical, each exit-code change with its argv, the stderr-only changes
-grouped by message (numbers read as #), and the largest relative and
+summarizes two corpora of the same argvs: how many runs are identical,
+each exit-code change with its argv, the stderr-only changes grouped by
+message (numbers read as #; where only numbers moved, with one run's argv
+and its stderr on both sides as written), and the largest relative and
 absolute move of each numeric column per command and strategy (per model
 for `table1`, whose rows have no strategy), over the runs that exit 0 on
 both sides.
@@ -209,14 +210,17 @@ def compare(old: list[dict], new: list[dict]) -> dict:
     `identical` counts runs equal in exit code, stdout and stderr;
     `exit_changes` lists (argv, old exit, new exit); `stderr_changes` counts
     each (old, new) stderr pair, numbers read as #, of runs whose exit code
-    and stdout are equal; `moves` maps (command, column, strategy) to the
-    largest relative and absolute move of a numeric cell and the argv of
-    each, over the runs that exit 0 on both sides, with the model in place
-    of the strategy for rows that have none; `layout_changes` lists
-    the argvs of those runs whose rows or columns differ.
+    and stdout are equal; `stderr_examples` maps each such pair whose two
+    sides read alike to the (argv, old stderr, new stderr) of its first run,
+    which shows the numbers that moved; `moves` maps (command, column,
+    strategy) to the largest relative and absolute move of a numeric cell
+    and the argv of each, over the runs that exit 0 on both sides, with the
+    model in place of the strategy for rows that have none;
+    `layout_changes` lists the argvs of those runs whose rows or columns
+    differ.
     """
     summary = {"runs": len(old), "identical": 0, "exit_changes": [], "stderr_changes": {},
-               "moves": {}, "layout_changes": []}
+               "stderr_examples": {}, "moves": {}, "layout_changes": []}
     if len(old) != len(new):
         raise ValueError(f"the corpora hold {len(old)} and {len(new)} runs")
     for a, b in zip(old, new):
@@ -230,6 +234,9 @@ def compare(old: list[dict], new: list[dict]) -> dict:
         elif a["stdout"] == b["stdout"]:
             key = (_message(a["stderr"]), _message(b["stderr"]))
             summary["stderr_changes"][key] = summary["stderr_changes"].get(key, 0) + 1
+            if key[0] == key[1]:
+                summary["stderr_examples"].setdefault(
+                    key, (argv, a["stderr"].strip(), b["stderr"].strip()))
         if a["exit"] != 0 or b["exit"] != 0 or a["stdout"] == b["stdout"]:
             continue
         rows_a, rows_b = _records(a["stdout"]), _records(b["stdout"])
@@ -261,6 +268,9 @@ def _report(summary: dict, stream) -> None:
     write(f"\nstderr-only changes: {sum(changes.values())}\n")
     for (was, now), count in sorted(changes.items(), key=lambda item: -item[1]):
         write(f"  {count} x\n    old: {was}\n    new: {now}\n")
+        if was == now:
+            argv, old, new = summary["stderr_examples"][was, now]
+            write(f"    e.g. {argv}\n      old: {old}\n      new: {new}\n")
     write(f"\nlayout changes on runs that exit 0 on both sides: {len(summary['layout_changes'])}\n")
     for argv in summary["layout_changes"]:
         write(f"  {argv}\n")
