@@ -176,17 +176,19 @@ def choi_matrix(params: ChannelParams) -> np.ndarray:
 
     Basis order |00>, |01>, |10>, |11> with the channel acting on the first
     factor. Diagonal is {a_pp, a_mp, a_mm, a_pm}/2; the only coherence sits
-    on the |00><11| corner with magnitude eta_perp.
+    on the |00><11| corner with magnitude eta_perp. Of float fields one 4x4
+    matrix; of array fields, as `_choi_spectrum` takes them, a stack of them
+    over the fields' shape, each equal to the matrix of its own fields.
     """
     a = a_coefficients(params)
     corner = params.eta_perp * np.exp(-1j * params.theta_noise)
-    c = np.zeros((4, 4), dtype=complex)
-    c[0, 0] = 0.5 * a.a_pp
-    c[1, 1] = 0.5 * a.a_mp
-    c[2, 2] = 0.5 * a.a_mm
-    c[3, 3] = 0.5 * a.a_pm
-    c[0, 3] = corner
-    c[3, 0] = np.conj(corner)
+    c = np.zeros(np.shape(corner) + (4, 4), dtype=complex)
+    c[..., 0, 0] = 0.5 * a.a_pp
+    c[..., 1, 1] = 0.5 * a.a_mp
+    c[..., 2, 2] = 0.5 * a.a_mm
+    c[..., 3, 3] = 0.5 * a.a_pm
+    c[..., 0, 3] = corner
+    c[..., 3, 0] = np.conj(corner)
     return c
 
 
@@ -438,12 +440,13 @@ def _check_density(rho: np.ndarray, name: str) -> None:
     """Raise ValueError, naming the matrix `name`, unless the square matrix `rho`
     is Hermitian and of unit trace: every entry of rho - rho^H within 1e-12
     and tr(rho) within 1e-10 of 1. A NaN entry fails. rho - rho^H is formed
-    one block of rows at a time, about 2^16 entries each, so the check of a
-    large matrix allocates no temporary of its size."""
+    one 64x64 tile at a time, tile (i, j) of the upper triangle against tile
+    (j, i) transposed, so the check of a large matrix reads no strided column
+    and allocates no temporary of its size."""
     hermitian, trace = 1e-12, 1e-10
-    rows = max(1, 2**16 // len(rho))
-    worst = np.max([np.abs(rho[i:i + rows] - rho[:, i:i + rows].conj().T).max()
-                    for i in range(0, len(rho), rows)])
+    tile, dim = 64, len(rho)
+    worst = np.max([np.abs(rho[i:i + tile, j:j + tile] - rho[j:j + tile, i:i + tile].conj().T).max()
+                    for i in range(0, dim, tile) for j in range(i, dim, tile)])
     if not worst <= hermitian:
         raise ValueError(f"{name} is not Hermitian within {hermitian!r}")
     tr = complex(np.trace(rho))

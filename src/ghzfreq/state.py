@@ -447,14 +447,17 @@ def evolve_dense(
 
     The per-qubit map ``superoperator(params, omega, t)`` is turned once into
     its Liouville tensor, read as the 4x4 matrix K from a qubit's (row bit,
-    column bit) pair to its image. The state is held pair-interleaved: a flat
-    vector of 4^n entries whose base-4 digit q is qubit q's pair, qubit 0
-    most significant, starting from the four GHZ corners. Each probe qubit is
-    one matrix product of the (4, 4^(n-1)) view with K, written transposed,
-    so that the next qubit's pair comes to the front. Two buffers of 4^n
-    entries take turns; after the probes one copy through the (2, 2)^n view
-    puts the rows before the columns and undoes the rotation. Entries that
-    the channel keeps at zero stay exactly 0.0. Independent of the
+    column bit) pair to its image. The state is held pair-interleaved and on
+    its support: an index array, whose base-4 digit q is qubit q's pair
+    (qubit 0 most significant), and a value array of the nonzero entries,
+    starting from the four GHZ corners. For each probe qubit the entries that
+    agree outside the qubit's digit are gathered into one row of a (rows, 4)
+    array, the rows go through one product with K, written transposed, and
+    the product's exact nonzeros are kept. After the probes the entries are
+    scattered once into rho, each entry's row and column bits read off its
+    digits. The route reads only K and the exact zeros of its products, so
+    entries that the channel keeps at zero stay exactly 0.0, and a dense K
+    gives the same products over a full support. Independent of the
     direct-sum bookkeeping above; used as the oracle side of consistency
     checks.
     """
@@ -463,18 +466,29 @@ def evolve_dense(
     _check_cap(n)
     k = _liouville_tensor(superoperator(params, omega, t)).reshape(4, 4)
     amp = np.array([spec.c1, spec.c2], dtype=complex)
-    x, buf = np.zeros(4**n, dtype=complex), np.empty(4**n, dtype=complex)
     ones = (4**n - 1) // 3  # every digit 1: |0...0><1...1|
-    x[[0, ones, 2 * ones, -1]] = np.outer(amp, amp.conj()).ravel()
-    m, p = 4 ** (n - 1), spec.n_probes
-    for _ in range(p):
-        np.matmul(x.reshape(4, m).T, k.T, out=buf.reshape(m, 4))
-        x, buf = buf, x
-    # each product rotated the digits by one place: qubit q is now digit (q - p) mod n
-    axes = [2 * ((q - p) % n) + side for side in (0, 1) for q in range(n)]
-    np.copyto(buf.reshape((2,) * (2 * n)), x.reshape((2,) * (2 * n)).transpose(axes))
-    del x  # the density check then runs beside one buffer, not two
-    return DenseState(buf.reshape(2**n, 2**n), n)
+    index = np.array([0, ones, 2 * ones, 3 * ones])
+    value = np.outer(amp, amp.conj()).ravel()
+    digits = np.arange(4)  # a qubit's digit: 2 * row bit + column bit
+    for q in range(spec.n_probes):
+        shift = 2 * (n - 1 - q)  # qubit q's digit is bits shift and shift + 1
+        rest = index & ~(3 << shift)
+        order = rest.argsort()
+        rest, index, value = rest[order], index[order], value[order]
+        opens = np.empty(len(rest), dtype=bool)  # the entry opens a row
+        opens[0] = True
+        np.not_equal(rest[1:], rest[:-1], out=opens[1:])
+        row = opens.cumsum() - 1
+        rows = np.zeros((row[-1] + 1, 4), dtype=complex)
+        rows[row, (index >> shift) & 3] = value
+        product = np.matmul(rows, k.T)
+        kept = product != 0.0
+        index = (rest[opens][:, None] | (digits << shift))[kept]
+        value = product[kept]
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    bits = np.unravel_index(index, (2,) * (2 * n))  # (row, column) bit of qubit 0, 1, ...
+    rho.reshape((2,) * (2 * n))[bits[0::2] + bits[1::2]] = value
+    return DenseState(rho, n)
 
 
 def assert_consistency(ds: DirectSumState, dense: DenseState) -> float:

@@ -189,8 +189,9 @@ def _check_tabulated_forms(rng: np.random.Generator, nmax: int) -> CheckResult:
 
 def _check_cp_boundary(rng: np.random.Generator) -> CheckResult:
     draws = 2000
-    maps = [ChannelParams(*row) for row in rng.uniform(-1.5, 1.5, size=(draws, 4))]
-    numeric = np.linalg.eigvalsh(np.stack([choi_matrix(p) for p in maps]))[:, 0]
+    fields = rng.uniform(-1.5, 1.5, size=(draws, 4))
+    maps = [ChannelParams(*row) for row in fields]
+    numeric = np.linalg.eigvalsh(choi_matrix(ChannelParams(*fields.T)))[:, 0]
     disagreements, devs = 0, []
     for params, lowest in zip(maps, numeric.tolist()):
         devs.append(abs(choi_min_eigenvalue(params) - lowest))

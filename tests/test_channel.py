@@ -253,6 +253,14 @@ class TestChoi:
             p = ChannelParams(*rng.uniform(-1.5, 1.5, size=4))
             assert np.trace(choi_matrix(p)).real == pytest.approx(2.0, abs=1e-14)
 
+    def test_stacked_matrices_are_the_per_map_ones(self):
+        fields = np.random.default_rng(7).uniform(-1.5, 1.5, size=(200, 4))
+        fields[:3] = [[0.0, 0.0, 0.0, 0.0], [-0.0, -1.0, 1.0, -0.0], [math.pi, 1e-300, -1.0, 1e300]]
+        stacked = choi_matrix(ChannelParams(*fields.T))
+        one = np.stack([choi_matrix(ChannelParams(*map(float, row))) for row in fields])
+        assert stacked.shape == (200, 4, 4)
+        assert np.array_equal(stacked.view(np.uint64), one.view(np.uint64))
+
     def test_min_eigenvalue_matches_eigensolver(self):
         rng = np.random.default_rng(42)
         for _ in range(500):
@@ -414,7 +422,7 @@ _NOT_HERMITIAN = "density matrix is not Hermitian within 1e-12"
 
 
 class TestDensityCheckOfALargeMatrix:
-    """`_check_density` forms rho - rho^H a block of rows at a time; each
+    """`_check_density` forms rho - rho^H one 64x64 tile at a time; each
     verdict and message is the one of the whole-matrix difference."""
 
     @pytest.mark.parametrize("rho, message", [
@@ -428,8 +436,18 @@ class TestDensityCheckOfALargeMatrix:
         (lambda: _changed(((0, 0), 2e-10)),
          "density matrix trace (1.0000000002+0j) is not 1 within 1e-10"),
         (_hermitian_1024, None),
+        # across the edge of two tiles, in the far corner tile and its transpose,
+        # and inside a diagonal tile
+        (lambda: _changed(((63, 64), 1e-12), ((64, 63), -1e-12)), _NOT_HERMITIAN),
+        (lambda: _changed(((63, 64), math.nan)), _NOT_HERMITIAN),
+        (lambda: _changed(((0, 1023), 1e-12), ((1023, 0), -1e-12)), _NOT_HERMITIAN),
+        (lambda: _changed(((1023, 0), math.nan)), _NOT_HERMITIAN),
+        (lambda: _changed(((130, 170), 1e-12), ((170, 130), -1e-12)), _NOT_HERMITIAN),
+        (lambda: _changed(((130, 170), math.nan)), _NOT_HERMITIAN),
     ], ids=["defect_2e-12", "defect_5e-13", "nan_first_block", "nan_middle_block",
-            "nan_last_block", "trace", "hermitian"])
+            "nan_last_block", "trace", "hermitian", "defect_tile_edge", "nan_tile_edge",
+            "defect_corner_tile", "nan_corner_tile", "defect_diagonal_tile",
+            "nan_diagonal_tile"])
     def test_verdict_and_message(self, rho, message):
         matrix = rho()
         if message is None:

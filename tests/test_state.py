@@ -267,8 +267,9 @@ class TestDenseEvolution:
                 else:
                     assert dev == moved
 
-    def test_peak_memory_is_two_buffers(self):
-        # one 2^10 x 2^10 complex matrix is 16 MiB; the two buffers are the whole peak
+    def test_peak_memory_is_one_matrix(self):
+        # one 2^10 x 2^10 complex matrix is 16 MiB; rho is the whole peak, the
+        # support and the density check's tiles add little beside it
         spec, params = ProbeSpec.balanced(10), params_at(dpc(1.0), 0.3)
         tracemalloc.start()
         try:
@@ -276,7 +277,29 @@ class TestDenseEvolution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * 16 * 2**20
+        assert peak <= 1.2 * 16 * 2**20
+
+    # rows that reach the 4x4 product per call, (N, ancillas) = (10, 0) and (9, 1):
+    # the support's rows, not the 4^(n-1) of every entry (2 621 440 at N = 10)
+    PRODUCT_ROWS = {"adc": (1052, 538), "dpc": (1554, 1040), "pdc": (40, 36)}
+
+    @pytest.mark.parametrize("make", [adc, dpc, pdc])
+    def test_products_run_over_the_support(self, make, monkeypatch):
+        shapes, matmul = [], np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            shapes.append((a.shape, b.shape))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        rows = []
+        for n, n_anc in [(10, 0), (9, 1)]:
+            shapes.clear()
+            evolve_dense(ProbeSpec.balanced(n, n_anc), params_at(make(1.0), 0.3), 0.7, 0.3)
+            assert len(shapes) == n  # one product per probe qubit
+            assert all(a[1:] == (4,) and b == (4, 4) for a, b in shapes)
+            rows.append(sum(a[0] for a, _ in shapes))
+        assert tuple(rows) == self.PRODUCT_ROWS[make.__name__]
 
     @pytest.mark.parametrize("make", [adc, dpc, pdc])
     def test_matches_pauli_round_trip(self, make):
