@@ -473,7 +473,7 @@ def evolve_dense(
     for q in range(spec.n_probes):
         shift = 2 * (n - 1 - q)  # qubit q's digit is bits shift and shift + 1
         rest = index & ~(3 << shift)
-        order = rest.argsort()
+        order = rest.argsort(kind="stable")  # as fast here as the default, and maps less code
         rest, index, value = rest[order], index[order], value[order]
         opens = np.empty(len(rest), dtype=bool)  # the entry opens a row
         opens[0] = True
