@@ -18,6 +18,7 @@ custom, enters the log-space closed forms and the coherence block.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -144,7 +145,7 @@ def params_at(model: NoiseModel, t: float) -> ChannelParams:
     A custom model's rule(t) is the one place its parameters enter, so a
     ValueError is raised there unless every field is finite.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"interrogation time must be >= 0, got {t}")
     if model.kind == "custom":
         assert model.rule is not None
@@ -175,21 +176,14 @@ def choi_matrix(params: ChannelParams) -> np.ndarray:
     """Choi matrix (trace 2) of the affine map, frequency encoding off.
 
     Basis order |00>, |01>, |10>, |11> with the channel acting on the first
-    factor. Diagonal is {a_pp, a_mp, a_mm, a_pm}/2; the only coherence sits
-    on the |00><11| corner with magnitude eta_perp. Of float fields one 4x4
-    matrix; of array fields, as `_choi_spectrum` takes them, a stack of them
-    over the fields' shape, each equal to the matrix of its own fields.
+    factor: the Liouville matrix K (`_liouville`) at omega*t = 0 reshuffled,
+    entry ((i, k), (j, l)) = K[(i, j), (k, l)] (M.-D. Choi, Linear Algebra
+    Appl. 10, 285 (1975)), so it shares no algebra with the closed-form
+    spectrum: diagonal {a_pp, a_mp, a_mm, a_pm}/2, corner eta_perp
+    exp(-i theta_noise). Array fields give a stack, each its own fields' matrix.
     """
-    a = a_coefficients(params)
-    corner = params.eta_perp * np.exp(-1j * params.theta_noise)
-    c = np.zeros(np.shape(corner) + (4, 4), dtype=complex)
-    c[..., 0, 0] = 0.5 * a.a_pp
-    c[..., 1, 1] = 0.5 * a.a_mp
-    c[..., 2, 2] = 0.5 * a.a_mm
-    c[..., 3, 3] = 0.5 * a.a_pm
-    c[..., 0, 3] = corner
-    c[..., 3, 0] = np.conj(corner)
-    return c
+    k = _liouville(params, 0.0, 0.0)
+    return k.reshape(k.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(k.shape)
 
 
 def choi_min_eigenvalue(params: ChannelParams) -> float:
@@ -370,7 +364,7 @@ def affine_apply(params: ChannelParams, omega: float, t: float, r: np.ndarray) -
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
     _require_cptp(params)
-    if np.linalg.norm(r) > 1.0 + 1e-9:
+    if not np.linalg.norm(r) <= 1.0 + 1e-9:
         raise ValueError(f"Bloch vector norm {np.linalg.norm(r):.6f} exceeds 1")
     return (superoperator(params, omega, t) @ np.array([1.0, *r]))[1:]
 
@@ -379,25 +373,46 @@ def superoperator(params: ChannelParams, omega: float, t: float) -> np.ndarray:
     """4x4 real matrix acting on the extended Bloch column (r0, rx, ry, rz).
 
     Block form [[1, 0], [c, A]], acting on (tr(rho), r); the one place the
-    rotation is written out, used by ``affine_apply`` and, per qubit, by the
-    dense evolution. Raises ValueError when the rotation angle is not finite.
+    rotation is written out, read by ``affine_apply`` and `_liouville`.
+    Raises ValueError when a float rotation angle is not finite; array fields
+    give a stack of matrices over their shape, NaN where the angle is not.
     """
     th = params.theta_noise + omega * t
-    if not math.isfinite(th):  # math.cos would raise a bare "math domain error"
+    xp = _FloatMath if isinstance(th, (int, float)) else np
+    if xp is _FloatMath and not math.isfinite(th):  # math.cos would raise "math domain error"
         raise ValueError(
             f"the rotation angle theta_noise + omega*t = {th!r} is not a finite double at "
             f"theta_noise={params.theta_noise!r}, omega={omega!r}, t={t!r}"
         )
-    cth, sth = math.cos(th), math.sin(th)
+    cth, sth = xp.cos(th), xp.sin(th)
     ep, el, ka = params.eta_perp, params.eta_par, params.kappa
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, ep * cth, -ep * sth, 0.0],
-            [0.0, ep * sth, ep * cth, 0.0],
-            [ka, 0.0, 0.0, el],
-        ]
-    )
+    s = np.zeros(np.broadcast(th, ep, el, ka).shape + (4, 4))
+    s[..., 0, 0], s[..., 3, 0], s[..., 3, 3] = 1.0, ka, el
+    s[..., 1, 1] = s[..., 2, 2] = ep * cth
+    s[..., 2, 1] = ep * sth
+    s[..., 1, 2] = -s[..., 2, 1]
+    return s
+
+
+@functools.cache
+def _pauli_basis() -> tuple[np.ndarray, np.ndarray]:
+    """(B, C) between a qubit's extended Bloch column v and its rho flattened
+    row-major: vec rho = (B/2) v, B's columns I, X, Y, Z (`_pauli_operators`),
+    and v = C vec rho, C = B^H, as v_b = tr(P_b rho). Built once; read only."""
+    b = np.stack([np.eye(2), *_pauli_operators()[:3]]).reshape(4, 4).T
+    c = b.conj().T
+    b.flags.writeable = c.flags.writeable = False
+    return b, c
+
+
+def _liouville(params: ChannelParams, omega: float, t: float) -> np.ndarray:
+    """The Liouville matrix K = (B/2) s C (`_pauli_basis`) of s = `superoperator`,
+    vec rho' = K vec rho, stacked over array fields (s cast first and K halved in
+    place, so a stack peaks at two complex copies); each entry a sum of +-s_ab and
+    +-i*s_ab terms halved after the sum, 0 where K of a phase-covariant s vanishes."""
+    b, c = _pauli_basis()
+    k = b @ superoperator(params, omega, t).astype(complex) @ c
+    return np.multiply(k, 0.5, out=k)
 
 
 def _lindblad_rhs(rho: np.ndarray, h: np.ndarray, jumps: list[np.ndarray]) -> np.ndarray:
@@ -474,7 +489,7 @@ def integrate_master_equation(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"integration time must be >= 0, got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):

@@ -101,7 +101,7 @@ def log_qfi_phase(strategy: StrategyKind, spec: ProbeSpec, model: NoiseModel, t)
     scalar = isinstance(t, (int, float))
     t_arr = float(t) if scalar else np.asarray(t, dtype=float)
     low = t_arr if scalar else float(t_arr.min())
-    if low < 0.0:
+    if not low >= 0.0:
         raise ValueError(f"interrogation time must be >= 0, got {low}")
     probe = _probe(strategy, spec)
     if scalar:

@@ -66,6 +66,8 @@ class GhzObservable:
     def __post_init__(self) -> None:
         if self.n_total < 1:
             raise ValueError(f"observable needs at least one qubit, got {self.n_total}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"measurement phase delta must be finite, got {self.delta}")
 
     def dense_matrix(self) -> np.ndarray:
         dim = 2**self.n_total
@@ -119,7 +121,7 @@ def error_propagation_sensitivity(
     Working points where the slope vanishes (relative to its attainable
     maximum) are rejected rather than returned as infinities.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"interrogation time must be > 0, got {t}")
     if obs.n_total != spec.n_total:
         raise ValueError(
@@ -143,16 +145,16 @@ def _saturation_gaps(probe, model: NoiseModel, t, f_phase, omega: float, xp):
     batch (`state._probe_columns`, xp = numpy). The block entries come from
     `state._block` over the model's log-space record at t
     (`channel._log_channel`, the sign of eta_perp and theta_noise included);
-    then the quadrature phase, the readout there (`_readout`) and gap =
+    then the quadrature phase (pi/2 - arg(off)) mod pi, read off the very
+    coherence off the readout reads, the readout there (`_readout`) and gap =
     variance * F_phase - 1, all shaped like t. Its one check is the
     readout's, a slope at quadrature that does not vanish; every caller has
     checked the rest at the same t (F_phase positive and normal, and the CPTP
     record of a custom model). It enters no errstate: a numpy caller does.
     """
     record, _, _ = _log_channel(model, t, xp, False)
-    r00, r11, off, phase = _block(probe, record, omega, t, xp)
-    # quadrature condition: phase_total - delta - arg(c1 conj(c2)) = pi/2 (mod pi)
-    quad = (phase - xp.angle(probe.c12) - 0.5 * math.pi) % math.pi
+    r00, r11, off, _ = _block(probe, record, omega, t, xp)
+    quad = (0.5 * math.pi - xp.angle(off)) % math.pi
     _, variance, flat = _readout(r00 + r11, off, probe.n, quad, xp)
     first = xp.flatnonzero(flat)
     if len(first):
@@ -189,7 +191,7 @@ def saturation_check(
     phase does better is checked by a phase scan in `verify`.
     """
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"interrogation time must be >= 0, got {t}")
     probe = _probe(ghz_strategy(spec.n_ancillas), spec)
     f_phase = _FloatMath.exp(_log_f_phase(probe, model, t, _FloatMath, False)[0])

@@ -504,7 +504,7 @@ def tabulated_f_over_t(
     """
     if n < 1:
         raise ValueError(f"need at least one probe, got {n}")
-    if t < 0 or gamma < 0:
+    if not t >= 0 or not gamma >= 0:
         raise ValueError("gamma and t must be nonnegative")
     if kind not in ("adc", "dpc", "pdc"):
         raise ValueError(f"no tabulated expressions for model kind {kind!r}")
@@ -546,7 +546,7 @@ def table1(model: NoiseModel, n: int, t: float) -> Table1Row:
     GHZ expression alongside the derived one, checked as well; `literal_mismatch`
     is set when the two disagree beyond rounding.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"F/t needs t > 0, got {t}")
     specs = [ProbeSpec.balanced(n, ancillas) for ancillas in (0, 1)]
     f_ghz, f_anc, f_unc = (

@@ -20,6 +20,7 @@ and a comparator between the two are also provided.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -31,10 +32,10 @@ from .channel import (
     _check_density,
     _check_normal,
     _FloatMath,
+    _liouville,
     _log_channel,
     _log_params,
     _require_cptp,
-    superoperator,
 )
 
 __all__ = [
@@ -132,7 +133,8 @@ class ProbeSpec:
     """Amplitudes and qubit counts of a generalized GHZ probe.
 
     n_probes qubits see the channel; n_ancillas are noise-free bystanders
-    entangled with them. |c1|^2 + |c2|^2 must be 1 and n_probes a normal double.
+    entangled with them. |c1|^2 + |c2|^2 must be 1 and n_probes a normal double;
+    both counts are Python or numpy ints, of any size; a float, even 3.0, is not.
     """
 
     c1: complex
@@ -141,13 +143,16 @@ class ProbeSpec:
     n_ancillas: int = 0
 
     def __post_init__(self) -> None:
+        for name, count in (("probe", self.n_probes), ("ancilla", self.n_ancillas)):
+            if not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name} count must be an integer, got {count!r}")
         if self.n_probes < 1:
             raise ValueError(f"need at least one probe qubit, got {self.n_probes}")
         _check_normal([("N", self.n_probes)], lambda _: f"n={self.n_probes}")
         if self.n_ancillas < 0:
             raise ValueError(f"ancilla count must be >= 0, got {self.n_ancillas}")
         norm = abs(self.c1) ** 2 + abs(self.c2) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"|c1|^2 + |c2|^2 = {norm!r} is not 1")
 
     @property
@@ -370,7 +375,7 @@ def coherence_block(
     information agree at any N. A custom model that is not finite or not
     CPTP at t raises ValueError.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"interrogation time must be >= 0, got {t}")
     record, _, _ = _log_channel(model, t, _FloatMath, False)
     probe = _probe(ghz_strategy(spec.n_ancillas), spec)
@@ -423,30 +428,13 @@ def evolve_directsum(
     return DirectSumState(block, residual, phase, n, spec.n_ancillas)
 
 
-def _liouville_tensor(s: np.ndarray) -> np.ndarray:
-    """K[i, j, k, l] with rho'_ij = sum_kl K_ijkl rho_kl for an extended-Bloch map s.
-
-    With the Pauli basis P = (I, X, Y, Z) of the extended Bloch column,
-    v_b = tr(P_b rho) = sum_kl (P_b)_lk rho_kl, v' = s v and
-    rho' = (1/2) sum_a v'_a P_a. Every entry is a sum of +-s_ab and +-i*s_ab
-    terms. A phase-covariant s has s_xx = s_yy and s_xy = -s_yx exactly and
-    no entry coupling (r0, rz) with (rx, ry), so the entries of K that should
-    vanish are exactly 0.
-    """
-    paulis = np.array(
-        [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
-        dtype=complex,
-    )
-    return 0.5 * np.einsum("aij,ab,blk->ijkl", paulis, s, paulis)
-
-
 def evolve_dense(
     spec: ProbeSpec, params: ChannelParams, omega: float, t: float
 ) -> DenseState:
     """Full-matrix evolution: the channel on each probe qubit, ancillas idle.
 
-    The per-qubit map ``superoperator(params, omega, t)`` is turned once into
-    its Liouville tensor, read as the 4x4 matrix K from a qubit's (row bit,
+    The per-qubit map ``superoperator(params, omega, t)`` is read once as
+    its Liouville matrix K (`channel._liouville`) from a qubit's (row bit,
     column bit) pair to its image. The state is held pair-interleaved and on
     its support: an index array, whose base-4 digit q is qubit q's pair
     (qubit 0 most significant), and a value array of the nonzero entries,
@@ -464,7 +452,7 @@ def evolve_dense(
     _require_cptp(params)
     n = spec.n_total
     _check_cap(n)
-    k = _liouville_tensor(superoperator(params, omega, t)).reshape(4, 4)
+    k = _liouville(params, omega, t)
     amp = np.array([spec.c1, spec.c2], dtype=complex)
     ones = (4**n - 1) // 3  # every digit 1: |0...0><1...1|
     index = np.array([0, ones, 2 * ones, 3 * ones])

@@ -23,6 +23,8 @@ from ._numpy import np
 from .channel import (
     CP_TOL,
     ChannelParams,
+    _liouville,
+    _pauli_basis,
     a_coefficients,
     adc,
     choi_matrix,
@@ -33,7 +35,6 @@ from .channel import (
     is_cptp,
     params_at,
     pdc,
-    superoperator,
 )
 from .fisher import qfi_closed, qfi_sld_oracle
 from .measurement import (
@@ -204,23 +205,16 @@ def _check_cp_boundary(rng: np.random.Generator) -> CheckResult:
 
 def _check_master_equation(rng: np.random.Generator) -> CheckResult:
     devs = []
+    b, _ = _pauli_basis()
     for make in _MODELS:
         model = make(1.0)
         t = rng.uniform(1.0, 2.0)
         omega = rng.uniform(-2.0, 2.0)
         r = rng.uniform(-1.0, 1.0, size=3)
         r *= rng.uniform(0.0, 0.99) / max(np.linalg.norm(r), 1e-12)
-        rho0 = 0.5 * np.array(
-            [[1.0 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1.0 - r[2]]],
-            dtype=complex,
-        )
+        rho0 = 0.5 * (b @ np.array([1.0, *r])).reshape(2, 2)
         rho_ode = integrate_master_equation(model, omega, t, rho0, steps=10_000)
-        s = superoperator(params_at(model, t), omega, t)
-        v = s @ np.array([1.0, r[0], r[1], r[2]])
-        rho_map = 0.5 * np.array(
-            [[v[0] + v[3], v[1] - 1j * v[2]], [v[1] + 1j * v[2], v[0] - v[3]]],
-            dtype=complex,
-        )
+        rho_map = (_liouville(params_at(model, t), omega, t) @ rho0.ravel()).reshape(2, 2)
         devs.append(np.max(np.abs(rho_ode - rho_map)))
     return CheckResult("master_equation", (
         ("RK4 (1e4 steps) vs affine map, max entry dev", np.max(devs), None, _LIMIT_TOL),

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from ghzfreq import channel
 from ghzfreq.channel import (
     CP_TOL,
     ChannelParams,
@@ -55,6 +56,26 @@ def rk4_loop(model, omega, t, rho0, steps):
         k4 = _lindblad_rhs(rho + dt * k3, h, jumps)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return rho
+
+
+def hand_choi(params):
+    """The Choi matrix placed entry by entry from the pole coefficients: the
+    reference that `choi_matrix`, read off the Liouville matrix, is pinned to."""
+    a = a_coefficients(params)
+    corner = params.eta_perp * np.exp(-1j * params.theta_noise)
+    c = np.zeros(np.shape(corner) + (4, 4), dtype=complex)
+    c[..., 0, 0] = 0.5 * a.a_pp
+    c[..., 1, 1] = 0.5 * a.a_mp
+    c[..., 2, 2] = 0.5 * a.a_mm
+    c[..., 3, 3] = 0.5 * a.a_pm
+    c[..., 0, 3] = corner
+    c[..., 3, 0] = np.conj(corner)
+    return c
+
+
+# seeded random maps and, first, three extreme rows: zero, signed zeros and 1e+-300 fields
+CHOI_FIELDS = np.random.default_rng(7).uniform(-1.5, 1.5, size=(2000, 4))
+CHOI_FIELDS[:3] = [[0.0, 0.0, 0.0, 0.0], [-0.0, -1.0, 1.0, -0.0], [math.pi, 1e-300, -1.0, 1e300]]
 
 
 def rho_of(r):
@@ -260,6 +281,24 @@ class TestChoi:
         one = np.stack([choi_matrix(ChannelParams(*map(float, row))) for row in fields])
         assert stacked.shape == (200, 4, 4)
         assert np.array_equal(stacked.view(np.uint64), one.view(np.uint64))
+
+    def test_matches_the_hand_assembly(self):
+        # the same entries summed in another order: about 360 of the 2000 maps
+        # move, each entry by at most eps = 2.2e-16 (one rounding of a sum of
+        # order 1); the 1e300 entries do not move, and the exact zeros stay
+        params = ChannelParams(*CHOI_FIELDS.T)
+        got, want = choi_matrix(params), hand_choi(params)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.max(np.abs(got - want)) <= np.finfo(float).eps
+
+    def test_reads_no_pole_coefficient(self, monkeypatch):
+        # the Choi matrix is read off `superoperator`, so that an eigensolver on
+        # it checks the closed-form spectrum built from `a_coefficients`
+        calls = []
+        monkeypatch.setattr(channel, "a_coefficients", lambda params: calls.append(params))
+        choi_matrix(params_at(adc(1.0), 0.3))
+        choi_matrix(ChannelParams(*CHOI_FIELDS.T))
+        assert calls == []
 
     def test_min_eigenvalue_matches_eigensolver(self):
         rng = np.random.default_rng(42)

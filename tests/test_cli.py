@@ -963,6 +963,21 @@ class TestVerify:
                                       if not (c[3] is None or c[1] <= c[3])]
         assert high < value <= max(1.02 * high, 1)  # just past, not far past
 
+    def test_a_sign_error_in_the_pole_coefficients_fails_cp_boundary(self, monkeypatch):
+        # A-+ written as 1 - eta_par - kappa: the closed-form spectrum reads it,
+        # the Choi matrix the eigensolver reads does not, so the two disagree
+        from ghzfreq import channel
+
+        real = channel.a_coefficients
+
+        def wrong(params):
+            return dataclasses.replace(real(params), a_mp=1.0 - params.eta_par - params.kappa)
+
+        monkeypatch.setattr(channel, "a_coefficients", wrong)
+        result = self._check("cp_boundary", monkeypatch)
+        assert not result.passed
+        assert result.criteria[0][1] > 0
+
     def test_bounds_and_their_strictness(self):
         """Each criterion's bounds, pinned; a value at a bound passes and the
         next double past it fails."""

@@ -222,6 +222,20 @@ class TestSaturationCheck:
         ) + "$"):
             saturation_check(ProbeSpec.balanced(10**200), pdc(1.0), 1e-210, 0.0)
 
+    def test_saturates_at_a_large_encoded_phase(self):
+        # the quadrature phase must come from the coherence the readout reads:
+        # phase_total = N omega t keeps about 16 significant digits, so taken
+        # from it the phase misses quadrature from omega ~ 1e14 here (worst
+        # |gap| 1.2e-5 at 1e14 and 0.27 at 3e16)
+        worst = 0.0
+        for omega in (0.3, 3e3, 3e8, 1e14, 1e15, 3e15, 3e16):
+            for spec in (ProbeSpec.balanced(4), ProbeSpec.balanced(3, 1)):
+                for make in (adc, dpc, pdc):
+                    ok, delta, gap = saturation_check(spec, make(1.0), 0.3, omega)
+                    assert ok and 0.0 <= delta < math.pi
+                    worst = max(worst, abs(gap))
+        assert worst <= 1e-14
+
     def test_dead_probe_rejected(self):
         # c2 = 0 carries no coherence, so there is no information to saturate
         with pytest.raises(ValueError):

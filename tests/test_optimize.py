@@ -9,10 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzfreq import cli, measurement, optimize
-from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc
+from ghzfreq.channel import (
+    ChannelParams,
+    adc,
+    affine_apply,
+    custom,
+    dpc,
+    integrate_master_equation,
+    params_at,
+    pdc,
+)
 from ghzfreq.cli import run
 from ghzfreq.fisher import log_qfi_phase, qfi_closed
-from ghzfreq.measurement import saturation_check
+from ghzfreq.measurement import GhzObservable, error_propagation_sensitivity, saturation_check
 from ghzfreq.optimize import (
     StrategyKind,
     maximize_f_over_t,
@@ -21,7 +30,7 @@ from ghzfreq.optimize import (
     table1,
     tabulated_f_over_t,
 )
-from ghzfreq.state import ProbeSpec
+from ghzfreq.state import ProbeSpec, coherence_block
 
 # independently computed to 40 digits with mpmath, gamma = 1
 R_ADC_ANCILLA = 0.6605498810078088
@@ -401,6 +410,37 @@ class TestTable1:
         "tabulated_n", "table1_n"])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+_SPEC3 = ProbeSpec.balanced(3)
+_GHZ = StrategyKind.GHZ_FREE
+_AT_LEAST_0 = "interrogation time must be >= 0, got nan"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: params_at(adc(1.0), math.nan), _AT_LEAST_0),
+    (lambda: integrate_master_equation(adc(1.0), 0.0, math.nan, np.eye(2) / 2, 10),
+     "integration time must be >= 0, got nan"),
+    (lambda: coherence_block(_SPEC3, adc(1.0), 0.0, math.nan), _AT_LEAST_0),
+    (lambda: log_qfi_phase(_GHZ, _SPEC3, adc(1.0), math.nan), _AT_LEAST_0),
+    (lambda: log_qfi_phase(_GHZ, _SPEC3, adc(1.0), np.array([0.5, math.nan])), _AT_LEAST_0),
+    (lambda: qfi_closed(_GHZ, _SPEC3, adc(1.0), math.nan), _AT_LEAST_0),
+    (lambda: saturation_check(_SPEC3, adc(1.0), math.nan, 0.0), _AT_LEAST_0),
+    (lambda: error_propagation_sensitivity(_SPEC3, adc(1.0), math.nan, 0.0, GhzObservable(3)),
+     "interrogation time must be > 0, got nan"),
+    (lambda: table1(adc(1.0), 3, math.nan), "F/t needs t > 0, got nan"),
+    (lambda: tabulated_f_over_t("adc", _GHZ, 3, 1.0, math.nan), "gamma and t must be nonnegative"),
+    (lambda: tabulated_f_over_t("dpc", _GHZ, 3, math.nan, 1.0), "gamma and t must be nonnegative"),
+    (lambda: GhzObservable(3, math.nan), "measurement phase delta must be finite, got nan"),
+    (lambda: GhzObservable(3, -math.inf), "measurement phase delta must be finite, got -inf"),
+    (lambda: affine_apply(params_at(adc(1.0), 0.5), 0.0, 0.5, np.array([math.nan, 0.0, 0.0])),
+     "Bloch vector norm nan exceeds 1"),
+], ids=["params_at", "master_equation", "coherence_block", "log_qfi_phase",
+        "log_qfi_phase_array", "qfi_closed", "saturation_check", "error_propagation",
+        "table1", "tabulated_t", "tabulated_gamma", "delta_nan", "delta_inf", "bloch_nan"])
+def test_nan_fails_the_existing_check(call, message):
+    # a NaN compares false either way, so each check is written to fail it
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         call()
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ghzfreq import channel, state
 from ghzfreq.channel import ChannelParams, adc, custom, dpc, params_at, pdc, superoperator
+from ghzfreq.optimize import sweep
 from ghzfreq.state import (
     MAX_DENSE_QUBITS,
     DenseState,
@@ -54,6 +55,25 @@ class TestProbeSpec:
     def test_complex_amplitudes_allowed(self):
         spec = ProbeSpec(0.6j, 0.8, 2)
         assert spec.n_total == 2
+
+    def test_numpy_integer_counts_allowed(self):
+        assert ProbeSpec(0.6, 0.8, np.int64(3), np.uint8(1)).n_total == 4
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ProbeSpec(math.nan, 0.5, 3), "|c1|^2 + |c2|^2 = nan is not 1"),
+        (lambda: ProbeSpec(0.6, complex(math.nan, 0.0), 3), "|c1|^2 + |c2|^2 = nan is not 1"),
+        (lambda: ProbeSpec(0.6, 0.8, 2.5), "probe count must be an integer, got 2.5"),
+        (lambda: ProbeSpec(0.6, 0.8, 3.0), "probe count must be an integer, got 3.0"),
+        (lambda: ProbeSpec(0.6, 0.8, math.nan), "probe count must be an integer, got nan"),
+        (lambda: ProbeSpec(0.6, 0.8, 3, 1.5), "ancilla count must be an integer, got 1.5"),
+        (lambda: ProbeSpec(0.6, 0.8, 3, math.nan), "ancilla count must be an integer, got nan"),
+        # the amplitude is named, not the hidden one-probe uncorrelated row
+        (lambda: sweep(adc(1.0), 2, 2, c1=math.nan), "|c1|^2 + |c2|^2 = nan is not 1"),
+    ], ids=["c1_nan", "c2_nan", "n_fraction", "n_integral_float", "n_nan", "ancillas_fraction",
+            "ancillas_nan", "sweep_c1_nan"])
+    def test_rejects_nan_amplitudes_and_counts_that_are_not_ints(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            call()
 
 
 class TestGhzState:
@@ -229,11 +249,41 @@ def pauli_round_trip(rho, n, qubit, s):
     return out.reshape(rho.shape)
 
 
+def einsum_liouville(s):
+    """K[i, j, k, l] with rho'_ij = sum_kl K_ijkl rho_kl for an extended-Bloch map s,
+    as one einsum over the Pauli basis P = (I, X, Y, Z): v_b = tr(P_b rho),
+    v' = s v and rho' = (1/2) sum_a v'_a P_a. The reference for `channel._liouville`."""
+    paulis = np.array(
+        [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+        dtype=complex,
+    )
+    return 0.5 * np.einsum("aij,ab,blk->ijkl", paulis, s, paulis)
+
+
+def test_liouville_matrix_is_the_einsum():
+    # K = (B/2) s C, bit for bit, per map and stacked, over seeded maps and the
+    # extreme rows of the stacked-Choi test; at omega*t = 0 too, where the Choi
+    # matrix reads it
+    fields = np.random.default_rng(23).uniform(-1.5, 1.5, size=(2000, 4))
+    fields[:3] = [[0.0, 0.0, 0.0, 0.0], [-0.0, -1.0, 1.0, -0.0], [math.pi, 1e-300, -1.0, 1e300]]
+    for omega, t in ((0.4, 0.3), (0.0, 0.0)):
+        want = np.stack([
+            einsum_liouville(superoperator(ChannelParams(*row), omega, t)).reshape(4, 4)
+            for row in fields.tolist()
+        ])
+        one = np.stack([
+            channel._liouville(ChannelParams(*row), omega, t) for row in fields.tolist()
+        ])
+        stacked = channel._liouville(ChannelParams(*fields.T), omega, t)
+        assert np.array_equal(one.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(stacked.view(np.uint64), want.view(np.uint64))
+
+
 def einsum_evolution(spec, params, omega, t):
     """The channel on each probe qubit as one einsum over the matrix's row and
     column index of that qubit: the contraction that `evolve_dense` reorders."""
     n = spec.n_total
-    k = state._liouville_tensor(superoperator(params, omega, t))
+    k = einsum_liouville(superoperator(params, omega, t))
     rho = ghz_state(spec).matrix
     for q in range(spec.n_probes):
         view = (2**q, 2, 2 ** (n - q - 1))
